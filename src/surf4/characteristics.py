@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .frames import hessian_quantities
+from .frames import monge_curvatures, monge_frame
 from .grassmann import great_circle_fit
 from .jets import Jet
 
@@ -162,7 +162,7 @@ def strip_integrate(problem, start, dt, steps, fq_min=1e-6,
     return [CharStrip(start.t + k * dt, *traj[k]) for k in range(len(traj))]
 
 
-def compatibility_solve(problem, x, seed=None, tol=1e-12, max_step=0.01):
+def compatibility_solve(problem, x, seed=None, tol=1e-12):
     """h(x) with F(x, 0, phi_x(x, 0), h) = 0, continued from x = 0.
 
     Newton at x = 0 starts from ``seed`` (default: the problem's declared
@@ -172,25 +172,7 @@ def compatibility_solve(problem, x, seed=None, tol=1e-12, max_step=0.01):
     continuation is good to |x| about 0.5; beyond the validity radius
     Newton divergence raises :class:`IntegrationError`.
     """
-    h = _newton_q(problem, 0.0, seed if seed is not None
-                  else problem.initial_q_seed, tol)
-    if abs(h - problem.initial_q_seed) > 0.5:
-        raise BranchError(
-            f"compatibility root {h} at x = 0 is not on the declared "
-            f"branch through {problem.initial_q_seed}"
-        )
-    if x == 0.0:
-        return h
-    n = max(1, math.ceil(abs(x) / max_step))
-    for xi in np.linspace(0.0, x, n + 1)[1:]:
-        h_next = _newton_q(problem, float(xi), h, tol)
-        if abs(h_next - h) > 0.5:
-            raise BranchError(
-                f"compatibility branch jumped from {h} to {h_next} "
-                f"near x = {xi}"
-            )
-        h = h_next
-    return h
+    return float(_initial_q_values(problem, [x], seed=seed, tol=tol)[0])
 
 
 def _newton_q(problem, x, q0, tol):
@@ -217,9 +199,9 @@ def _newton_q(problem, x, q0, tol):
 class SampleSet:
     """Scattered reconstruction samples with exact first derivatives.
 
-    When the reconstruction integrated derivative-offset companion strips,
-    the samples also carry second derivatives of phi propagated along the
-    flow (accurate to the offset differencing, around 1e-7).
+    The second derivatives of phi are propagated along the flow from
+    derivative-offset companion strips (accurate to the offset
+    differencing, around 1e-7).
     """
 
     x: np.ndarray
@@ -227,12 +209,12 @@ class SampleSet:
     phi: np.ndarray
     phi_x: np.ndarray
     phi_y: np.ndarray
+    phi_xx: np.ndarray
+    phi_xy: np.ndarray
+    phi_yy: np.ndarray
     c: float
-    f_drift: float = 0.0
-    phi_xx: np.ndarray | None = None
-    phi_xy: np.ndarray | None = None
-    phi_yy: np.ndarray | None = None
-    phi_xy_spread: float = 0.0  # disagreement of the two phi_xy routes
+    f_drift: float
+    phi_xy_spread: float  # disagreement of the two phi_xy routes
 
     def __len__(self):
         return len(self.x)
@@ -242,19 +224,20 @@ class SampleSet:
                                 self.phi_x, self.phi_y])
 
 
-def _initial_q_values(problem, x0s, tol=1e-12):
-    """Compatibility roots for many x0 by one continuation sweep."""
+def _initial_q_values(problem, x0s, seed=None, tol=1e-12):
+    """Compatibility roots for many x0 by one continuation sweep from a
+    Newton anchor at x = 0 started at ``seed`` (default: the problem's)."""
     x0s = np.asarray(x0s, dtype=float)
-    anchor = _newton_q(problem, 0.0, problem.initial_q_seed, tol)
+    anchor = _newton_q(problem, 0.0, problem.initial_q_seed if seed is None
+                       else seed, tol)
     if abs(anchor - problem.initial_q_seed) > 0.5:
         raise BranchError(
             f"compatibility root {anchor} at x = 0 is not on the declared "
             f"branch through {problem.initial_q_seed}"
         )
     out = np.empty_like(x0s)
-    for sign in (1.0, -1.0):
-        idx = np.flatnonzero(x0s * sign >= 0.0) if sign > 0 else \
-            np.flatnonzero(x0s < 0.0)
+    for side in (x0s >= 0.0, x0s < 0.0):
+        idx = np.flatnonzero(side)
         idx = idx[np.argsort(np.abs(x0s[idx]))]
         h = anchor
         reached = 0.0
@@ -288,26 +271,27 @@ def _launch_states(problem, x0s, fq_min):
     return states0
 
 
+# launch offset of the companion strips that give second derivatives
+DERIVATIVE_OFFSET = 3e-5
+
+
 def reconstruct_surface(problem, x_range=(-0.4, 0.4), t_range=(-0.4, 0.4),
                         n_curves=41, dt=1e-3, fq_min=1e-6,
-                        max_f_drift=1e-8, derivative_offset=3e-5):
+                        max_f_drift=1e-8):
     """Launch strips from the initial curve and collect scattered samples.
 
     Strips start at (x0, 0, phi(x0, 0), phi_x(x0, 0), h(x0)) with h from
     the compatibility solve, and run over t_range in both directions.
     Every sample carries the exact (phi_x, phi_y) = (p, q) of its strip.
 
-    With ``derivative_offset`` set, companion strips launched at
-    x0 -+ offset ride along in the same batch; cross-strip differences
-    against the along-strip field then give second derivatives of phi at
-    every sample by inverting the (launch, time) chart Jacobian.
+    Companion strips launched at x0 -+ DERIVATIVE_OFFSET ride along in the
+    same batch; cross-strip differences against the along-strip field then
+    give second derivatives of phi at every sample by inverting the
+    (launch, time) chart Jacobian.
     """
     x0s = np.linspace(x_range[0], x_range[1], n_curves)
-    if derivative_offset:
-        all_x0 = np.concatenate([x0s, x0s - derivative_offset,
-                                 x0s + derivative_offset])
-    else:
-        all_x0 = x0s
+    all_x0 = np.concatenate([x0s, x0s - DERIVATIVE_OFFSET,
+                             x0s + DERIVATIVE_OFFSET])
     states0 = _launch_states(problem, all_x0, fq_min)
 
     chunks = []
@@ -329,29 +313,23 @@ def reconstruct_surface(problem, x_range=(-0.4, 0.4), t_range=(-0.4, 0.4),
     main = states[:, :, :n_curves]
     xs, ys, zs, ps, qs = (main[:, k, :].ravel() for k in range(5))
     drift = float(np.max(np.abs(f_partials(problem, xs, ys, ps, qs)[0])))
-    sample_args = {}
-    if derivative_offset:
-        minus = states[:, :, n_curves:2 * n_curves]
-        plus = states[:, :, 2 * n_curves:]
-        v = (plus - minus) / (2.0 * derivative_offset)
-        _, fx, fy, fp, fq = f_partials(problem, xs, ys, ps, qs)
-        xdot, ydot = np.asarray(fp), np.asarray(fq)
-        pdot, qdot = -np.asarray(fx), -np.asarray(fy)
-        vx, vy = v[:, 0, :].ravel(), v[:, 1, :].ravel()
-        vp, vq = v[:, 3, :].ravel(), v[:, 4, :].ravel()
-        det = vx * ydot - xdot * vy
-        phi_xx = (vp * ydot - pdot * vy) / det
-        phi_xy_p = (pdot * vx - vp * xdot) / det
-        phi_xy_q = (vq * ydot - qdot * vy) / det
-        phi_yy = (qdot * vx - vq * xdot) / det
-        sample_args = {
-            "phi_xx": phi_xx,
-            "phi_xy": 0.5 * (phi_xy_p + phi_xy_q),
-            "phi_yy": phi_yy,
-            "phi_xy_spread": float(np.max(np.abs(phi_xy_p - phi_xy_q))),
-        }
-    return SampleSet(x=xs, y=ys, phi=zs, phi_x=ps, phi_y=qs,
-                     c=problem.c, f_drift=drift, **sample_args)
+    minus = states[:, :, n_curves:2 * n_curves]
+    plus = states[:, :, 2 * n_curves:]
+    v = (plus - minus) / (2.0 * DERIVATIVE_OFFSET)
+    _, fx, fy, fp, fq = f_partials(problem, xs, ys, ps, qs)
+    xdot, ydot = np.asarray(fp), np.asarray(fq)
+    pdot, qdot = -np.asarray(fx), -np.asarray(fy)
+    vx, vy = v[:, 0, :].ravel(), v[:, 1, :].ravel()
+    vp, vq = v[:, 3, :].ravel(), v[:, 4, :].ravel()
+    det = vx * ydot - xdot * vy
+    phi_xx = (vp * ydot - pdot * vy) / det
+    phi_xy_p = (pdot * vx - vp * xdot) / det
+    phi_xy_q = (vq * ydot - qdot * vy) / det
+    phi_yy = (qdot * vx - vq * xdot) / det
+    return SampleSet(x=xs, y=ys, phi=zs, phi_x=ps, phi_y=qs, phi_xx=phi_xx,
+                     phi_xy=0.5 * (phi_xy_p + phi_xy_q), phi_yy=phi_yy,
+                     c=problem.c, f_drift=drift,
+                     phi_xy_spread=float(np.max(np.abs(phi_xy_p - phi_xy_q))))
 
 
 # -- verification ---------------------------------------------------------
@@ -427,17 +405,7 @@ def _curvatures_from_values(x, y, p, q, pxx, pxy, pyy):
                                    (2, 0): pxx, (1, 1): pxy, (0, 2): pyy})
     psi = Jet.from_derivatives(2, {(0, 0): 0.0, (1, 0): x, (0, 1): y,
                                    (2, 0): 1.0, (1, 1): 0.0, (0, 2): 1.0})
-    hq = hessian_quantities(phi, psi)
-    E = 1.0 + p * p + x * x
-    F = p * q + x * y
-    G = 1.0 + q * q + y * y
-    W = E * G - F * F
-    Ehat = p * p + q * q + 1.0
-    Fhat = p * x + q * y
-    Ghat = x * x + y * y + 1.0
-    K = (Ehat * hq["H_psi"] - Fhat * hq["Q"] + Ghat * hq["H_phi"]) / W**2
-    kappa = (E * hq["L"] - F * hq["M"] + G * hq["N"]) / W**2
-    return K, kappa
+    return monge_curvatures(monge_frame(None, (x, y), jets=(phi, psi)))
 
 
 def verify_reconstruction(samples, b1_tol=1e-6, gamma1_origin_tol=1e-6,
@@ -449,8 +417,7 @@ def verify_reconstruction(samples, b1_tol=1e-6, gamma1_origin_tol=1e-6,
     The origin second derivatives come from a local polynomial fit over
     nearby samples (degree 3 by default; quadratic fits at this radius
     carry cubic-term bias above the 1e-3 tolerance).  The curvature check
-    uses the flow-propagated second derivatives when the sample set
-    carries them, falling back to local fits otherwise.
+    uses the flow-propagated second derivatives of the sample set.
     """
     if len(samples) < 100:
         raise ValueError("need at least 100 samples to verify")
@@ -485,17 +452,11 @@ def verify_reconstruction(samples, b1_tol=1e-6, gamma1_origin_tol=1e-6,
                        replace=False)
     worst_kk = 0.0
     for idx in picks:
-        at = (float(samples.x[idx]), float(samples.y[idx]))
-        if samples.phi_xx is not None:
-            sxx, sxy, syy = (float(samples.phi_xx[idx]),
-                             float(samples.phi_xy[idx]),
-                             float(samples.phi_yy[idx]))
-        else:
-            sxx, sxy, syy = _fit_second_derivatives(
-                samples, at, radius=fit_radius, degree=fit_degree)
         K, kappa = _curvatures_from_values(
-            at[0], at[1], float(samples.phi_x[idx]),
-            float(samples.phi_y[idx]), sxx, sxy, syy)
+            float(samples.x[idx]), float(samples.y[idx]),
+            float(samples.phi_x[idx]), float(samples.phi_y[idx]),
+            float(samples.phi_xx[idx]), float(samples.phi_xy[idx]),
+            float(samples.phi_yy[idx]))
         worst_kk = max(worst_kk, abs(K - kappa))
 
     expected_gamma1 = np.array([math.sqrt(0.5), 0.0, -math.sqrt(0.5)])
@@ -516,11 +477,9 @@ def verify_reconstruction(samples, b1_tol=1e-6, gamma1_origin_tol=1e-6,
         ("phi_yy(0,0) = 0", abs(pyy), fd_tol, abs(pyy) < fd_tol),
         ("K - kappa on estimable samples", worst_kk, curvature_tol,
          worst_kk < curvature_tol),
+        ("phi_xy agreement of the two chart routes", samples.phi_xy_spread,
+         1e-4, samples.phi_xy_spread < 1e-4),
     ]
-    if samples.phi_xx is not None:
-        checks.append(("phi_xy agreement of the two chart routes",
-                       samples.phi_xy_spread, 1e-4,
-                       samples.phi_xy_spread < 1e-4))
     return ReconstructionReport(
         n_samples=len(samples), f_drift=samples.f_drift,
         b1_max_deviation=b1_dev,

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import characteristics, suites
-from .expr import SurfaceSyntaxError, parse_surface
+from .expr import SurfaceEvalError, SurfaceSyntaxError, parse_surface
 from .frames import ClassificationTolerances, curvature_report
 from .grassmann import gauss_map_at, great_circle_fit
 from .lagrangian import congruence_to_lagrangean, grid_points
@@ -171,6 +171,14 @@ def _parse_grid(text):
     return nx, ny
 
 
+def _parse_congruence_grid(text):
+    nx, ny = _parse_grid(text)
+    if nx < 3 or ny < 3:
+        raise argparse.ArgumentTypeError(
+            "congruence grid must be at least 3x3")
+    return nx, ny
+
+
 def cmd_analyze(args):
     sd = _load_surface(args.surface)
     tol = ClassificationTolerances()
@@ -291,7 +299,7 @@ def build_parser():
     p = sub.add_parser("congruence",
                        help="great-circle test and Lagrangean congruence")
     p.add_argument("--surface", required=True)
-    p.add_argument("--grid", type=_parse_grid, default=(15, 15),
+    p.add_argument("--grid", type=_parse_congruence_grid, default=(15, 15),
                    metavar="NX,NY")
     p.add_argument("--tol-circle", type=float, default=1e-6)
     p.add_argument("--tol-symp", type=float, default=1e-8)
@@ -321,10 +329,8 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except SurfaceSyntaxError as exc:
+    except (FileNotFoundError, IsADirectoryError, SurfaceSyntaxError,
+            SurfaceEvalError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -441,20 +441,15 @@ def eval_expr(node, x, y, params):
             return params[node.name]
         except KeyError:
             raise SurfaceEvalError("undeclared parameter", node.name) from None
-    if isinstance(node, Unary):
-        arg = eval_expr(node.arg, x, y, params)
-        try:
+    try:
+        if isinstance(node, Unary):
+            arg = eval_expr(node.arg, x, y, params)
             if node.op == "neg":
                 return -arg
             return getattr(jets, node.op)(arg)
-        except (ZeroDivisionError, ValueError) as e:
-            if isinstance(e, SurfaceEvalError):
-                raise
-            raise SurfaceEvalError(str(e), to_text(node)) from e
-    if isinstance(node, Binary):
-        lhs = eval_expr(node.lhs, x, y, params)
-        rhs = eval_expr(node.rhs, x, y, params)
-        try:
+        if isinstance(node, Binary):
+            lhs = eval_expr(node.lhs, x, y, params)
+            rhs = eval_expr(node.rhs, x, y, params)
             if node.op == "+":
                 return lhs + rhs
             if node.op == "-":
@@ -462,18 +457,12 @@ def eval_expr(node, x, y, params):
             if node.op == "*":
                 return lhs * rhs
             return lhs / rhs
-        except (ZeroDivisionError, ValueError) as e:
-            if isinstance(e, SurfaceEvalError):
-                raise
-            raise SurfaceEvalError(str(e), to_text(node)) from e
-    if isinstance(node, Pow):
-        base = eval_expr(node.base, x, y, params)
-        try:
-            return base ** node.exponent
-        except (ZeroDivisionError, ValueError) as e:
-            if isinstance(e, SurfaceEvalError):
-                raise
-            raise SurfaceEvalError(str(e), to_text(node)) from e
+        if isinstance(node, Pow):
+            return eval_expr(node.base, x, y, params) ** node.exponent
+    except (ZeroDivisionError, ValueError) as e:
+        # a failing subexpression raises SurfaceEvalError, which is not
+        # caught here, so the innermost failing node is the one reported
+        raise SurfaceEvalError(str(e), to_text(node)) from e
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -125,13 +125,9 @@ class DeltaFieldDiagnostic:
     ratio: float | None
 
 
-def _jet_derivs(jet):
-    d = jet.derivative
-    return (d(1, 0), d(0, 1), d(2, 0), d(1, 1), d(0, 2))
-
-
 def monge_frame(sd, point, jets=None):
-    """First-order frame data and fundamental-form coefficients at a point."""
+    """First-order frame data and fundamental-form coefficients at a point;
+    ``sd`` is read only when ``jets`` is None."""
     if jets is None:
         jets = eval_surface(sd, point, order=2)
     phi, psi = jets
@@ -141,11 +137,17 @@ def monge_frame(sd, point, jets=None):
     t2 = np.array([0.0, 1.0, py, qy])
     n1 = np.array([-px, -py, 1.0, 0.0])
     n2 = np.array([-qx, -qy, 0.0, 1.0])
-    E, F, G = t1 @ t1, t1 @ t2, t2 @ t2
+    # scalar sums rather than dot products of t1, t2, n1, n2: numpy's dot
+    # may sum the four terms in another order and round differently
+    E = 1.0 + px * px + qx * qx
+    F = px * py + qx * qy
+    G = 1.0 + py * py + qy * qy
     W = E * G - F * F
     if W <= 0.0:
         raise InternalInconsistencyError(f"W = {W} is not positive at {point}")
-    Ehat, Fhat, Ghat = n1 @ n1, n1 @ n2, n2 @ n2
+    Ehat = px * px + py * py + 1.0
+    Fhat = px * qx + py * qy
+    Ghat = qx * qx + qy * qy + 1.0
     if abs(Ehat * Ghat - Fhat * Fhat - W) > 1e-10 * max(1.0, abs(W)):
         raise InternalInconsistencyError(
             "Ehat*Ghat - Fhat^2 differs from W beyond tolerance"
@@ -196,22 +198,21 @@ def adapted_frame(mf, order="12"):
 
 def second_form(sd, point, jets=None, frame=None):
     """Coefficients a, b, c (toward e3) and e, f, g (toward e4) of II."""
-    if jets is None:
-        jets = eval_surface(sd, point, order=2)
     mf = monge_frame(sd, point, jets=jets)
     if frame is None:
         frame = adapted_frame(mf)
     return _second_form_from(mf, frame)
 
 
+def _second_derivatives(phi_jet, psi_jet):
+    """(phi_xx, phi_xy, phi_yy, psi_xx, psi_xy, psi_yy) as floats."""
+    return tuple(float(jet.derivative(*k)) for jet in (phi_jet, psi_jet)
+                 for k in ((2, 0), (1, 1), (0, 2)))
+
+
 def _second_form_from(mf, frame):
-    phi, psi = mf.phi_jet, mf.psi_jet
-    pxx = float(phi.derivative(2, 0))
-    pxy = float(phi.derivative(1, 1))
-    pyy = float(phi.derivative(0, 2))
-    qxx = float(psi.derivative(2, 0))
-    qxy = float(psi.derivative(1, 1))
-    qyy = float(psi.derivative(0, 2))
+    pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(mf.phi_jet,
+                                                       mf.psi_jet)
     dxx = np.array([0.0, 0.0, pxx, qxx])
     dxy = np.array([0.0, 0.0, pxy, qxy])
     dyy = np.array([0.0, 0.0, pyy, qyy])
@@ -232,12 +233,7 @@ def _second_form_from(mf, frame):
 
 def hessian_quantities(phi_jet, psi_jet):
     """The six Monge-chart determinants H_phi, H_psi, Q, L, M, N."""
-    pxx, pxy, pyy = (float(phi_jet.derivative(2, 0)),
-                     float(phi_jet.derivative(1, 1)),
-                     float(phi_jet.derivative(0, 2)))
-    qxx, qxy, qyy = (float(psi_jet.derivative(2, 0)),
-                     float(psi_jet.derivative(1, 1)),
-                     float(psi_jet.derivative(0, 2)))
+    pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(phi_jet, psi_jet)
     h_phi = pxx * pyy - pxy * pxy
     h_psi = qxx * qyy - qxy * qxy
     q_det = (pxx * qyy - pxy * qxy) - (pxy * qxy - pyy * qxx)
@@ -248,15 +244,19 @@ def hessian_quantities(phi_jet, psi_jet):
             "L": l_det, "M": m_det, "N": n_det}
 
 
-def _second_derivative_scale(phi_jet, psi_jet):
-    return max(
-        abs(float(phi_jet.derivative(2, 0))),
-        abs(float(phi_jet.derivative(1, 1))),
-        abs(float(phi_jet.derivative(0, 2))),
-        abs(float(psi_jet.derivative(2, 0))),
-        abs(float(psi_jet.derivative(1, 1))),
-        abs(float(psi_jet.derivative(0, 2))),
-    )
+def monge_curvatures(mf):
+    """K and kappa by the Monge-chart determinant formulas.
+
+    K = (Ehat H_psi - Fhat Q + Ghat H_phi) / W^2 and
+    kappa = (E L - F M + G N) / W^2, with the determinants of
+    :func:`hessian_quantities`.
+    """
+    hq = hessian_quantities(mf.phi_jet, mf.psi_jet)
+    w2 = mf.W * mf.W
+    K = (mf.Ehat * hq["H_psi"] - mf.Fhat * hq["Q"]
+         + mf.Ghat * hq["H_phi"]) / w2
+    kappa = (mf.E * hq["L"] - mf.F * hq["M"] + mf.G * hq["N"]) / w2
+    return K, kappa
 
 
 def _require_close(name, u, v, scale):
@@ -304,26 +304,21 @@ def curvature_report(sd, point, tol=None, jets=None, frame_order="12"):
     relative; disagreement raises :class:`InternalInconsistencyError`.
     """
     tol = tol or ClassificationTolerances()
-    if jets is None:
-        jets = eval_surface(sd, point, order=2)
-    phi, psi = jets
     mf = monge_frame(sd, point, jets=jets)
     frame = adapted_frame(mf, order=frame_order)
     sf = _second_form_from(mf, frame)
     a, b, c, e, f, g = sf.a, sf.b, sf.c, sf.e, sf.f, sf.g
     sigma = frame.orient_tangent * frame.orient_normal
 
-    hq = hessian_quantities(phi, psi)
-    w2 = mf.W * mf.W
-    k_hessian = (mf.Ehat * hq["H_psi"] - mf.Fhat * hq["Q"]
-                 + mf.Ghat * hq["H_phi"]) / w2
+    k_hessian, kappa_det = monge_curvatures(mf)
     k1, k2 = a * c - b * b, e * g - f * f
     k_frame = k1 + k2
-    kappa_det = (mf.E * hq["L"] - mf.F * hq["M"] + mf.G * hq["N"]) / w2
     kappa_raw = (a - c) * f - (e - g) * b
     kappa_frame = sigma * kappa_raw
 
-    scale = _second_derivative_scale(phi, psi)
+    pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(mf.phi_jet,
+                                                       mf.psi_jet)
+    scale = max(abs(pxx), abs(pxy), abs(pyy), abs(qxx), abs(qxy), abs(qyy))
     _require_close("K", k_hessian, k_frame, scale**2)
     _require_close("kappa", kappa_det, kappa_frame, scale**2)
 
@@ -369,12 +364,7 @@ def curvature_report(sd, point, tol=None, jets=None, frame_order="12"):
             continue
         iso.append((_frame_dir_to_chart(frame, u), tag))
 
-    d2 = np.array([
-        [float(phi.derivative(2, 0)), float(psi.derivative(2, 0)),
-         float(phi.derivative(1, 1)), float(psi.derivative(1, 1))],
-        [float(phi.derivative(1, 1)), float(psi.derivative(1, 1)),
-         float(phi.derivative(0, 2)), float(psi.derivative(0, 2))],
-    ])
+    d2 = np.array([[pxx, qxx, pxy, qxy], [pxy, qxy, pyy, qyy]])
     singular_values = np.linalg.svd(d2, compute_uv=False)
     gauss_singular = bool(singular_values[1] <= bands["rank"])
 
@@ -438,21 +428,6 @@ def _asymptotic_directions(a, b, c, e, f, g, frame, point_class, bands):
     return out, False
 
 
-def _monge_from_jets(phi, psi, point):
-    """MongeFrame straight from a (phi, psi) jet pair."""
-    px, py = float(phi.derivative(1, 0)), float(phi.derivative(0, 1))
-    qx, qy = float(psi.derivative(1, 0)), float(psi.derivative(0, 1))
-    t1 = np.array([1.0, 0.0, px, qx])
-    t2 = np.array([0.0, 1.0, py, qy])
-    n1 = np.array([-px, -py, 1.0, 0.0])
-    n2 = np.array([-qx, -qy, 0.0, 1.0])
-    E, F, G = t1 @ t1, t1 @ t2, t2 @ t2
-    W = E * G - F * F
-    Ehat, Fhat, Ghat = n1 @ n1, n1 @ n2, n2 @ n2
-    return MongeFrame(t1, t2, n1, n2, E, F, G, W, Ehat, Fhat, Ghat,
-                      phi, psi, (float(point[0]), float(point[1])))
-
-
 def _adapted_chart_jets(sd, point, frame, target_uv, h):
     """Order-2 jets of the surface re-graphed in the chart adapted at
     ``point``, evaluated at chart coordinates ``target_uv``.
@@ -492,6 +467,9 @@ def _adapted_chart_jets(sd, point, frame, target_uv, h):
         raise ValueError(
             f"closedness stencil point {tuple(xy)} leaves the domain"
         )
+    pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(phj, psj)
+    hess_phi = np.array([[pxx, pxy], [pxy, pyy]])
+    hess_psi = np.array([[qxx, qxy], [qxy, qyy]])
 
     def component(row):
         # derivative data of the row-th rotated coordinate, as functions
@@ -504,14 +482,7 @@ def _adapted_chart_jets(sd, point, frame, target_uv, h):
         dy = weights @ np.array([0.0, 1.0, float(phj.derivative(0, 1)),
                                  float(psj.derivative(0, 1))])
         grad = np.array([dx, dy])
-        hess = (weights[2] * np.array([
-            [float(phj.derivative(2, 0)), float(phj.derivative(1, 1))],
-            [float(phj.derivative(1, 1)), float(phj.derivative(0, 2))],
-        ]) + weights[3] * np.array([
-            [float(psj.derivative(2, 0)), float(psj.derivative(1, 1))],
-            [float(psj.derivative(1, 1)), float(psj.derivative(0, 2))],
-        ]))
-        return val, grad, hess
+        return val, grad, weights[2] * hess_phi + weights[3] * hess_psi
 
     _, grad_u, hess_u = component(0)
     _, grad_v, hess_v = component(1)
@@ -550,7 +521,7 @@ def isoclinic_form_closedness(sd, point, h=1e-3):
     def theta_components(target_uv):
         phi, psi = _adapted_chart_jets(sd, point, frame0,
                                        np.asarray(target_uv, float), h)
-        mf = _monge_from_jets(phi, psi, target_uv)
+        mf = monge_frame(sd, target_uv, jets=(phi, psi))
         frame = adapted_frame(mf)
         sf = _second_form_from(mf, frame)
         return frame.coframe.T @ np.array([sf.a + sf.f, sf.b + sf.g])

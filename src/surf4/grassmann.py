@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import eval_surface
-from .frames import InternalInconsistencyError, hessian_quantities
+from .frames import InternalInconsistencyError, monge_curvatures, monge_frame
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -190,19 +190,11 @@ def blaschke_check(sd, point, h=1e-4):
     t1 = triple(a_px, a_mx, a_py, a_my, a0)
     t2 = triple(b_px, b_mx, b_py, b_my, b0)
 
-    phi, psi = eval_surface(sd, point, order=2)
-    hq = hessian_quantities(phi, psi)
-    t1v, t2v = tangent_pair(sd, point, jets=(phi, psi))
-    E, F, G = t1v @ t1v, t1v @ t2v, t2v @ t2v
-    W = E * G - F * F
-    Ehat = float(phi.derivative(1, 0))**2 + float(phi.derivative(0, 1))**2 + 1
-    Fhat = (float(phi.derivative(1, 0)) * float(psi.derivative(1, 0))
-            + float(phi.derivative(0, 1)) * float(psi.derivative(0, 1)))
-    Ghat = float(psi.derivative(1, 0))**2 + float(psi.derivative(0, 1))**2 + 1
-    K = (Ehat * hq["H_psi"] - Fhat * hq["Q"] + Ghat * hq["H_phi"]) / W**2
-    kappa = (E * hq["L"] - F * hq["M"] + G * hq["N"]) / W**2
-    rhs1 = abs(K + kappa) * np.sqrt(W)
-    rhs2 = abs(K - kappa) * np.sqrt(W)
+    mf = monge_frame(sd, point)
+    K, kappa = monge_curvatures(mf)
+    sqrt_w = np.sqrt(mf.W)
+    rhs1 = abs(K + kappa) * sqrt_w
+    rhs2 = abs(K - kappa) * sqrt_w
 
     def sign_of(t, rhs_signed):
         if abs(rhs_signed) < 1e-7 or abs(t) < 1e-7:
@@ -213,8 +205,8 @@ def blaschke_check(sd, point, h=1e-4):
         residual1=abs(abs(t1) - rhs1),
         residual2=abs(abs(t2) - rhs2),
         t1=t1, t2=t2, rhs1=rhs1, rhs2=rhs2,
-        sign1=sign_of(t1, (K + kappa) * np.sqrt(W)),
-        sign2=sign_of(t2, (K - kappa) * np.sqrt(W)),
+        sign1=sign_of(t1, (K + kappa) * sqrt_w),
+        sign2=sign_of(t2, (K - kappa) * sqrt_w),
     )
 
 

@@ -66,6 +66,21 @@ def test_analyze_bad_surface_file(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["analyze"], "phi = sqrt(x)\npsi = y\n",
+     "error: sqrt of a jet with non-positive value in subexpression "
+     "'sqrt(x)'\n"),
+    (["congruence", "--grid", "2,2"], "phi = x^2\npsi = x*y\n",
+     "argument --grid: congruence grid must be at least 3x3"),
+], ids=["eval-error", "congruence-grid"])
+def test_input_errors_exit_2(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "surface.surf"
+    path.write_text(text)
+    code, _, err = run(capsys, *argv, "--surface", str(path))
+    assert code == 2
+    assert message in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run(capsys, "analyze", "--nonsense")
     assert code == 2

@@ -81,11 +81,18 @@ def test_comments_and_blank_lines():
     assert eval_surface(sd, (0.5, 0.5), 1)[0].value == 0.5
 
 
-def test_eval_error_reports_subexpression():
-    sd = parse_surface("phi = 1/x\npsi = x")
+@pytest.mark.parametrize("phi, innermost", [
+    ("1/x", "1.0 / x"),
+    ("sqrt(x)", "sqrt(x)"),
+    ("x^-2", "x^-2"),
+    ("sin(1/x)", "1.0 / x"),
+], ids=["division", "sqrt", "negative-power", "nested"])
+def test_eval_error_reports_subexpression(phi, innermost):
+    sd = parse_surface(f"phi = {phi}\npsi = x")
     with pytest.raises(SurfaceEvalError) as err:
         eval_surface(sd, (0.0, 0.0), 2)
-    assert "1.0 / x" in str(err.value)
+    assert err.value.subexpression == innermost
+    assert str(err.value).endswith(f"in subexpression '{innermost}'")
 
 
 def test_sqrt_eval_error():

@@ -193,6 +193,20 @@ class TestDualRoutes:
                 - 0.25 * (a * g + c * e - 2 * b * f)**2
             assert d1 == pytest.approx(d2, rel=1e-9, abs=1e-12)
 
+    # the bound is 1e-9 * max(1, scale, |u|, |v|); here 1e-6, set by scale
+    # in the first pair and by |v| in the second
+    @pytest.mark.parametrize("u, scale", [(0.0, 1e3), (1e3, 0.0)])
+    @pytest.mark.parametrize("factor, ok", [(1.0 - 1e-3, True),
+                                            (1.0 + 1e-3, False)])
+    def test_route_bound_boundary(self, u, scale, factor, ok):
+        v = u + factor * 1e-6
+        if ok:
+            frames._require_close("K", u, v, scale)
+        else:
+            with pytest.raises(frames.InternalInconsistencyError,
+                               match="K routes disagree"):
+                frames._require_close("K", u, v, scale)
+
 
 class TestFrameInvariance:
     @pytest.mark.parametrize("point", [(0.0, 0.0), (0.35, -0.6), (0.7, 0.2)])
