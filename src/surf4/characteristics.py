@@ -133,7 +133,7 @@ def _integrate_batch(problem, states0, dt, steps, fq_min=1e-6,
     for k in range(steps):
         fval, _, _, _, fq = f_partials(problem, state[0], state[1],
                                        state[3], state[4])
-        bad = np.abs(fq) < fq_min
+        bad = ~(np.abs(fq) >= fq_min)  # NaN counts as bad
         if np.any(bad):
             idx = int(np.argmax(bad))
             x0 = None if x0_labels is None else x0_labels[idx]
@@ -143,7 +143,7 @@ def _integrate_batch(problem, states0, dt, steps, fq_min=1e-6,
             )
         if max_f_drift is not None:
             drift = float(np.max(np.abs(fval - f0)))
-            if drift > max_f_drift:
+            if not (drift <= max_f_drift):
                 raise IntegrationError(
                     f"F drifted by {drift} (> {max_f_drift}) at t = {k * dt}"
                 )

@@ -16,6 +16,7 @@ tolerances they used, and identical invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -179,6 +180,20 @@ def _parse_congruence_grid(text):
     return nx, ny
 
 
+def _ranged(kind, ok, requirement):
+    """argparse type: a ``kind`` number for which ``ok`` holds."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
 def cmd_analyze(args):
     sd = _load_surface(args.surface)
     tol = ClassificationTolerances()
@@ -307,10 +322,16 @@ def build_parser():
 
     p = sub.add_parser("reconstruct",
                        help="rebuild the b1 = c example surface")
-    p.add_argument("--c", type=float, default=float(np.sqrt(0.5)))
+    p.add_argument("--c", default=float(np.sqrt(0.5)), type=_ranged(
+        float, lambda c: math.isfinite(c) and abs(c) < 1.0,
+        "a finite number with |c| < 1"))
     p.add_argument("--out")
-    p.add_argument("--n-curves", type=int, default=41)
-    p.add_argument("--dt", type=float, default=1e-3)
+    # verification needs a launch curve through the origin
+    p.add_argument("--n-curves", default=41, type=_ranged(
+        int, lambda n: n >= 3 and n % 2 == 1, "an odd integer >= 3"))
+    p.add_argument("--dt", default=1e-3, type=_ranged(
+        float, lambda dt: math.isfinite(dt) and dt > 0.0,
+        "a finite number > 0"))
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="run the property suites")
@@ -330,7 +351,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, SurfaceSyntaxError,
-            SurfaceEvalError) as exc:
+            SurfaceEvalError, characteristics.IntegrationError,
+            characteristics.BranchError,
+            characteristics.CharacteristicPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

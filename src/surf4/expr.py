@@ -21,6 +21,7 @@ extraction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -470,7 +471,8 @@ def eval_surface(sd, point, order=2):
     """Jets of phi and psi at ``point``.
 
     Points outside the declared domain only warn; evaluation errors
-    (division by zero, sqrt domain) raise :class:`SurfaceEvalError`.
+    (division by zero, sqrt domain, a non-finite value or derivative)
+    raise :class:`SurfaceEvalError`.
     """
     if not sd.domain.contains(point):
         warnings.warn(
@@ -485,6 +487,11 @@ def eval_surface(sd, point, order=2):
         phi = Jet.constant(phi, order)
     if not isinstance(psi, Jet):
         psi = Jet.constant(psi, order)
+    for name, jet in (("phi", phi), ("psi", psi)):
+        if not all(map(math.isfinite, jet.c.ravel().tolist())):
+            raise SurfaceEvalError(
+                f"non-finite derivative of {name} at point "
+                f"{tuple(map(float, point))}", to_text(getattr(sd, name)))
     return phi, psi
 
 

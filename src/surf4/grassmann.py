@@ -120,7 +120,7 @@ def klein_from_plucker(point):
     b = np.array([p[0] - p[3], p[1] - p[4], p[2] - p[5]])
     a_norm = float(np.linalg.norm(a))
     b_norm = float(np.linalg.norm(b))
-    if abs(a_norm - 1.0) > 1e-10 or abs(b_norm - 1.0) > 1e-10:
+    if not (abs(a_norm - 1.0) <= 1e-10 and abs(b_norm - 1.0) <= 1e-10):
         raise ValueError(
             f"Klein vectors are not unit (|a| = {a_norm}, |b| = {b_norm}); "
             "input is not a valid Pluecker point"

@@ -28,20 +28,61 @@ _SLOT = {o: {ij: k for k, ij in enumerate(idx)} for o, idx in _INDICES.items()}
 
 
 def _leibniz_table(order):
-    # For each output index (i, j): all ((k, l), (i-k, j-l), C(i,k)*C(j,l)).
-    table = []
+    """Leibniz rule as gather indices and weights of shape (depth, slots).
+
+    Row r holds the r-th term ((k, l), (i-k, j-l), C(i,k)*C(j,l)) of every
+    output index (i, j), in a fixed term order.  Indices with fewer terms
+    are padded with zero-weight copies of their first term, so a padded
+    term is +-0.0 whenever the real terms are finite, and a sum that
+    starts at +0.0 (never -0.0) is unchanged by it.
+    """
     slot = _SLOT[order]
+    table = []
     for (i, j) in _INDICES[order]:
-        terms = []
-        for k in range(i + 1):
-            for l in range(j + 1):
-                w = math.comb(i, k) * math.comb(j, l)
-                terms.append((slot[(k, l)], slot[(i - k, j - l)], float(w)))
+        terms = [(slot[(k, l)], slot[(i - k, j - l)],
+                  float(math.comb(i, k) * math.comb(j, l)))
+                 for k in range(i + 1) for l in range(j + 1)]
         table.append(terms)
-    return table
+    depth = max(len(terms) for terms in table)
+    padded = [terms + [terms[0][:2] + (0.0,)] * (depth - len(terms))
+              for terms in table]
+    s1, s2, w = np.array(padded).transpose(2, 1, 0)
+    return s1.astype(np.intp), s2.astype(np.intp), w
 
 
 _LEIBNIZ = {o: _leibniz_table(o) for o in (1, 2, 3)}
+
+# A long coefficient tail is multiplied this many columns at a time, so
+# the gathered (depth, slots, columns) temporaries stay near 1 MB instead
+# of growing with the batch.
+_BLOCK = 4096
+
+
+def _product(a, b, order):
+    """Coefficients of the product of two jets with coefficients a and b.
+
+    Each output is 0.0 + (w*a)*b + ... over its terms in table order, the
+    rounding of a per-term loop, but gathered into one broadcast.  Tails
+    of unequal rank line up on their last axes, and the result takes
+    numpy's broadcast shape of a and b.
+    """
+    if a.shape == b.shape and a.ndim == 2 and a.shape[1] > _BLOCK:
+        out = np.empty(a.shape)
+        for i in range(0, a.shape[1], _BLOCK):
+            block = slice(i, i + _BLOCK)
+            out[:, block] = _product(a[:, block], b[:, block], order)
+        return out
+    s1, s2, w = _LEIBNIZ[order]
+    shape = a.shape
+    if b.shape != shape:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        a = a.reshape(a.shape[:1] + (1,) * (len(shape) - a.ndim) + a.shape[1:])
+        b = b.reshape(b.shape[:1] + (1,) * (len(shape) - b.ndim) + b.shape[1:])
+    terms = w.reshape(w.shape + (1,) * (len(shape) - 1)) * a[s1] * b[s2]
+    acc = 0.0 + terms[0]
+    for term in terms[1:]:
+        acc += term
+    return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
 
 
 def _check_order(order):
@@ -78,7 +119,7 @@ class Jet:
         tail = np.shape(like)[1:] if like is not None else ()
         c = np.zeros((n,) + np.broadcast_shapes(np.shape(value), tail))
         c[0] = value
-        return Jet(order, c)
+        return _jet(order, c)
 
     @staticmethod
     def variable(which, point, order):
@@ -91,7 +132,7 @@ class Jet:
         c = np.zeros((len(_INDICES[order]),) + np.shape(value))
         c[0] = value
         c[_SLOT[order][(1, 0) if which == "x" else (0, 1)]] = 1.0
-        return Jet(order, c)
+        return _jet(order, c)
 
     @staticmethod
     def from_derivatives(order, mapping):
@@ -100,7 +141,7 @@ class Jet:
         c = np.zeros(len(_INDICES[order]))
         for ij, v in mapping.items():
             c[_SLOT[order][ij]] = v
-        return Jet(order, c)
+        return _jet(order, c)
 
     # -- inspection ---------------------------------------------------------
 
@@ -122,67 +163,94 @@ class Jet:
         return f"Jet(order={self.order}, {{{pairs}}})"
 
     # -- arithmetic ---------------------------------------------------------
+    #
+    # A number operand v acts as the constant jet (v, 0, 0, ...).  A float,
+    # or a float64 array shaped like the coefficient tail, is never built
+    # into one: each operator applies the one term of the constant that is
+    # not zero, with the rounding the full operation on the constant has
+    # (x + 0.0 turns -0.0 into +0.0, and a product sum starts at 0.0).
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """``other`` as a Jet of this order or as a number that fits the
+        coefficient tail; None if it is neither a Jet nor a number."""
         if isinstance(other, Jet):
             if other.order != self.order:
                 raise ValueError(
                     f"jet order mismatch: {self.order} vs {other.order}"
                 )
             return other
-        if isinstance(other, (int, float, np.floating, np.ndarray)):
+        if isinstance(other, (int, float, np.floating)):
+            return float(other)
+        if isinstance(other, np.ndarray):
+            if other.dtype == np.float64 and other.shape == self.c.shape[1:]:
+                return other
+            # other arrays broadcast and cast as their constant jet does
             return Jet.constant(other, self.order, like=self.c)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return Jet(self.order, self.c + o.c)
+        if isinstance(o, Jet):
+            return _jet(self.order, self.c + o.c)
+        c = self.c + 0.0
+        c[0] = self.c[0] + o
+        return _jet(self.order, c)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return Jet(self.order, self.c - o.c)
+        if isinstance(o, Jet):
+            return _jet(self.order, self.c - o.c)
+        c = self.c - 0.0
+        c[0] = self.c[0] - o
+        return _jet(self.order, c)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return Jet(self.order, o.c - self.c)
+        if isinstance(o, Jet):
+            return _jet(self.order, o.c - self.c)
+        c = 0.0 - self.c
+        c[0] = o - self.c[0]
+        return _jet(self.order, c)
 
     def __neg__(self):
-        return Jet(self.order, -self.c)
+        return _jet(self.order, -self.c)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        a, b = self.c, o.c
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-        for k, terms in enumerate(_LEIBNIZ[self.order]):
-            acc = 0.0
-            for s1, s2, w in terms:
-                acc = acc + w * a[s1] * b[s2]
-            out[k] = acc
-        return Jet(self.order, out)
+        if isinstance(o, Jet):
+            return _jet(self.order, _product(self.c, o.c, self.order))
+        return _jet(self.order, self.c * o + 0.0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self * o._reciprocal()
+        if isinstance(o, Jet):
+            return self * o._reciprocal()
+        if np.any(o == 0.0):
+            raise ZeroDivisionError("division by a jet with zero value")
+        # the reciprocal of a constant jet is the constant 1.0 / v
+        return _jet(self.order, self.c * (1.0 / o) + 0.0)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o * self._reciprocal()
+        if isinstance(o, Jet):
+            return o * self._reciprocal()
+        return _jet(self.order, self._reciprocal().c * o + 0.0)
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)):
@@ -203,7 +271,7 @@ class Jet:
 
     def _compose(self, series):
         """Evaluate sum_k series[k] * (self - value)^k by Horner."""
-        w = Jet(self.order, self.c.copy())
+        w = _jet(self.order, self.c.copy())
         w.c[0] = np.zeros(np.shape(w.c[0]))
         result = Jet.constant(series[-1], self.order, like=self.c)
         for k in range(len(series) - 2, -1, -1):
@@ -242,6 +310,14 @@ class Jet:
         s, co = np.sin(self.c[0]), np.cos(self.c[0])
         series = [co, -s, -co / 2.0, s / 6.0]
         return self._compose(series[: self.order + 1])
+
+
+def _jet(order, c):
+    """A Jet around a coefficient array the kernel built, unchecked."""
+    jet = object.__new__(Jet)
+    jet.order = order
+    jet.c = c
+    return jet
 
 
 # -- scalar-generic helpers: work on Jets and plain numbers -----------------

@@ -97,6 +97,17 @@ class TestStripIntegrate:
             strip_integrate(problem, start, dt=1e-2, steps=200,
                             max_f_drift=None)
 
+    @pytest.mark.parametrize("f, error", [
+        (lambda x, y, p, q: q + math.nan, ch.IntegrationError),  # F is NaN
+        (lambda x, y, p, q: q * math.nan, CharacteristicPointError),  # F_q
+    ], ids=["nan-f", "nan-fq"])
+    def test_nan_aborts(self, f, error):
+        problem = PdeProblem(f=f, c=0.0, initial_curve=lambda x: 0.0,
+                             initial_p=lambda x: 0.0)
+        start = CharStrip(t=0.0, x=0.0, y=0.0, z=0.0, p=0.0, q=1.0)
+        with pytest.raises(error):
+            strip_integrate(problem, start, dt=1e-2, steps=3)
+
 
 @pytest.fixture(scope="module")
 def samples():

@@ -66,19 +66,57 @@ def test_analyze_bad_surface_file(capsys, tmp_path):
     assert "line 1" in err
 
 
+NON_FINITE = "phi = exp(1000*x)\npsi = x*y\n"
+OUT = object()  # stands for an output file in the test's directory
+RECONSTRUCT_RANGES = {
+    "--dt": "a finite number > 0",
+    "--n-curves": "an odd integer >= 3",
+    "--c": "a finite number with |c| < 1",
+}
+BAD_RECONSTRUCT_ARGS = [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.001"),
+                        ("--n-curves", "0"), ("--n-curves", "1"),
+                        ("--n-curves", "2"), ("--c", "2"), ("--c", "nan")]
+
+
 @pytest.mark.parametrize("argv, text, message", [
     (["analyze"], "phi = sqrt(x)\npsi = y\n",
      "error: sqrt of a jet with non-positive value in subexpression "
      "'sqrt(x)'\n"),
     (["congruence", "--grid", "2,2"], "phi = x^2\npsi = x*y\n",
      "argument --grid: congruence grid must be at least 3x3"),
-], ids=["eval-error", "congruence-grid"])
+    *[(["reconstruct", flag, value], None,
+       f"argument {flag}: must be {RECONSTRUCT_RANGES[flag]}, "
+       f"got '{value}'") for flag, value in BAD_RECONSTRUCT_ARGS],
+    (["reconstruct", "--c", "0.5"], None,
+     "error: compatibility root -1.7320508075688774 at x = 0 is not on the "
+     "declared branch through -1.0\n"),
+    (["reconstruct", "--c", "-0.5"], None,
+     "error: Newton failed to solve the compatibility equation at x = 0.0"),
+    (["analyze", "--grid", "3,3", "--out", OUT], NON_FINITE,
+     "error: non-finite derivative of phi at point (1.0, -1.0) in "
+     "subexpression 'exp(1000.0 * x)'\n"),
+    (["gaussmap", "--grid", "3,3", "--out", OUT], NON_FINITE,
+     "error: non-finite derivative of phi at point (1.0, -1.0)"),
+    (["congruence", "--grid", "3,3"], NON_FINITE,
+     "error: non-finite derivative of phi at point"),
+], ids=["eval-error", "congruence-grid",
+        *[f"reconstruct{flag}={value}" for flag, value in BAD_RECONSTRUCT_ARGS],
+        "reconstruct-branch", "reconstruct-newton",
+        "analyze-non-finite", "gaussmap-non-finite",
+        "congruence-non-finite"])
 def test_input_errors_exit_2(capsys, tmp_path, argv, text, message):
-    path = tmp_path / "surface.surf"
-    path.write_text(text)
-    code, _, err = run(capsys, *argv, "--surface", str(path))
+    out_file = tmp_path / "out.txt"
+    argv = [str(out_file) if arg is OUT else arg for arg in argv]
+    if text is not None:
+        path = tmp_path / "surface.surf"
+        path.write_text(text)
+        argv += ["--surface", str(path)]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert message in err
+    assert "Traceback" not in err
+    written = out_file.read_text() if out_file.exists() else ""
+    assert "nan" not in (out + written).lower()
 
 
 def test_unknown_flag_exits_2(capsys):

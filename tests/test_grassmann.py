@@ -84,6 +84,10 @@ class TestKlein:
         with pytest.raises(ValueError, match="not unit"):
             klein_from_plucker(bad)
 
+    def test_nan_point_rejected(self):
+        with pytest.raises(ValueError, match="not unit"):
+            klein_from_plucker(PluckerPoint(np.full(6, np.nan)))
+
 
 class TestGaussMap:
     def test_z2_constant_first_component(self):

@@ -1,11 +1,14 @@
-"""Jet arithmetic against spec values and a finite-difference oracle."""
+"""Jet arithmetic against spec values, a finite-difference oracle and the
+per-term reference kernel."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surf4.jets import Jet
+from surf4.jets import _INDICES, _SLOT, Jet
 
 
 def test_variable_x_order2():
@@ -78,6 +81,13 @@ def test_division_by_zero_value():
     x = Jet.variable("x", (0.0, 1.0), 2)
     with pytest.raises(ZeroDivisionError):
         (x + 1.0) / x
+
+
+@pytest.mark.parametrize("divisor", [0.0, -0.0, 0, np.array([2.0, -0.0])])
+def test_division_by_zero_number(divisor):
+    x = Jet.variable("x", (np.array([1.0, 2.0]), np.zeros(2)), 2)
+    with pytest.raises(ZeroDivisionError, match="zero value"):
+        x / divisor
 
 
 def test_sqrt_domain():
@@ -198,3 +208,217 @@ def test_array_coefficients_broadcast():
     np.testing.assert_allclose(f.value, (1.0 - xs) ** 2, atol=1e-15)
     np.testing.assert_allclose(f.derivative(1, 0), 2.0 * (xs - 1.0),
                                atol=1e-15)
+
+
+# -- kernel identity against the per-term reference ----------------------------
+#
+# LoopJet is the jet kernel as it was before the gathered product: a Python
+# loop over the Leibniz terms of each coefficient, and number operands built
+# into constant jets.  The kernel must reproduce it bit for bit, signed
+# zeros included, for finite coefficients.
+
+
+def _loop_leibniz_table(order):
+    table = []
+    slot = _SLOT[order]
+    for (i, j) in _INDICES[order]:
+        terms = []
+        for k in range(i + 1):
+            for l in range(j + 1):
+                w = math.comb(i, k) * math.comb(j, l)
+                terms.append((slot[(k, l)], slot[(i - k, j - l)], float(w)))
+        table.append(terms)
+    return table
+
+
+_LOOP_LEIBNIZ = {o: _loop_leibniz_table(o) for o in (1, 2, 3)}
+
+
+class LoopJet:
+    __array_ufunc__ = None
+
+    def __init__(self, order, c):
+        self.order = order
+        self.c = np.asarray(c, dtype=float)
+
+    @staticmethod
+    def constant(value, order, like=None):
+        n = len(_INDICES[order])
+        tail = np.shape(like)[1:] if like is not None else ()
+        c = np.zeros((n,) + np.broadcast_shapes(np.shape(value), tail))
+        c[0] = value
+        return LoopJet(order, c)
+
+    def _coerce(self, other):
+        if isinstance(other, LoopJet):
+            if other.order != self.order:
+                raise ValueError("jet order mismatch")
+            return other
+        if isinstance(other, (int, float, np.floating, np.ndarray)):
+            return LoopJet.constant(other, self.order, like=self.c)
+        return None
+
+    def __add__(self, other):
+        return LoopJet(self.order, self.c + self._coerce(other).c)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return LoopJet(self.order, self.c - self._coerce(other).c)
+
+    def __rsub__(self, other):
+        return LoopJet(self.order, self._coerce(other).c - self.c)
+
+    def __neg__(self):
+        return LoopJet(self.order, -self.c)
+
+    def __mul__(self, other):
+        a, b = self.c, self._coerce(other).c
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+        for k, terms in enumerate(_LOOP_LEIBNIZ[self.order]):
+            acc = 0.0
+            for s1, s2, w in terms:
+                acc = acc + w * a[s1] * b[s2]
+            out[k] = acc
+        return LoopJet(self.order, out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * self._coerce(other)._reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self._reciprocal()
+
+    def __pow__(self, n):
+        if n < 0:
+            return (self ** -n)._reciprocal()
+        result = LoopJet.constant(1.0, self.order, like=self.c)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def _compose(self, series):
+        w = LoopJet(self.order, self.c.copy())
+        w.c[0] = np.zeros(np.shape(w.c[0]))
+        result = LoopJet.constant(series[-1], self.order, like=self.c)
+        for k in range(len(series) - 2, -1, -1):
+            result = result * w
+            result.c[0] = result.c[0] + series[k]
+        return result
+
+    def _reciprocal(self):
+        v = self.c[0]
+        if np.any(np.asarray(v) == 0.0):
+            raise ZeroDivisionError("division by a jet with zero value")
+        inv = 1.0 / v
+        return self._compose([inv * (-inv) ** k
+                              for k in range(self.order + 1)])
+
+    def sqrt(self):
+        v = self.c[0]
+        if np.any(np.asarray(v) <= 0.0):
+            raise ValueError("sqrt of a jet with non-positive value")
+        r = np.sqrt(v)
+        series = [r, 0.5 * r / v, -0.125 * r / v**2, 0.0625 * r / v**3]
+        return self._compose(series[: self.order + 1])
+
+    def exp(self):
+        e = np.exp(self.c[0])
+        return self._compose([e, e, e / 2.0, e / 6.0][: self.order + 1])
+
+    def sin(self):
+        s, co = np.sin(self.c[0]), np.cos(self.c[0])
+        return self._compose([s, co, -s / 2.0, -co / 6.0][: self.order + 1])
+
+    def cos(self):
+        s, co = np.sin(self.c[0]), np.cos(self.c[0])
+        return self._compose([co, -s, -co / 2.0, s / 6.0][: self.order + 1])
+
+
+# Magnitudes stay in [1e-2, 1e2] so that every reciprocal series and
+# transcendental stays finite; zeros of both signs are drawn often.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+    st.builds(lambda sign, mag: sign * mag, st.sampled_from([1.0, -1.0]),
+              st.floats(1e-2, 1e2)),
+)
+_TAILS = st.sampled_from([(), (1,), (2,), (3,)])
+
+_NUMBER_OPS = {
+    "add": lambda j, v: j + v, "radd": lambda j, v: v + j,
+    "sub": lambda j, v: j - v, "rsub": lambda j, v: v - j,
+    "mul": lambda j, v: j * v, "rmul": lambda j, v: v * j,
+    "div": lambda j, v: j / v, "rdiv": lambda j, v: v / j,
+}
+_JET_OPS = {
+    "add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b, "div": lambda a, b: a / b,
+}
+_UNARY_OPS = {
+    "neg": lambda j: -j, "sqrt": lambda j: j.sqrt(),
+    "exp": lambda j: j.exp(), "sin": lambda j: j.sin(),
+    "cos": lambda j: j.cos(),
+    **{f"pow{n}": (lambda j, n=n: j ** n) for n in range(-2, 5)},
+}
+
+
+@st.composite
+def _coefficients(draw, order, tail):
+    size = len(_INDICES[order]) * math.prod(tail)
+    values = draw(st.lists(_VALUES, min_size=size, max_size=size))
+    return np.array(values).reshape((len(_INDICES[order]),) + tail)
+
+
+def _outcomes(fn):
+    """``fn(cls)`` for Jet and for LoopJet: coefficient shape and bytes, or
+    the exception type."""
+    def outcome(cls):
+        try:
+            c = fn(cls).c
+        except Exception as exc:
+            return type(exc)
+        return c.shape, c.tobytes()
+    return outcome(Jet), outcome(LoopJet)
+
+
+@pytest.mark.parametrize("kind", ["number", "jet", "unary"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_per_term_reference(kind, data):
+    order = data.draw(st.integers(1, 3), label="order")
+    tail = data.draw(_TAILS)
+    a = data.draw(_coefficients(order, tail))
+    if kind == "number":
+        op = _NUMBER_OPS[data.draw(st.sampled_from(sorted(_NUMBER_OPS)))]
+        # arrays shaped like the tail, or shaped otherwise
+        value = data.draw(st.one_of(
+            _VALUES, st.integers(-3, 3),
+            st.one_of(st.just(tail), _TAILS).flatmap(lambda t: st.lists(
+                _VALUES, min_size=math.prod(t), max_size=math.prod(t)).map(
+                    lambda vs, t=t: np.array(vs).reshape(t)))), label="v")
+        new, old = _outcomes(lambda cls: op(cls(order, a.copy()), value))
+    elif kind == "jet":
+        op = _JET_OPS[data.draw(st.sampled_from(sorted(_JET_OPS)))]
+        b = data.draw(_coefficients(order, data.draw(_TAILS)))
+        new, old = _outcomes(
+            lambda cls: op(cls(order, a.copy()), cls(order, b.copy())))
+    else:
+        op = _UNARY_OPS[data.draw(st.sampled_from(sorted(_UNARY_OPS)))]
+        new, old = _outcomes(lambda cls: op(cls(order, a.copy())))
+    assert new == old
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_long_tail_product_matches_reference(order):
+    # tails longer than the kernel's block are multiplied block by block
+    rng = np.random.default_rng(order)
+    n = len(_INDICES[order])
+    a, b = (rng.uniform(-2.0, 2.0, (n, 10001)) for _ in range(2))
+    a[:, ::7] = -0.0
+    new, old = _outcomes(lambda cls: (cls(order, a) * cls(order, b)).exp())
+    assert new == old
