@@ -41,6 +41,17 @@ class BranchError(ValueError):
     """Newton converged onto the wrong compatibility branch."""
 
 
+class SamplingError(ValueError):
+    """The strips are too coarse for the samples a step or a check needs."""
+
+
+FQ_MIN = 1e-6              # transversality floor on |F_q| along strips
+MAX_F_DRIFT = 1e-8         # bound on the drift of F along strips
+NEWTON_TOL = 1e-12         # |F| at which the compatibility Newton stops
+DERIVATIVE_OFFSET = 3e-5   # launch offset of the second-derivative strips
+RANGE = 0.4                # x0 and t both span [-RANGE, RANGE]
+
+
 @dataclass
 class PdeProblem:
     f: callable                 # F(x, y, p, q), scalar-generic
@@ -64,19 +75,6 @@ def example2_problem(c=1.0 / math.sqrt(2.0)):
         initial_p=lambda x: -x,
         initial_q_seed=-1.0,
     )
-
-
-@dataclass
-class CharStrip:
-    t: float
-    x: float
-    y: float
-    z: float
-    p: float
-    q: float
-
-    def state(self):
-        return np.array([self.x, self.y, self.z, self.p, self.q])
 
 
 def f_partials(problem, x, y, p, q):
@@ -113,18 +111,15 @@ def _rk4_step(problem, state, dt):
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_batch(problem, states0, dt, steps, fq_min=1e-6,
-                     max_f_drift=1e-8, x0_labels=None):
+def _integrate_batch(problem, states0, dt, steps, max_f_drift=MAX_F_DRIFT,
+                     x0_labels=None):
     """Classical RK4 on a (5, n) batch; returns (steps+1, 5, n) trajectory.
 
     Aborts with :class:`CharacteristicPointError` when any column hits
-    |F_q| < fq_min, and with :class:`IntegrationError` when F drifts more
-    than ``max_f_drift`` from its initial values.
+    |F_q| < FQ_MIN, and with :class:`IntegrationError` when F drifts more
+    than ``max_f_drift`` from its initial values (None skips that check).
     """
     states0 = np.asarray(states0, dtype=float)
-    squeeze = states0.ndim == 1
-    if squeeze:
-        states0 = states0[:, None]
     out = np.empty((steps + 1,) + states0.shape)
     out[0] = states0
     f0 = f_partials(problem, states0[0], states0[1], states0[3],
@@ -133,12 +128,12 @@ def _integrate_batch(problem, states0, dt, steps, fq_min=1e-6,
     for k in range(steps):
         fval, _, _, _, fq = f_partials(problem, state[0], state[1],
                                        state[3], state[4])
-        bad = ~(np.abs(fq) >= fq_min)  # NaN counts as bad
+        bad = ~(np.abs(fq) >= FQ_MIN)  # NaN counts as bad
         if np.any(bad):
             idx = int(np.argmax(bad))
             x0 = None if x0_labels is None else x0_labels[idx]
             raise CharacteristicPointError(
-                f"characteristic point: |F_q| < {fq_min} at t = {k * dt}",
+                f"characteristic point: |F_q| < {FQ_MIN} at t = {k * dt}",
                 x0=x0, t=k * dt,
             )
         if max_f_drift is not None:
@@ -149,45 +144,22 @@ def _integrate_batch(problem, states0, dt, steps, fq_min=1e-6,
                 )
         state = _rk4_step(problem, state, dt)
         out[k + 1] = state
-    if squeeze:
-        return out[:, :, 0]
     return out
 
 
-def strip_integrate(problem, start, dt, steps, fq_min=1e-6,
-                    max_f_drift=1e-8):
-    """Integrate a single characteristic strip, returning all states."""
-    traj = _integrate_batch(problem, start.state(), dt, steps,
-                            fq_min=fq_min, max_f_drift=max_f_drift)
-    return [CharStrip(start.t + k * dt, *traj[k]) for k in range(len(traj))]
-
-
-def compatibility_solve(problem, x, seed=None, tol=1e-12):
-    """h(x) with F(x, 0, phi_x(x, 0), h) = 0, continued from x = 0.
-
-    Newton at x = 0 starts from ``seed`` (default: the problem's declared
-    seed); converging onto a different branch than the declared one raises
-    :class:`BranchError`, as does a discontinuous jump during
-    continuation.  For the b1 = c problem at c = 1/sqrt(2) the
-    continuation is good to |x| about 0.5; beyond the validity radius
-    Newton divergence raises :class:`IntegrationError`.
-    """
-    return float(_initial_q_values(problem, [x], seed=seed, tol=tol)[0])
-
-
-def _newton_q(problem, x, q0, tol):
+def _newton_q(problem, x, q0):
     p0 = float(problem.initial_p(x))
     q = float(q0)
     for _ in range(60):
         fval, _, _, _, fq = f_partials(problem, x, 0.0, p0, q)
         fval = float(fval)
-        if abs(fval) < tol:
+        if abs(fval) < NEWTON_TOL:
             return q
         if fq == 0.0:
             break
         q = q - fval / float(fq)
     fval = float(f_partials(problem, x, 0.0, p0, q)[0])
-    if abs(fval) < tol:
+    if abs(fval) < NEWTON_TOL:
         return q
     raise IntegrationError(
         f"Newton failed to solve the compatibility equation at x = {x} "
@@ -224,12 +196,20 @@ class SampleSet:
                                 self.phi_x, self.phi_y])
 
 
-def _initial_q_values(problem, x0s, seed=None, tol=1e-12):
-    """Compatibility roots for many x0 by one continuation sweep from a
-    Newton anchor at x = 0 started at ``seed`` (default: the problem's)."""
+def _initial_q_values(problem, x0s, seed=None):
+    """h(x0) with F(x0, 0, phi_x(x0, 0), h) = 0 for every x0, continued
+    from a Newton anchor at x = 0 in one sweep per side.
+
+    Newton at x = 0 starts from ``seed`` (default: the problem's declared
+    seed); converging onto a different branch than the declared one raises
+    :class:`BranchError`, as does a discontinuous jump during
+    continuation.  For the b1 = c problem at c = 1/sqrt(2) the
+    continuation is good to |x| about 0.5; beyond the validity radius
+    Newton divergence raises :class:`IntegrationError`.
+    """
     x0s = np.asarray(x0s, dtype=float)
     anchor = _newton_q(problem, 0.0, problem.initial_q_seed if seed is None
-                       else seed, tol)
+                       else seed)
     if abs(anchor - problem.initial_q_seed) > 0.5:
         raise BranchError(
             f"compatibility root {anchor} at x = 0 is not on the declared "
@@ -245,7 +225,7 @@ def _initial_q_values(problem, x0s, seed=None, tol=1e-12):
             target = float(x0s[i])
             n = max(1, math.ceil(abs(target - reached) / 0.01))
             for xi in np.linspace(reached, target, n + 1)[1:]:
-                h_next = _newton_q(problem, float(xi), h, tol)
+                h_next = _newton_q(problem, float(xi), h)
                 if abs(h_next - h) > 0.5:
                     raise BranchError(
                         f"compatibility branch jumped near x = {xi}")
@@ -255,15 +235,15 @@ def _initial_q_values(problem, x0s, seed=None, tol=1e-12):
     return out
 
 
-def _launch_states(problem, x0s, fq_min):
+def _launch_states(problem, x0s):
     h_values = _initial_q_values(problem, x0s)
     z0 = np.array([float(problem.initial_curve(x)) for x in x0s])
     p0 = np.array([float(problem.initial_p(x)) for x in x0s])
     states0 = np.stack([x0s, np.zeros(len(x0s)), z0, p0, h_values])
     fval, _, _, _, fq = f_partials(problem, states0[0], states0[1],
                                    states0[3], states0[4])
-    if np.any(np.abs(fq) < fq_min):
-        bad = float(x0s[int(np.argmax(np.abs(fq) < fq_min))])
+    if np.any(np.abs(fq) < FQ_MIN):
+        bad = float(x0s[int(np.argmax(np.abs(fq) < FQ_MIN))])
         raise CharacteristicPointError(
             f"initial point x0 = {bad} is characteristic", x0=bad, t=0.0)
     if np.max(np.abs(fval)) > 1e-10:
@@ -271,37 +251,33 @@ def _launch_states(problem, x0s, fq_min):
     return states0
 
 
-# launch offset of the companion strips that give second derivatives
-DERIVATIVE_OFFSET = 3e-5
-
-
-def reconstruct_surface(problem, x_range=(-0.4, 0.4), t_range=(-0.4, 0.4),
-                        n_curves=41, dt=1e-3, fq_min=1e-6,
-                        max_f_drift=1e-8):
+def reconstruct_surface(problem, n_curves=41, dt=1e-3):
     """Launch strips from the initial curve and collect scattered samples.
 
-    Strips start at (x0, 0, phi(x0, 0), phi_x(x0, 0), h(x0)) with h from
-    the compatibility solve, and run over t_range in both directions.
-    Every sample carries the exact (phi_x, phi_y) = (p, q) of its strip.
+    ``n_curves`` strips start at (x0, 0, phi(x0, 0), phi_x(x0, 0), h(x0))
+    for x0 evenly spaced over [-RANGE, RANGE], with h from the
+    compatibility solve, and run to t = -RANGE and t = RANGE.  A ``dt``
+    that fits no step into RANGE raises :class:`SamplingError`.  Every
+    sample carries the exact (phi_x, phi_y) = (p, q) of its strip.
 
     Companion strips launched at x0 -+ DERIVATIVE_OFFSET ride along in the
     same batch; cross-strip differences against the along-strip field then
     give second derivatives of phi at every sample by inverting the
     (launch, time) chart Jacobian.
     """
-    x0s = np.linspace(x_range[0], x_range[1], n_curves)
+    steps = int(round(RANGE / dt))
+    if steps == 0:
+        raise SamplingError(
+            f"dt = {dt} takes no step within the strip range +-{RANGE}")
+    x0s = np.linspace(-RANGE, RANGE, n_curves)
     all_x0 = np.concatenate([x0s, x0s - DERIVATIVE_OFFSET,
                              x0s + DERIVATIVE_OFFSET])
-    states0 = _launch_states(problem, all_x0, fq_min)
+    states0 = _launch_states(problem, all_x0)
 
     chunks = []
-    for sign, t_end in ((1.0, t_range[1]), (-1.0, t_range[0])):
-        steps = int(round(abs(t_end) / dt))
-        if steps == 0:
-            continue
+    for sign in (1.0, -1.0):
         try:
             traj = _integrate_batch(problem, states0, sign * dt, steps,
-                                    fq_min=fq_min, max_f_drift=max_f_drift,
                                     x0_labels=all_x0)
         except CharacteristicPointError as err:
             raise CharacteristicPointError(
@@ -334,6 +310,19 @@ def reconstruct_surface(problem, x_range=(-0.4, 0.4), t_range=(-0.4, 0.4),
 
 # -- verification ---------------------------------------------------------
 
+# thresholds of the reconstruction checks
+B1_TOL = 1e-6              # |b1 - c| at every sample
+GAMMA1_ORIGIN_TOL = 1e-6   # Gamma1 at the origin
+FD_TOL = 1e-3              # fitted second derivatives at the origin
+CURVATURE_TOL = 1e-4       # |K - kappa| on the sampled interior
+CIRCLE_FLOOR = 0.01        # both circle-fit residuals stay above it
+# the origin fit: smallest radius, fewest samples, and polynomial degree
+# (quadratic fits at this radius carry cubic-term bias above FD_TOL)
+FIT_RADIUS = 0.05
+FIT_MIN_SAMPLES = 8
+FIT_DEGREE = 3
+N_CURVATURE_POINTS = 200   # interior samples of the K - kappa check
+
 
 @dataclass
 class ReconstructionReport:
@@ -365,8 +354,7 @@ def sample_klein_vectors(samples):
     return a, b
 
 
-def _fit_second_derivatives(samples, at, radius=0.05, min_neighbors=8,
-                            degree=2):
+def _fit_second_derivatives(samples, at, radius):
     """Least-squares local polynomial fit of (p, q) around ``at``.
 
     Returns (phi_xx, phi_xy, phi_yy) estimates from the linear terms of
@@ -376,15 +364,15 @@ def _fit_second_derivatives(samples, at, radius=0.05, min_neighbors=8,
     dy = samples.y - at[1]
     mask = dx * dx + dy * dy <= radius * radius
     n = int(np.count_nonzero(mask))
-    if n < min_neighbors:
-        raise ValueError(
+    if n < FIT_MIN_SAMPLES:
+        raise SamplingError(
             f"only {n} samples within radius {radius} of {at}; "
-            f"need {min_neighbors}"
+            f"need {FIT_MIN_SAMPLES}"
         )
     dx, dy = dx[mask], dy[mask]
     cols = [np.ones_like(dx)]
     powers = [(0, 0)]
-    for total in range(1, degree + 1):
+    for total in range(1, FIT_DEGREE + 1):
         for j in range(total + 1):
             cols.append(dx ** (total - j) * dy ** j)
             powers.append((total - j, j))
@@ -408,19 +396,16 @@ def _curvatures_from_values(x, y, p, q, pxx, pxy, pyy):
     return monge_curvatures(monge_frame(None, (x, y), jets=(phi, psi)))
 
 
-def verify_reconstruction(samples, b1_tol=1e-6, gamma1_origin_tol=1e-6,
-                          fd_tol=1e-3, curvature_tol=1e-4,
-                          circle_floor=0.01, fit_radius=0.05,
-                          fit_degree=3, n_curvature_points=200):
+def verify_reconstruction(samples):
     """Check every stated property of the reconstructed surface.
 
-    The origin second derivatives come from a local polynomial fit over
-    nearby samples (degree 3 by default; quadratic fits at this radius
-    carry cubic-term bias above the 1e-3 tolerance).  The curvature check
-    uses the flow-propagated second derivatives of the sample set.
+    The origin second derivatives come from a local polynomial fit of
+    degree FIT_DEGREE over nearby samples.  The curvature check uses the
+    flow-propagated second derivatives of the sample set.  A sample set
+    too sparse for a check raises :class:`SamplingError`.
     """
     if len(samples) < 100:
-        raise ValueError("need at least 100 samples to verify")
+        raise SamplingError("need at least 100 samples to verify")
     a_vecs, b_vecs = sample_klein_vectors(samples)
     b1_dev = float(np.max(np.abs(b_vecs[:, 0] - samples.c)))
 
@@ -430,7 +415,7 @@ def verify_reconstruction(samples, b1_tol=1e-6, gamma1_origin_tol=1e-6,
 
     origin_idx = int(np.argmin(samples.x**2 + samples.y**2))
     if samples.x[origin_idx]**2 + samples.y[origin_idx]**2 > 1e-16:
-        raise ValueError("no sample at the origin")
+        raise SamplingError("no sample at the origin")
     a_origin = a_vecs[origin_idx]
     # convention map: exchange of the last two sphere axes (the relabeling
     # the coordinate swap C induces on sphere coordinates)
@@ -438,17 +423,17 @@ def verify_reconstruction(samples, b1_tol=1e-6, gamma1_origin_tol=1e-6,
 
     # a useful fit needs several strips inside the disc; widen the radius
     # when the launch spacing is coarse
+    fit_radius = FIT_RADIUS
     axis_x = np.unique(samples.x[np.abs(samples.y) < 1e-15])
     if len(axis_x) > 1:
         spacing = float(np.median(np.diff(axis_x)))
         fit_radius = max(fit_radius, 2.6 * spacing)
-    pxx, pxy, pyy = _fit_second_derivatives(
-        samples, (0.0, 0.0), radius=fit_radius, degree=fit_degree)
+    pxx, pxy, pyy = _fit_second_derivatives(samples, (0.0, 0.0), fit_radius)
 
     rng = np.random.default_rng(20240817)
     interior = np.flatnonzero(
         (np.abs(samples.x) <= 0.15) & (np.abs(samples.y) <= 0.15))
-    picks = rng.choice(interior, size=min(n_curvature_points, len(interior)),
+    picks = rng.choice(interior, size=min(N_CURVATURE_POINTS, len(interior)),
                        replace=False)
     worst_kk = 0.0
     for idx in picks:
@@ -461,22 +446,22 @@ def verify_reconstruction(samples, b1_tol=1e-6, gamma1_origin_tol=1e-6,
 
     expected_gamma1 = np.array([math.sqrt(0.5), 0.0, -math.sqrt(0.5)])
     checks = [
-        ("F conserved along strips", samples.f_drift, 1e-8,
-         samples.f_drift < 1e-8),
-        ("b1 equals c at every sample", b1_dev, b1_tol, b1_dev < b1_tol),
-        ("Gamma1 circle residual above floor", fit_a.residual, circle_floor,
-         fit_a.residual > circle_floor),
-        ("Gamma2 circle residual above floor", fit_b.residual, circle_floor,
-         fit_b.residual > circle_floor),
+        ("F conserved along strips", samples.f_drift, MAX_F_DRIFT,
+         samples.f_drift < MAX_F_DRIFT),
+        ("b1 equals c at every sample", b1_dev, B1_TOL, b1_dev < B1_TOL),
+        ("Gamma1 circle residual above floor", fit_a.residual, CIRCLE_FLOOR,
+         fit_a.residual > CIRCLE_FLOOR),
+        ("Gamma2 circle residual above floor", fit_b.residual, CIRCLE_FLOOR,
+         fit_b.residual > CIRCLE_FLOOR),
         ("Gamma1 at origin", float(np.max(np.abs(
-            gamma1_origin - expected_gamma1))), gamma1_origin_tol,
+            gamma1_origin - expected_gamma1))), GAMMA1_ORIGIN_TOL,
          bool(np.max(np.abs(gamma1_origin - expected_gamma1))
-              < gamma1_origin_tol)),
-        ("phi_xx(0,0) = -1", abs(pxx + 1.0), fd_tol, abs(pxx + 1.0) < fd_tol),
-        ("phi_xy(0,0) = 2", abs(pxy - 2.0), fd_tol, abs(pxy - 2.0) < fd_tol),
-        ("phi_yy(0,0) = 0", abs(pyy), fd_tol, abs(pyy) < fd_tol),
-        ("K - kappa on estimable samples", worst_kk, curvature_tol,
-         worst_kk < curvature_tol),
+              < GAMMA1_ORIGIN_TOL)),
+        ("phi_xx(0,0) = -1", abs(pxx + 1.0), FD_TOL, abs(pxx + 1.0) < FD_TOL),
+        ("phi_xy(0,0) = 2", abs(pxy - 2.0), FD_TOL, abs(pxy - 2.0) < FD_TOL),
+        ("phi_yy(0,0) = 0", abs(pyy), FD_TOL, abs(pyy) < FD_TOL),
+        ("K - kappa on estimable samples", worst_kk, CURVATURE_TOL,
+         worst_kk < CURVATURE_TOL),
         ("phi_xy agreement of the two chart routes", samples.phi_xy_spread,
          1e-4, samples.phi_xy_spread < 1e-4),
     ]

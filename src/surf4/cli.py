@@ -16,6 +16,7 @@ tolerances they used, and identical invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import characteristics, suites
 from .expr import SurfaceEvalError, SurfaceSyntaxError, parse_surface
-from .frames import ClassificationTolerances, curvature_report
+from .frames import TOLERANCES, InternalInconsistencyError, curvature_report
 from .grassmann import gauss_map_at, great_circle_fit
 from .lagrangian import congruence_to_lagrangean, grid_points
 
@@ -42,6 +43,10 @@ def _fmt(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            # JSON has no NaN or inf; the checks upstream reject them
+            raise InternalInconsistencyError(
+                f"non-finite number {value!r} reached the output")
         return format(float(value), ".17g")
     raise TypeError(f"unsupported scalar {value!r}")
 
@@ -81,12 +86,7 @@ def _write_output(text, out_path):
 # -- analyze ------------------------------------------------------------------
 
 
-def _tolerances_dict(tol):
-    return {"delta": tol.delta, "kappa": tol.kappa, "k": tol.k,
-            "rank": tol.rank, "wong": tol.wong}
-
-
-def analysis_report(sd, nx, ny, tol, source=None):
+def analysis_report(sd, nx, ny, source=None):
     points = grid_points(sd.domain, nx, ny, shrink=0.0)
     records = []
     counts = {"hyperbolic": 0, "parabolic": 0, "elliptic": 0}
@@ -94,7 +94,7 @@ def analysis_report(sd, nx, ny, tol, source=None):
     sum_min = sum_max = None
     g1_samples, g2_samples = [], []
     for pt in points:
-        report = curvature_report(sd, pt, tol=tol)
+        report = curvature_report(sd, pt)
         _, klein = gauss_map_at(sd, pt)
         counts[report.point_class] += 1
         diff = abs(report.K - report.kappa)
@@ -126,7 +126,7 @@ def analysis_report(sd, nx, ny, tol, source=None):
                        sd.domain.y0, sd.domain.y1],
         },
         "grid": {"nx": nx, "ny": ny},
-        "tolerances": _tolerances_dict(tol),
+        "tolerances": dataclasses.asdict(TOLERANCES),
         "records": records,
         "summary": {
             "counts": counts,
@@ -196,8 +196,7 @@ def _ranged(kind, ok, requirement):
 
 def cmd_analyze(args):
     sd = _load_surface(args.surface)
-    tol = ClassificationTolerances()
-    report = analysis_report(sd, args.grid[0], args.grid[1], tol,
+    report = analysis_report(sd, args.grid[0], args.grid[1],
                              source=args.surface)
     if args.format == "json":
         _write_output(to_json(report) + "\n", args.out)
@@ -353,7 +352,8 @@ def main(argv=None):
     except (FileNotFoundError, IsADirectoryError, SurfaceSyntaxError,
             SurfaceEvalError, characteristics.IntegrationError,
             characteristics.BranchError,
-            characteristics.CharacteristicPointError) as exc:
+            characteristics.CharacteristicPointError,
+            characteristics.SamplingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

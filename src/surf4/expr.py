@@ -25,6 +25,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import jets
 from .jets import Jet
 
@@ -460,7 +462,7 @@ def eval_expr(node, x, y, params):
             return lhs / rhs
         if isinstance(node, Pow):
             return eval_expr(node.base, x, y, params) ** node.exponent
-    except (ZeroDivisionError, ValueError) as e:
+    except (ZeroDivisionError, ValueError, OverflowError) as e:
         # a failing subexpression raises SurfaceEvalError, which is not
         # caught here, so the innermost failing node is the one reported
         raise SurfaceEvalError(str(e), to_text(node)) from e
@@ -471,8 +473,8 @@ def eval_surface(sd, point, order=2):
     """Jets of phi and psi at ``point``.
 
     Points outside the declared domain only warn; evaluation errors
-    (division by zero, sqrt domain, a non-finite value or derivative)
-    raise :class:`SurfaceEvalError`.
+    (division by zero, sqrt domain, overflow, a non-finite value or
+    derivative) raise :class:`SurfaceEvalError`.
     """
     if not sd.domain.contains(point):
         warnings.warn(
@@ -481,8 +483,10 @@ def eval_surface(sd, point, order=2):
         )
     xj = Jet.variable("x", point, order)
     yj = Jet.variable("y", point, order)
-    phi = eval_expr(sd.phi, xj, yj, sd.params)
-    psi = eval_expr(sd.psi, xj, yj, sd.params)
+    # overflow shows up as inf or NaN coefficients, rejected just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = eval_expr(sd.phi, xj, yj, sd.params)
+        psi = eval_expr(sd.psi, xj, yj, sd.params)
     if not isinstance(phi, Jet):
         phi = Jet.constant(phi, order)
     if not isinstance(psi, Jet):

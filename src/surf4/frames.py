@@ -55,6 +55,10 @@ class ClassificationTolerances:
         }
 
 
+# the one set of classification tolerances; reports embed its values
+TOLERANCES = ClassificationTolerances()
+
+
 @dataclass
 class MongeFrame:
     t1: np.ndarray
@@ -70,7 +74,6 @@ class MongeFrame:
     Ghat: float
     phi_jet: object
     psi_jet: object
-    point: tuple
 
 
 @dataclass
@@ -117,14 +120,6 @@ class CurvatureReport:
     singular_coefficient: float | None = None
 
 
-@dataclass
-class DeltaFieldDiagnostic:
-    grad: tuple
-    hessian_det: float
-    K: float
-    ratio: float | None
-
-
 def monge_frame(sd, point, jets=None):
     """First-order frame data and fundamental-form coefficients at a point;
     ``sd`` is read only when ``jets`` is None."""
@@ -152,8 +147,7 @@ def monge_frame(sd, point, jets=None):
         raise InternalInconsistencyError(
             "Ehat*Ghat - Fhat^2 differs from W beyond tolerance"
         )
-    return MongeFrame(t1, t2, n1, n2, E, F, G, W, Ehat, Fhat, Ghat,
-                      phi, psi, (float(point[0]), float(point[1])))
+    return MongeFrame(t1, t2, n1, n2, E, F, G, W, Ehat, Fhat, Ghat, phi, psi)
 
 
 def _gram_schmidt_pair(v1, v2):
@@ -196,14 +190,6 @@ def adapted_frame(mf, order="12"):
     )
 
 
-def second_form(sd, point, jets=None, frame=None):
-    """Coefficients a, b, c (toward e3) and e, f, g (toward e4) of II."""
-    mf = monge_frame(sd, point, jets=jets)
-    if frame is None:
-        frame = adapted_frame(mf)
-    return _second_form_from(mf, frame)
-
-
 def _second_derivatives(phi_jet, psi_jet):
     """(phi_xx, phi_xy, phi_yy, psi_xx, psi_xy, psi_yy) as floats."""
     return tuple(float(jet.derivative(*k)) for jet in (phi_jet, psi_jet)
@@ -211,6 +197,7 @@ def _second_derivatives(phi_jet, psi_jet):
 
 
 def _second_form_from(mf, frame):
+    """Coefficients a, b, c (toward e3) and e, f, g (toward e4) of II."""
     pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(mf.phi_jet,
                                                        mf.psi_jet)
     dxx = np.array([0.0, 0.0, pxx, qxx])
@@ -295,16 +282,17 @@ def resultant_determinant(a, b, c, e, f, g):
     return 0.25 * np.linalg.det(m)
 
 
-def curvature_report(sd, point, tol=None, jets=None, frame_order="12"):
+def curvature_report(sd, point, frame_order="12"):
     """Full curvature/classification record at one point.
 
     K, kappa and Delta are each computed along two independent routes
     (Monge-chart determinants vs adapted-frame coefficients, expanded
     discriminant vs resultant determinant) and must agree to 1e-9
     relative; disagreement raises :class:`InternalInconsistencyError`.
+    Classification uses the bands of :data:`TOLERANCES`; ``frame_order``
+    is passed to :func:`adapted_frame`.
     """
-    tol = tol or ClassificationTolerances()
-    mf = monge_frame(sd, point, jets=jets)
+    mf = monge_frame(sd, point)
     frame = adapted_frame(mf, order=frame_order)
     sf = _second_form_from(mf, frame)
     a, b, c, e, f, g = sf.a, sf.b, sf.c, sf.e, sf.f, sf.g
@@ -330,7 +318,7 @@ def curvature_report(sd, point, tol=None, jets=None, frame_order="12"):
     K = k_frame
     kappa = kappa_frame
     delta = delta_expanded
-    bands = tol.bands(scale)
+    bands = TOLERANCES.bands(scale)
 
     if delta < -bands["delta"]:
         point_class = "hyperbolic"
@@ -353,7 +341,7 @@ def curvature_report(sd, point, tol=None, jets=None, frame_order="12"):
 
     iso = []
     iso_all = False
-    wong_band = tol.wong * max(abs(K), abs(kappa), 1.0)
+    wong_band = TOLERANCES.wong * max(abs(K), abs(kappa), 1.0)
     for sign_raw in (1.0, -1.0):
         if abs(K - sign_raw * kappa_raw) > wong_band:
             continue
@@ -428,7 +416,7 @@ def _asymptotic_directions(a, b, c, e, f, g, frame, point_class, bands):
     return out, False
 
 
-def _adapted_chart_jets(sd, point, frame, target_uv, h):
+def _adapted_chart_jets(sd, point, frame, target_uv):
     """Order-2 jets of the surface re-graphed in the chart adapted at
     ``point``, evaluated at chart coordinates ``target_uv``.
 
@@ -452,7 +440,7 @@ def _adapted_chart_jets(sd, point, frame, target_uv, h):
             phj, psj = eval_surface(sd, xy, order=2)
         pos = np.array([xy[0], xy[1], float(phj.value), float(psj.value)])
         res = rot[:2] @ (pos - base) - target_uv
-        if np.hypot(res[0], res[1]) < 1e-14 * max(1.0, h):
+        if np.hypot(res[0], res[1]) < 1e-14:
             break
         jac = rot[:2] @ np.array([
             [1.0, 0.0],
@@ -504,7 +492,11 @@ def _adapted_chart_jets(sd, point, frame, target_uv, h):
     return out[0], out[1]
 
 
-def isoclinic_form_closedness(sd, point, h=1e-3):
+# central-difference step of the closedness check, in adapted-chart units
+CLOSEDNESS_STEP = 1e-3
+
+
+def isoclinic_form_closedness(sd, point):
     """|d theta| for theta = (a+f) omega_1 + (b+g) omega_2, by central FD.
 
     The form is evaluated in the chart adapted at ``point`` (surface
@@ -515,12 +507,13 @@ def isoclinic_form_closedness(sd, point, h=1e-3):
     components.  Evaluating instead in a fixed ambient Monge chart makes
     the residual frame-dependent and O(1) even on K = kappa surfaces.
     """
+    h = CLOSEDNESS_STEP
     mf0 = monge_frame(sd, point)
     frame0 = adapted_frame(mf0)
 
     def theta_components(target_uv):
         phi, psi = _adapted_chart_jets(sd, point, frame0,
-                                       np.asarray(target_uv, float), h)
+                                       np.asarray(target_uv, float))
         mf = monge_frame(sd, target_uv, jets=(phi, psi))
         frame = adapted_frame(mf)
         sf = _second_form_from(mf, frame)
@@ -531,33 +524,3 @@ def isoclinic_form_closedness(sd, point, h=1e-3):
     p_plus = theta_components((0.0, h))[0]
     p_minus = theta_components((0.0, -h))[0]
     return abs((q_plus - q_minus) / (2 * h) - (p_plus - p_minus) / (2 * h))
-
-
-def delta_field_diagnostic(sd, point, h=1e-3, tol=None):
-    """Finite-difference gradient and Hessian determinant of the Delta field.
-
-    The H_Delta / K ratio is reported for inspection only; no identity is
-    asserted (the proportionality constant comes from external sources
-    without a value).
-    """
-    def delta_at(pt):
-        return curvature_report(sd, pt, tol=tol).delta
-
-    x, y = point
-    d0 = delta_at(point)
-    dpx, dmx = delta_at((x + h, y)), delta_at((x - h, y))
-    dpy, dmy = delta_at((x, y + h)), delta_at((x, y - h))
-    gx = (dpx - dmx) / (2 * h)
-    gy = (dpy - dmy) / (2 * h)
-    dxx = (dpx - 2 * d0 + dmx) / h**2
-    dyy = (dpy - 2 * d0 + dmy) / h**2
-    dpp = delta_at((x + h, y + h))
-    dpm = delta_at((x + h, y - h))
-    dmp = delta_at((x - h, y + h))
-    dmm = delta_at((x - h, y - h))
-    dxy = (dpp - dpm - dmp + dmm) / (4 * h**2)
-    hess = dxx * dyy - dxy * dxy
-    K = curvature_report(sd, point, tol=tol).K
-    ratio = hess / K if abs(K) > 1e-12 else None
-    return DeltaFieldDiagnostic(grad=(gx, gy), hessian_det=hess, K=K,
-                                ratio=ratio)

@@ -52,13 +52,6 @@ class PluckerPoint:
         p = self.p
         return abs(float(p[0] * p[3] + p[1] * p[4] + p[2] * p[5]))
 
-    def validate(self, tol=1e-12):
-        if self.sphere_residual() > tol:
-            raise ValueError("Pluecker point is not on the unit sphere")
-        if self.quadric_residual() > tol:
-            raise ValueError("Pluecker point violates the quadric relation")
-        return self
-
     def basis(self):
         """An orthonormal basis of the plane (columns of a 4x2 matrix)."""
         m = np.zeros((4, 4))
@@ -128,11 +121,9 @@ def klein_from_plucker(point):
     return KleinPoint(a / a_norm, b / b_norm, a_norm, b_norm)
 
 
-def tangent_pair(sd, point, jets=None):
+def tangent_pair(sd, point):
     """(T1, T2) at a surface point."""
-    if jets is None:
-        jets = eval_surface(sd, point, order=1)
-    phi, psi = jets
+    phi, psi = eval_surface(sd, point, order=1)
     t1 = np.array([1.0, 0.0, float(phi.derivative(1, 0)),
                    float(psi.derivative(1, 0))])
     t2 = np.array([0.0, 1.0, float(phi.derivative(0, 1)),
@@ -140,9 +131,9 @@ def tangent_pair(sd, point, jets=None):
     return t1, t2
 
 
-def gauss_map_at(sd, point, jets=None):
+def gauss_map_at(sd, point):
     """Tangent plane at ``point`` as (PluckerPoint, KleinPoint)."""
-    t1, t2 = tangent_pair(sd, point, jets=jets)
+    t1, t2 = tangent_pair(sd, point)
     plucker = plucker_from_pair(t1, t2)
     return plucker, klein_from_plucker(plucker)
 
@@ -159,7 +150,11 @@ class BlaschkeResult:
     sign2: float
 
 
-def blaschke_check(sd, point, h=1e-4):
+# central-difference step of the Blaschke check
+BLASCHKE_STEP = 1e-4
+
+
+def blaschke_check(sd, point):
     """Pullback-of-area-form identities, checked by central differences.
 
     t_i is the triple product (d_x Gamma_i x d_y Gamma_i) . Gamma_i; the
@@ -167,6 +162,7 @@ def blaschke_check(sd, point, h=1e-4):
     |t_2| = |K - kappa| sqrt(W).  Signs are reported for calibration, not
     asserted.
     """
+    h = BLASCHKE_STEP
     x, y = point
     for pt in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)):
         if not sd.domain.contains(pt):
@@ -345,21 +341,3 @@ def great_circle_fit(samples):
     degenerate = bool(eigenvalues[1] <= 1e-12 * scale)
     return GreatCircleFit(alpha=alpha, residual=residual,
                           degenerate=degenerate)
-
-
-def rotation_taking_plane(p1, p2):
-    """Some A in SO(4) with lift(A) p1 = +/- p2 (transitivity witness)."""
-    u = _extend_to_so4(p1.basis())
-    v = _extend_to_so4(p2.basis())
-    return Rotation4(v @ u.T)
-
-
-def _extend_to_so4(basis2):
-    m = np.zeros((4, 4))
-    m[:, :2] = basis2
-    # orthogonal complement from the full SVD, orientation fixed last
-    u_full, _, _ = np.linalg.svd(basis2)
-    m[:, 2:] = u_full[:, 2:]
-    if np.linalg.det(m) < 0:
-        m[:, 3] = -m[:, 3]
-    return m

@@ -40,10 +40,9 @@ class CheckRow:
     passed: bool
 
 
-def _row(suite, name, value, threshold, better="below"):
+def _row(suite, name, value, threshold):
     value = float(value)
-    ok = value < threshold if better == "below" else value > threshold
-    return CheckRow(suite, name, value, threshold, ok)
+    return CheckRow(suite, name, value, threshold, value < threshold)
 
 
 def _random_so4(rng):
@@ -53,21 +52,21 @@ def _random_so4(rng):
     return q
 
 
-def random_polynomial_surface(rng, degree=3, scale=0.5):
-    """SurfaceDef with random polynomial phi, psi of the given degree."""
+def random_polynomial_surface(rng):
+    """SurfaceDef with random cubic phi, psi, coefficients in [-0.5, 0.5]."""
     def coeffs():
-        return {(i, j): scale * rng.uniform(-1.0, 1.0)
-                for i in range(degree + 1) for j in range(degree + 1 - i)}
+        return {(i, j): 0.5 * rng.uniform(-1.0, 1.0)
+                for i in range(4) for j in range(4 - i)}
 
     return SurfaceDef(phi=expr.polynomial(coeffs()),
                       psi=expr.polynomial(coeffs()))
 
 
-def random_gradient_surface(rng, degree=4, scale=0.4):
-    """phi = dF/dx, psi = dF/dy for a random polynomial F (Lagrangean)."""
-    f = {(i, j): scale * rng.uniform(-1.0, 1.0)
-         for i in range(degree + 1) for j in range(degree + 1 - i)
-         if i + j >= 2}
+def random_gradient_surface(rng):
+    """phi = dF/dx, psi = dF/dy for a random quartic F (Lagrangean), with
+    coefficients in [-0.4, 0.4]."""
+    f = {(i, j): 0.4 * rng.uniform(-1.0, 1.0)
+         for i in range(5) for j in range(5 - i) if i + j >= 2}
     phi = {(i - 1, j): i * c for (i, j), c in f.items() if i > 0}
     psi = {(i, j - 1): j * c for (i, j), c in f.items() if j > 0}
     return SurfaceDef(phi=expr.polynomial(phi), psi=expr.polynomial(psi))
@@ -93,8 +92,9 @@ domain = [-0.5, 0.5] x [-0.5, 0.5]
 """
 
 
-def suite_plucker(n_planes=1000):
+def suite_plucker():
     """Both quadric relations and unit Klein vectors on random planes."""
+    n_planes = 1000
     rng = np.random.default_rng(SEED)
     worst_sphere = worst_quadric = worst_unit = 0.0
     for _ in range(n_planes):
@@ -114,16 +114,17 @@ def suite_plucker(n_planes=1000):
     ]
 
 
-def suite_blaschke(n_surfaces=50, n_points=9):
+def suite_blaschke():
     """Pullback identities and constant calibrated signs."""
+    n_surfaces = 50
     rng = np.random.default_rng(SEED + 1)
     grid = [(x, y) for x in (-0.3, 0.0, 0.3) for y in (-0.3, 0.0, 0.3)]
     worst = 0.0
     signs1, signs2 = set(), set()
     for _ in range(n_surfaces):
-        sd = random_polynomial_surface(rng, degree=3)
-        for pt in grid[:n_points]:
-            result = blaschke_check(sd, pt, h=1e-4)
+        sd = random_polynomial_surface(rng)
+        for pt in grid:
+            result = blaschke_check(sd, pt)
             worst = max(worst, result.residual1, result.residual2)
             if result.sign1:
                 signs1.add(result.sign1)
@@ -132,7 +133,7 @@ def suite_blaschke(n_surfaces=50, n_points=9):
     rows = [
         _row("blaschke",
              f"| |t_i| - |K +- kappa| sqrt(W) | on {n_surfaces} surfaces x "
-             f"{n_points} points", worst, 1e-5),
+             f"{len(grid)} points", worst, 1e-5),
         _row("blaschke", "calibrated sign of the a-factor identity constant",
              float(len(signs1)), 1.5),
         _row("blaschke", "calibrated sign of the b-factor identity constant",
@@ -144,7 +145,7 @@ def suite_blaschke(n_surfaces=50, n_points=9):
     eps2 = signs2.pop() if len(signs2) == 1 else 1.0
     worst_cor = 0.0
     for pt in grid:
-        result = blaschke_check(sd, pt, h=1e-4)
+        result = blaschke_check(sd, pt)
         report = frames.curvature_report(sd, pt)
         mf = frames.monge_frame(sd, pt)
         sqw = np.sqrt(mf.W)
@@ -158,21 +159,21 @@ def suite_blaschke(n_surfaces=50, n_points=9):
     return rows
 
 
-def suite_wong(n_planes=200, n_swap=50):
+def suite_wong():
     """Isoclinic machinery: Wong equivalence, swap map, algebraic tests."""
+    n_planes, n_swap = 200, 50
     rng = np.random.default_rng(SEED + 2)
     rows = []
 
     # Wong equivalence on suite surfaces
-    tol = frames.ClassificationTolerances()
     mismatches = 0
     total = 0
     surfaces = [parse_surface(EXAMPLE1_TEXT), parse_surface(RSURF_Z2_TEXT)]
-    surfaces += [random_polynomial_surface(rng, degree=3) for _ in range(10)]
+    surfaces += [random_polynomial_surface(rng) for _ in range(10)]
     for sd in surfaces:
         for pt in lagrangian.grid_points(sd.domain, 5, 5):
-            report = frames.curvature_report(sd, pt, tol=tol)
-            wong_band = tol.wong * max(abs(report.K), abs(report.kappa), 1.0)
+            report = frames.curvature_report(sd, pt)
+            wong_band = frames.TOLERANCES.wong * max(abs(report.K), abs(report.kappa), 1.0)
             predicted = min(abs(report.K - report.kappa),
                             abs(report.K + report.kappa)) <= wong_band
             exists = bool(report.isoclinic_dirs) or report.isoclinic_all
@@ -225,8 +226,9 @@ def suite_wong(n_planes=200, n_swap=50):
     return rows
 
 
-def suite_lift(n_pairs=100, n_alphas=100):
+def suite_lift():
     """Lift lemmas: homomorphism, orthogonality, equivariance, alpha map."""
+    n_pairs, n_alphas = 100, 100
     rng = np.random.default_rng(SEED + 4)
     worst_hom = worst_orth = worst_equi = 0.0
     for _ in range(n_pairs):
@@ -268,8 +270,9 @@ def suite_lift(n_pairs=100, n_alphas=100):
     ]
 
 
-def suite_lagrangean(n_surfaces=20):
+def suite_lagrangean():
     """Necessity and desk-scale sufficiency of the great-circle criterion."""
+    n_surfaces = 20
     rng = np.random.default_rng(SEED + 5)
     worst_b2 = worst_kk = worst_suff = 0.0
     factors = set()

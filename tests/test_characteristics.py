@@ -9,38 +9,48 @@ from surf4 import characteristics as ch
 from surf4.characteristics import (
     BranchError,
     CharacteristicPointError,
-    CharStrip,
     PdeProblem,
-    compatibility_solve,
+    _initial_q_values,
+    _integrate_batch,
     characteristic_field,
     example2_problem,
     f_partials,
     reconstruct_surface,
-    strip_integrate,
     verify_reconstruction,
 )
 
 PROBLEM = example2_problem()
 
 
+def strip(x, y, z, p, q):
+    """A (5, 1) launch state: one strip."""
+    return np.array([[x], [y], [z], [p], [q]])
+
+
+def f_along(problem, traj):
+    """|F| at every state of a (steps+1, 5, 1) trajectory."""
+    x, y, _, p, q = traj[:, :, 0].T
+    return np.abs(f_partials(problem, x, y, p, q)[0])
+
+
 class TestCompatibility:
     def test_anchor_value(self):
-        assert compatibility_solve(PROBLEM, 0.0) == pytest.approx(-1.0,
-                                                                  abs=1e-14)
+        assert _initial_q_values(PROBLEM, [0.0])[0] == pytest.approx(
+            -1.0, abs=1e-14)
 
     def test_other_branch_rejected(self):
         with pytest.raises(BranchError):
-            compatibility_solve(PROBLEM, 0.0, seed=1.0)
+            _initial_q_values(PROBLEM, [0.0], seed=1.0)
 
     def test_back_substitution(self):
         for x in (0.1, -0.25, 0.4):
-            h = compatibility_solve(PROBLEM, x)
+            h = float(_initial_q_values(PROBLEM, [x])[0])
             residual = float(f_partials(PROBLEM, x, 0.0,
                                         PROBLEM.initial_p(x), h)[0])
             assert abs(residual) < 1e-12
 
     def test_continuity(self):
-        values = [compatibility_solve(PROBLEM, x)
+        values = [_initial_q_values(PROBLEM, [x])[0]
                   for x in np.linspace(-0.4, 0.4, 17)]
         assert max(abs(a - b) for a, b in zip(values, values[1:])) < 0.3
 
@@ -61,22 +71,19 @@ class TestField:
 
 class TestStripIntegrate:
     def test_f_conserved(self):
-        start = CharStrip(t=0.0, x=0.0, y=0.0, z=0.0, p=0.0, q=-1.0)
-        strips = strip_integrate(PROBLEM, start, dt=1e-3, steps=400)
-        assert len(strips) == 401
-        worst = max(abs(float(f_partials(PROBLEM, s.x, s.y, s.p, s.q)[0]))
-                    for s in strips[::20])
-        assert worst < 1e-8
+        traj = _integrate_batch(PROBLEM, strip(0.0, 0.0, 0.0, 0.0, -1.0),
+                                1e-3, 400)
+        assert traj.shape == (401, 5, 1)
+        assert f_along(PROBLEM, traj[::20]).max() < 1e-8
 
     def test_fourth_order_convergence(self):
-        start = CharStrip(t=0.0, x=0.2, y=0.0, z=-0.02, p=-0.2,
-                          q=compatibility_solve(PROBLEM, 0.2))
+        start = strip(0.2, 0.0, -0.02, -0.2,
+                      _initial_q_values(PROBLEM, [0.2])[0])
 
         def drift(dt, steps):
-            strips = strip_integrate(PROBLEM, start, dt=dt, steps=steps,
-                                     max_f_drift=None)
-            return max(abs(float(f_partials(PROBLEM, s.x, s.y, s.p, s.q)[0]))
-                       for s in strips)
+            traj = _integrate_batch(PROBLEM, start, dt, steps,
+                                    max_f_drift=None)
+            return f_along(PROBLEM, traj).max()
 
         coarse = drift(0.08, 5)
         fine = drift(0.04, 10)
@@ -92,10 +99,9 @@ class TestStripIntegrate:
             initial_p=lambda x: 0.0,
             initial_q_seed=1.0,
         )
-        start = CharStrip(t=0.0, x=0.0, y=-0.5, z=0.0, p=0.0, q=1.0)
         with pytest.raises(CharacteristicPointError):
-            strip_integrate(problem, start, dt=1e-2, steps=200,
-                            max_f_drift=None)
+            _integrate_batch(problem, strip(0.0, -0.5, 0.0, 0.0, 1.0), 1e-2,
+                             200, max_f_drift=None)
 
     @pytest.mark.parametrize("f, error", [
         (lambda x, y, p, q: q + math.nan, ch.IntegrationError),  # F is NaN
@@ -104,9 +110,8 @@ class TestStripIntegrate:
     def test_nan_aborts(self, f, error):
         problem = PdeProblem(f=f, c=0.0, initial_curve=lambda x: 0.0,
                              initial_p=lambda x: 0.0)
-        start = CharStrip(t=0.0, x=0.0, y=0.0, z=0.0, p=0.0, q=1.0)
         with pytest.raises(error):
-            strip_integrate(problem, start, dt=1e-2, steps=3)
+            _integrate_batch(problem, strip(0.0, 0.0, 0.0, 0.0, 1.0), 1e-2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -159,15 +164,15 @@ class TestReconstruction:
 
 
 def test_reconstruction_propagates_characteristic_x0():
-    # F = q^2/2 + y - 1/2 with q0 = 1: strips hit F_q = q = 0 at t = 1
+    # F = q^2/2 + y - 0.045 with q0 = 0.3: strips hit F_q = q = 0 at
+    # t = 0.3, inside the strip range
     problem = PdeProblem(
-        f=lambda x, y, p, q: 0.5 * q * q + y - 0.5,
+        f=lambda x, y, p, q: 0.5 * q * q + y - 0.045,
         c=0.0,
         initial_curve=lambda x: 0.0,
         initial_p=lambda x: 0.0,
-        initial_q_seed=1.0,
+        initial_q_seed=0.3,
     )
     with pytest.raises(CharacteristicPointError) as err:
-        reconstruct_surface(problem, x_range=(-0.1, 0.1), n_curves=5,
-                            t_range=(-0.2, 1.5), dt=1e-2)
+        reconstruct_surface(problem, n_curves=5, dt=1e-2)
     assert err.value.x0 is not None  # the offending launch point rides along

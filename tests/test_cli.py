@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from surf4.cli import main
+from surf4.cli import _fmt, main, to_json
+from surf4.frames import InternalInconsistencyError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SURFACES = os.path.join(os.path.dirname(__file__), os.pardir, "surfaces")
@@ -68,6 +69,20 @@ def test_analyze_bad_surface_file(capsys, tmp_path):
 
 NON_FINITE = "phi = exp(1000*x)\npsi = x*y\n"
 OUT = object()  # stands for an output file in the test's directory
+# constants that overflow a float, on the math.exp and the float ** paths
+OVERFLOWS = {
+    "exp": ("phi = exp(1000)\npsi = x*y\n",
+            "error: math range error in subexpression 'exp(1000.0)'\n"),
+    "pow": ("phi = 2.0^2000\npsi = x*y\n", "in subexpression '2.0^2000'\n"),
+}
+SURFACE_COMMANDS = {"analyze": ["analyze", "--grid", "3,3", "--out", OUT],
+                    "gaussmap": ["gaussmap", "--grid", "3,3", "--out", OUT],
+                    "congruence": ["congruence", "--grid", "3,3"]}
+# too coarse to verify: one step leaves 5 samples near the origin, and
+# a step longer than twice the strip range leaves none
+COARSE_DT = [("0.3", "error: only 5 samples within radius"),
+             ("0.5", "error: only 5 samples within radius"),
+             ("0.9", "error: dt = 0.9 takes no step")]
 RECONSTRUCT_RANGES = {
     "--dt": "a finite number > 0",
     "--n-curves": "an odd integer >= 3",
@@ -99,12 +114,19 @@ BAD_RECONSTRUCT_ARGS = [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.001"),
      "error: non-finite derivative of phi at point (1.0, -1.0)"),
     (["congruence", "--grid", "3,3"], NON_FINITE,
      "error: non-finite derivative of phi at point"),
+    *[(argv, text, message) for text, message in OVERFLOWS.values()
+      for argv in SURFACE_COMMANDS.values()],
+    *[(["reconstruct", "--dt", dt], None, message)
+      for dt, message in COARSE_DT],
 ], ids=["eval-error", "congruence-grid",
         *[f"reconstruct{flag}={value}" for flag, value in BAD_RECONSTRUCT_ARGS],
         "reconstruct-branch", "reconstruct-newton",
         "analyze-non-finite", "gaussmap-non-finite",
-        "congruence-non-finite"])
-def test_input_errors_exit_2(capsys, tmp_path, argv, text, message):
+        "congruence-non-finite",
+        *[f"{command}-overflow-{kind}" for kind in OVERFLOWS
+          for command in SURFACE_COMMANDS],
+        *[f"reconstruct--dt={dt}" for dt, _ in COARSE_DT]])
+def test_input_errors_exit_2(capsys, recwarn, tmp_path, argv, text, message):
     out_file = tmp_path / "out.txt"
     argv = [str(out_file) if arg is OUT else arg for arg in argv]
     if text is not None:
@@ -115,6 +137,10 @@ def test_input_errors_exit_2(capsys, tmp_path, argv, text, message):
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+    if message.startswith("error:"):
+        # the one-line message and nothing else, numpy warnings included
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
     written = out_file.read_text() if out_file.exists() else ""
     assert "nan" not in (out + written).lower()
 
@@ -155,6 +181,16 @@ def test_byte_identical_reruns(capsys, tmp_path):
                          "--out", str(path))
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("write, value", [
+    (lambda v: to_json({"a": v}), float("nan")),
+    (_fmt, float("inf")),
+    (_fmt, -float("inf")),
+], ids=["to_json-nan", "fmt-inf", "fmt-minus-inf"])
+def test_non_finite_numbers_are_refused(write, value):
+    with pytest.raises(InternalInconsistencyError, match="non-finite"):
+        write(value)
 
 
 def test_golden_analysis_report(capsys, tmp_path):

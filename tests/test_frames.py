@@ -6,14 +6,13 @@ import pytest
 from surf4 import frames
 from surf4.expr import parse_surface
 from surf4.frames import (
-    ClassificationTolerances,
+    TOLERANCES,
+    _second_form_from,
     adapted_frame,
     curvature_report,
-    delta_field_diagnostic,
     hessian_quantities,
     isoclinic_form_closedness,
     monge_frame,
-    second_form,
 )
 from surf4.suites import EXAMPLE1_TEXT, random_polynomial_surface
 
@@ -70,12 +69,14 @@ class TestAdaptedFrame:
 
 class TestSecondForm:
     def test_z2_origin(self):
-        sf = second_form(Z2, (0.0, 0.0))
+        mf = monge_frame(Z2, (0.0, 0.0))
+        sf = _second_form_from(mf, adapted_frame(mf))
         assert (sf.a, sf.b, sf.c) == (2.0, 0.0, -2.0)
         assert (sf.e, sf.f, sf.g) == (0.0, 2.0, 0.0)
 
     def test_flat_plane(self):
-        sf = second_form(FLAT, (0.2, 0.3))
+        mf = monge_frame(FLAT, (0.2, 0.3))
+        sf = _second_form_from(mf, adapted_frame(mf))
         assert (sf.a, sf.b, sf.c, sf.e, sf.f, sf.g) == (0,) * 6
 
 
@@ -143,11 +144,10 @@ class TestCurvatureReport:
     def test_flat_inflection_forces_k1_k2_zero(self):
         # scan a surface with a genuine flat inflection at the origin
         sd = parse_surface("phi = x^2 + x^3 + y^3\npsi = x^2 - y^3")
-        tol = ClassificationTolerances()
         found = 0
         for x in np.linspace(-0.2, 0.2, 21):
             for y in np.linspace(-0.2, 0.2, 21):
-                rep = curvature_report(sd, (float(x), float(y)), tol=tol)
+                rep = curvature_report(sd, (float(x), float(y)))
                 if rep.inflection == "flat":
                     scale = 1e-6
                     assert abs(rep.K1) <= scale and abs(rep.K2) <= scale
@@ -186,7 +186,8 @@ class TestDualRoutes:
         for _ in range(50):
             sd = random_polynomial_surface(rng)
             pt = tuple(rng.uniform(-0.8, 0.8, size=2))
-            sf = second_form(sd, pt)
+            mf = monge_frame(sd, pt)
+            sf = _second_form_from(mf, adapted_frame(mf))
             a, b, c, e, f, g = sf.a, sf.b, sf.c, sf.e, sf.f, sf.g
             d1 = (a * f - b * e) * (b * g - c * f) - 0.25 * (a * g - c * e)**2
             d2 = (a * c - b * b) * (e * g - f * f) \
@@ -259,7 +260,7 @@ class TestClosedness:
 
     def test_stencil_outside_domain(self):
         with pytest.raises(ValueError, match="domain"):
-            isoclinic_form_closedness(EX1, (1.0, 0.0), h=1e-3)
+            isoclinic_form_closedness(EX1, (1.0, 0.0))
 
 
 def test_gauss_singularity_flag_on_z3():
@@ -288,15 +289,15 @@ def test_seven_conditions_agree_on_isoclinic_surface():
     z3 = parse_surface(
         "phi = x^3 - 3*x*y^2\npsi = 3*x^2*y - y^3\n"
         "domain = [-0.5, 0.5] x [-0.5, 0.5]")
-    tol = ClassificationTolerances()
     hits = 0
     for x in np.linspace(-0.4, 0.4, 9):
         for y in np.linspace(-0.4, 0.4, 9):
-            rep = curvature_report(z3, (float(x), float(y)), tol=tol)
-            sf = second_form(z3, (float(x), float(y)))
+            rep = curvature_report(z3, (float(x), float(y)))
+            mf = monge_frame(z3, (float(x), float(y)))
+            sf = _second_form_from(mf, adapted_frame(mf))
             scale = max(abs(v) for v in
                         (sf.a, sf.b, sf.c, sf.e, sf.f, sf.g)) or 0.0
-            bands = tol.bands(scale)
+            bands = TOLERANCES.bands(scale)
             cond2 = rep.point_class == "parabolic" and \
                 abs(rep.kappa) <= bands["kappa"]
             cond5 = rep.point_class == "parabolic" and \
@@ -310,14 +311,6 @@ def test_seven_conditions_agree_on_isoclinic_surface():
             assert cond2 == cond5 == cond7 == cond3 == cond6
             hits += int(cond2)
     assert hits == 1  # exactly the origin
-
-
-def test_delta_field_diagnostic_reports_ratio():
-    diag = delta_field_diagnostic(Z2, (0.1, -0.2))
-    assert np.isfinite(diag.hessian_det)
-    assert diag.ratio is None or np.isfinite(diag.ratio)
-    # flat plane has zero K: the ratio must be None rather than infinite
-    assert delta_field_diagnostic(FLAT, (0.0, 0.0)).ratio is None
 
 
 def test_internal_inconsistency_is_distinguishable():
