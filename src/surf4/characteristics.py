@@ -288,11 +288,11 @@ def reconstruct_surface(problem, n_curves=41, dt=1e-3):
 
     main = states[:, :, :n_curves]
     xs, ys, zs, ps, qs = (main[:, k, :].ravel() for k in range(5))
-    drift = float(np.max(np.abs(f_partials(problem, xs, ys, ps, qs)[0])))
+    fval, fx, fy, fp, fq = f_partials(problem, xs, ys, ps, qs)
+    drift = float(np.max(np.abs(fval)))
     minus = states[:, :, n_curves:2 * n_curves]
     plus = states[:, :, 2 * n_curves:]
     v = (plus - minus) / (2.0 * DERIVATIVE_OFFSET)
-    _, fx, fy, fp, fq = f_partials(problem, xs, ys, ps, qs)
     xdot, ydot = np.asarray(fp), np.asarray(fq)
     pdot, qdot = -np.asarray(fx), -np.asarray(fy)
     vx, vy = v[:, 0, :].ravel(), v[:, 1, :].ravel()

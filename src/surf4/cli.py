@@ -228,7 +228,7 @@ def cmd_congruence(args):
         "circleFactor": rep.circle_factor,
         "alpha": None if rep.alpha is None else list(rep.alpha),
         "fitResidual": rep.fit_residual,
-        "rotation": [list(row) for row in rep.rotation.m],
+        "rotation": [list(row) for row in rep.rotation],
         "symplecticResidual": rep.symplectic_residual,
         "matchedForm": rep.matched_form,
         "residualStandard": rep.residual_standard,
@@ -245,12 +245,13 @@ def cmd_reconstruct(args):
     problem = characteristics.example2_problem(args.c)
     samples = characteristics.reconstruct_surface(
         problem, n_curves=args.n_curves, dt=args.dt)
+    # verify first: an input error must leave no output file behind
+    report = characteristics.verify_reconstruction(samples)
     if args.out:
         lines = ["x,y,phi,phi_x,phi_y"]
         for row in samples.columns():
             lines.append(",".join(_fmt(v) for v in row))
         _write_output("\n".join(lines) + "\n", args.out)
-    report = characteristics.verify_reconstruction(samples)
     payload = {
         "c": args.c,
         "nSamples": report.n_samples,

@@ -149,7 +149,13 @@ def _tokenize_line(text, lineno):
                 if text[j] in "eE":
                     seen_e = True
                 j += 1
-            tokens.append(_Token("num", text[i:j], lineno, col))
+            literal = text[i:j]
+            try:
+                float(literal)
+            except ValueError:
+                raise SurfaceSyntaxError(
+                    f"malformed number {literal!r}", lineno, col) from None
+            tokens.append(_Token("num", literal, lineno, col))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -269,16 +275,6 @@ class _ExprParser:
         self.error(f"expected a value, found {got}")
 
 
-def parse_expression(text, lineno=1):
-    """Parse a single expression string into an AST."""
-    parser = _ExprParser(_tokenize_line(text, lineno))
-    node = parser.parse_expression()
-    tok = parser.peek()
-    if tok.kind != "end":
-        parser.error(f"unexpected trailing input {tok.text!r}")
-    return node
-
-
 # -- surface file parser -------------------------------------------------------
 
 
@@ -307,6 +303,8 @@ def _parse_domain(parser):
     parser.expect("rbracket")
     if not (x0 < x1 and y0 < y1):
         parser.error("domain intervals must satisfy x0 < x1 and y0 < y1", sep)
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        parser.error("domain intervals must have finite widths", sep)
     return Rect(x0, x1, y0, y1)
 
 

@@ -71,22 +71,6 @@ class KleinPoint:
 
 
 @dataclass
-class Rotation4:
-    m: np.ndarray
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=float)
-        if np.max(np.abs(self.m @ self.m.T - np.eye(4))) > 1e-10:
-            raise ValueError("matrix is not orthogonal to 1e-10")
-        self.det = float(np.sign(np.linalg.det(self.m)))
-
-
-@dataclass
-class Lift6:
-    m6: np.ndarray
-
-
-@dataclass
 class GreatCircleFit:
     alpha: np.ndarray
     residual: float
@@ -238,19 +222,21 @@ def xy_plane():
     return PluckerPoint(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
 
 
-def lift_so4(rotation):
-    """The induced orthogonal action on wedge coordinates.
+def lift_so4(m):
+    """The induced orthogonal action on wedge coordinates, as a 6x6 array.
 
-    Columns are the wedges of column pairs of the 4x4 matrix, in Pluecker
-    order; the lift satisfies wedge(Av1, Av2) = lift(A) wedge(v1, v2) and
-    lift(AB) = lift(A) lift(B).
+    Columns are the wedges of column pairs of the orthogonal 4x4 matrix
+    ``m``, in Pluecker order; the lift satisfies
+    wedge(Av1, Av2) = lift(A) wedge(v1, v2) and lift(AB) = lift(A) lift(B).
     """
-    m = rotation.m if isinstance(rotation, Rotation4) else Rotation4(rotation).m
+    m = np.asarray(m, dtype=float)
+    if np.max(np.abs(m @ m.T - np.eye(4))) > 1e-10:
+        raise ValueError("matrix is not orthogonal to 1e-10")
     cols = [wedge6(m[:, i], m[:, j]) for i, j in PLUCKER_PAIRS]
     m6 = np.column_stack(cols)
     if np.max(np.abs(m6 @ m6.T - np.eye(6))) > 1e-10:
         raise InternalInconsistencyError("lift is not orthogonal to 1e-10")
-    return Lift6(m6)
+    return m6
 
 
 BETA_TARGET = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0])
@@ -286,14 +272,15 @@ def _alpha_matrix(alpha):
 
 
 def rotation_from_alpha(alpha):
-    """The explicit rotation whose lift sends BETA_TARGET to (alpha, alpha).
+    """The 4x4 rotation whose lift sends BETA_TARGET to (alpha, alpha).
 
     For alpha1^2 + alpha2^2 below 1e-12 the explicit matrix degenerates;
     the construction is then applied to alpha with its last two sphere
     axes exchanged and composed with the SO(4) element rotating the
     a-sphere factor back (axis exchange itself is improper, so the proper
     rotation taking the swapped vector to alpha stands in for it).  The
-    numeric postcondition is verified on every call.
+    orthogonality of the matrix (inside ``lift_so4``) and the numeric
+    postcondition are verified on every call.
     """
     alpha = np.asarray(alpha, dtype=float)
     if abs(np.linalg.norm(alpha) - 1.0) > 1e-10:
@@ -307,14 +294,13 @@ def rotation_from_alpha(alpha):
         m = _so4_rotating_a_factor(axis, angle) @ _alpha_matrix(swapped)
     else:
         m = _alpha_matrix(alpha)
-    rot = Rotation4(m)
-    image = lift_so4(rot).m6 @ BETA_TARGET
+    image = lift_so4(m) @ BETA_TARGET
     target = np.concatenate([alpha, alpha])
     if np.max(np.abs(image - target)) > 1e-10:
         raise InternalInconsistencyError(
             "lift postcondition failed: lift(A) beta != (alpha, alpha)"
         )
-    return rot
+    return m
 
 
 def great_circle_fit(samples):

@@ -17,8 +17,6 @@ import math
 
 import numpy as np
 
-MAX_ORDER = 3
-
 # Multi-index enumeration, fixed per order: (0,0), (1,0), (0,1), (2,0), ...
 _INDICES = {
     o: tuple((s - j, j) for s in range(o + 1) for j in range(s + 1))

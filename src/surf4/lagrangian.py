@@ -19,7 +19,6 @@ import numpy as np
 
 from .grassmann import (
     C_SWAP,
-    Rotation4,
     great_circle_fit,
     klein_from_plucker,
     plucker_from_pair,
@@ -28,42 +27,17 @@ from .grassmann import (
 )
 
 
-@dataclass
-class SymplecticForm:
-    name: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if np.max(np.abs(self.matrix + self.matrix.T)) > 0.0:
-            raise ValueError("symplectic form matrix must be antisymmetric")
-
-    def __call__(self, v1, v2):
-        return float(v1 @ self.matrix @ v2)
-
-
-def _form(name, pairs):
-    m = np.zeros((4, 4))
-    for (i, j), value in pairs:
-        m[i, j] = value
-        m[j, i] = -value
-    return SymplecticForm(name, m)
-
-
-# coordinates ordered (x, y, u, v) with u, v the graph components
-def standard_form():
-    """omega = dx ^ du + dy ^ dv."""
-    return _form("standard", [((0, 2), 1.0), ((1, 3), 1.0)])
-
-
-def omega1_form():
-    """Omega_1 = dx ^ du - dy ^ dv (orientation-reversed companion)."""
-    return _form("orientationReversed", [((0, 2), 1.0), ((1, 3), -1.0)])
-
-
-def omega2_form():
-    """Omega_2 = dx ^ dv + dy ^ du."""
-    return _form("omega2", [((0, 3), 1.0), ((1, 2), 1.0)])
+# constant symplectic forms as antisymmetric 4x4 matrices, coordinates
+# ordered (x, y, u, v) with u, v the graph components
+# omega = dx ^ du + dy ^ dv
+STANDARD_FORM = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                          [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+# Omega_1 = dx ^ du - dy ^ dv (orientation-reversed companion)
+OMEGA1_FORM = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
+                        [-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+# Omega_2 = dx ^ dv + dy ^ du
+OMEGA2_FORM = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0],
+                        [0.0, -1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
 
 
 def grid_points(domain, nx=15, ny=15, shrink=0.1):
@@ -84,12 +58,12 @@ def symplectic_residual(sd, form, grid=None, rotation=None):
 
 
 def _residual_on_pairs(tangent_pairs, form, rotation=None):
-    r = rotation.m if isinstance(rotation, Rotation4) else rotation
     worst = 0.0
     for t1, t2 in tangent_pairs:
-        if r is not None:
-            t1, t2 = r @ t1, r @ t2
-        value = abs(form(t1, t2)) / (np.linalg.norm(t1) * np.linalg.norm(t2))
+        if rotation is not None:
+            t1, t2 = rotation @ t1, rotation @ t2
+        value = (abs(float(t1 @ form @ t2))
+                 / (np.linalg.norm(t1) * np.linalg.norm(t2)))
         worst = max(worst, value)
     return worst
 
@@ -99,7 +73,7 @@ class CongruenceReport:
     circle_factor: str          # gamma1 | gamma2 | none
     alpha: np.ndarray | None
     fit_residual: float
-    rotation: Rotation4
+    rotation: np.ndarray        # 4x4; the identity when not congruent
     symplectic_residual: float
     matched_form: str           # standard | orientationReversed | none
     residual_standard: float
@@ -124,47 +98,31 @@ def congruence_from_tangent_samples(tangent_pairs, tol_circle=1e-6,
     fit_a = great_circle_fit([k.a_vec for k in kleins])
     fit_b = great_circle_fit([k.b_vec for k in kleins])
 
-    identity = Rotation4(np.eye(4))
     if min(fit_a.residual, fit_b.residual) > tol_circle:
-        res_std = _residual_on_pairs(tangent_pairs, standard_form())
-        res_om1 = _residual_on_pairs(tangent_pairs, omega1_form())
-        return CongruenceReport(
-            circle_factor="none", alpha=None,
-            fit_residual=min(fit_a.residual, fit_b.residual),
-            rotation=identity,
-            symplectic_residual=min(res_std, res_om1),
-            matched_form="none",
-            residual_standard=res_std, residual_omega1=res_om1,
-            fit_residual_gamma1=fit_a.residual,
-            fit_residual_gamma2=fit_b.residual,
-            tol_circle=tol_circle, tol_symp=tol_symp,
-        )
-
-    if fit_b.residual <= fit_a.residual:
-        factor, fit = "gamma2", fit_b
-        a_hat = rotation_from_alpha(fit.alpha)
-        rotation = Rotation4(a_hat.m.T)
+        factor, alpha, rotation = "none", None, None
+    elif fit_b.residual <= fit_a.residual:
+        factor, alpha = "gamma2", fit_b.alpha
+        rotation = rotation_from_alpha(alpha).T
     else:
         # the a-factor case: swap the roles of the sphere factors with the
         # fixed map C (its lift exchanges them, relabeling axes 2 and 3),
         # then run the alpha construction on the swapped circle normal
-        factor, fit = "gamma1", fit_a
-        alpha_swapped = fit.alpha[[0, 2, 1]]
-        a_hat = rotation_from_alpha(alpha_swapped)
-        rotation = Rotation4(a_hat.m.T @ C_SWAP)
+        factor, alpha = "gamma1", fit_a.alpha
+        rotation = rotation_from_alpha(alpha[[0, 2, 1]]).T @ C_SWAP
 
-    res_std = _residual_on_pairs(tangent_pairs, standard_form(), rotation)
-    res_om1 = _residual_on_pairs(tangent_pairs, omega1_form(), rotation)
-    if res_std <= tol_symp:
-        matched, achieved = "standard", res_std
-    elif res_om1 <= tol_symp:
-        matched, achieved = "orientationReversed", res_om1
-    else:
-        matched, achieved = "none", min(res_std, res_om1)
+    res_std = _residual_on_pairs(tangent_pairs, STANDARD_FORM, rotation)
+    res_om1 = _residual_on_pairs(tangent_pairs, OMEGA1_FORM, rotation)
+    matched, achieved = "none", min(res_std, res_om1)
+    if rotation is not None:
+        if res_std <= tol_symp:
+            matched, achieved = "standard", res_std
+        elif res_om1 <= tol_symp:
+            matched, achieved = "orientationReversed", res_om1
     return CongruenceReport(
-        circle_factor=factor, alpha=fit.alpha, fit_residual=fit.residual,
-        rotation=rotation, symplectic_residual=achieved,
-        matched_form=matched,
+        circle_factor=factor, alpha=alpha,
+        fit_residual=min(fit_a.residual, fit_b.residual),
+        rotation=np.eye(4) if rotation is None else rotation,
+        symplectic_residual=achieved, matched_form=matched,
         residual_standard=res_std, residual_omega1=res_om1,
         fit_residual_gamma1=fit_a.residual,
         fit_residual_gamma2=fit_b.residual,
@@ -185,7 +143,6 @@ def congruence_to_lagrangean(sd, grid=(15, 15), tol_circle=1e-6,
     points = grid_points(sd.domain, nx, ny)
     pairs = [tangent_pair(sd, pt) for pt in points]
     if pre_rotation is not None:
-        r = (pre_rotation.m if isinstance(pre_rotation, Rotation4)
-             else np.asarray(pre_rotation, float))
+        r = np.asarray(pre_rotation, dtype=float)
         pairs = [(r @ t1, r @ t2) for t1, t2 in pairs]
     return congruence_from_tangent_samples(pairs, tol_circle, tol_symp)

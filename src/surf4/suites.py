@@ -194,7 +194,7 @@ def suite_wong():
                      "points per K = kappa surface", worst_closed, 1e-4))
 
     # I+ = C I- under the lift of the coordinate swap
-    lift_c = lift_so4(C_SWAP).m6
+    lift_c = lift_so4(C_SWAP)
     worst_swap = 0.0
     for _ in range(n_swap):
         alpha = rng.normal(size=2)
@@ -234,8 +234,8 @@ def suite_lift():
     for _ in range(n_pairs):
         a = _random_so4(rng)
         b = _random_so4(rng)
-        la, lb = lift_so4(a).m6, lift_so4(b).m6
-        lab = lift_so4(a @ b).m6
+        la, lb = lift_so4(a), lift_so4(b)
+        lab = lift_so4(a @ b)
         worst_hom = max(worst_hom, float(np.max(np.abs(lab - la @ lb))))
         worst_orth = max(worst_orth, float(np.max(np.abs(
             la @ la.T - np.eye(6)))))
@@ -250,13 +250,13 @@ def suite_lift():
         if alpha[0]**2 + alpha[1]**2 < 1e-12:
             continue
         rot = rotation_from_alpha(alpha)
-        image = lift_so4(rot).m6 @ BETA_TARGET
+        image = lift_so4(rot) @ BETA_TARGET
         worst_post = max(worst_post, float(np.max(np.abs(
             image - np.concatenate([alpha, alpha])))))
     # the capped directions go through the documented pre-rotation
     for cap in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
         rot = rotation_from_alpha(cap)
-        image = lift_so4(rot).m6 @ BETA_TARGET
+        image = lift_so4(rot) @ BETA_TARGET
         worst_post = max(worst_post, float(np.max(np.abs(
             image - np.concatenate([cap, cap])))))
     return [

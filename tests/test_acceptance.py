@@ -12,13 +12,13 @@ from surf4 import characteristics as ch
 from surf4 import suites
 from surf4.expr import eval_surface, parse_surface
 from surf4.frames import curvature_report, hessian_quantities
-from surf4.grassmann import Rotation4, gauss_map_at, great_circle_fit
+from surf4.grassmann import gauss_map_at, great_circle_fit
 from surf4.lagrangian import (
+    OMEGA1_FORM,
+    OMEGA2_FORM,
+    STANDARD_FORM,
     congruence_to_lagrangean,
     grid_points,
-    omega1_form,
-    omega2_form,
-    standard_form,
     symplectic_residual,
 )
 
@@ -59,13 +59,13 @@ def test_criterion_1_example1_pipeline():
 
     # (e) the printed block rotation and its transformed graph
     s = math.sqrt(5.0)
-    block = Rotation4(np.array([
+    block = np.array([
         [1, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, -2 / s, -1 / s],
         [0, 0, 1 / s, -2 / s],
-    ]))
-    block_residual = symplectic_residual(EX1, standard_form(), rotation=block)
+    ])
+    block_residual = symplectic_residual(EX1, STANDARD_FORM, rotation=block)
     hat = parse_surface(
         "phi = (a*(2*x*y - a*x - b*y) - b*(x^2 - y^2))/s\n"
         "psi = (b*(2*x*y - a*x - b*y) + a*(x^2 - y^2))/s\n"
@@ -115,9 +115,9 @@ def test_criterion_2_r_surface_suite():
                 worst_closed = max(worst_closed, abs(rep.K - k_closed))
             expected_singular = (abs(pxx) < 1e-15 and abs(qxx) < 1e-15)
             singular_mismatch += int(rep.gauss_singular != expected_singular)
-        res1 = symplectic_residual(sd, omega1_form(),
+        res1 = symplectic_residual(sd, OMEGA1_FORM,
                                    grid=grid_points(sd.domain, 8, 8))
-        res2 = symplectic_residual(sd, omega2_form(),
+        res2 = symplectic_residual(sd, OMEGA2_FORM,
                                    grid=grid_points(sd.domain, 8, 8))
         case_ok = (worst_a < 1e-12 and worst_mean < 1e-10
                    and worst_sum < 1e-10 and worst_closed == 0.0

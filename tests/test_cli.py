@@ -91,6 +91,25 @@ RECONSTRUCT_RANGES = {
 BAD_RECONSTRUCT_ARGS = [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.001"),
                         ("--n-curves", "0"), ("--n-curves", "1"),
                         ("--n-curves", "2"), ("--c", "2"), ("--c", "nan")]
+# surface files the parser refuses: malformed numbers and domains whose
+# width overflows a float
+BAD_SURFACES = {
+    "number-two-points": ("phi = 1.2.3\npsi = y\n",
+                          "error: line 1, column 7: malformed number "
+                          "'1.2.3'\n"),
+    "number-bare-exponent": ("phi = 1e\npsi = y\n",
+                             "error: line 1, column 7: malformed number "
+                             "'1e'\n"),
+    "number-param": ("param a = 1..5\nphi = a*x\npsi = y\n",
+                     "error: line 1, column 11: malformed number '1..5'\n"),
+    "domain-infinite": ("phi = x\npsi = y\ndomain = [0, 1e400] x [0, 1]\n",
+                        "error: line 3, column 21: domain intervals must "
+                        "have finite widths\n"),
+    "domain-width-overflow": ("phi = x\npsi = y\n"
+                              "domain = [-1e308, 1e308] x [0, 1]\n",
+                              "error: line 3, column 26: domain intervals "
+                              "must have finite widths\n"),
+}
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -118,6 +137,10 @@ BAD_RECONSTRUCT_ARGS = [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.001"),
       for argv in SURFACE_COMMANDS.values()],
     *[(["reconstruct", "--dt", dt], None, message)
       for dt, message in COARSE_DT],
+    (["reconstruct", "--dt", "0.5", "--out", OUT], None,
+     "error: only 5 samples within radius"),
+    *[(["analyze", "--grid", "3,3", "--out", OUT], text, message)
+      for text, message in BAD_SURFACES.values()],
 ], ids=["eval-error", "congruence-grid",
         *[f"reconstruct{flag}={value}" for flag, value in BAD_RECONSTRUCT_ARGS],
         "reconstruct-branch", "reconstruct-newton",
@@ -125,7 +148,9 @@ BAD_RECONSTRUCT_ARGS = [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.001"),
         "congruence-non-finite",
         *[f"{command}-overflow-{kind}" for kind in OVERFLOWS
           for command in SURFACE_COMMANDS],
-        *[f"reconstruct--dt={dt}" for dt, _ in COARSE_DT]])
+        *[f"reconstruct--dt={dt}" for dt, _ in COARSE_DT],
+        "reconstruct-out-coarse-dt",
+        *[f"analyze-{kind}" for kind in BAD_SURFACES]])
 def test_input_errors_exit_2(capsys, recwarn, tmp_path, argv, text, message):
     out_file = tmp_path / "out.txt"
     argv = [str(out_file) if arg is OUT else arg for arg in argv]
@@ -141,8 +166,8 @@ def test_input_errors_exit_2(capsys, recwarn, tmp_path, argv, text, message):
         # the one-line message and nothing else, numpy warnings included
         assert err.startswith("error:") and err.count("\n") == 1
         assert not [w for w in recwarn if w.category is RuntimeWarning]
-    written = out_file.read_text() if out_file.exists() else ""
-    assert "nan" not in (out + written).lower()
+    assert "nan" not in out.lower()
+    assert not out_file.exists()
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -208,6 +233,28 @@ def test_golden_analysis_report(capsys, tmp_path):
 
     assert stable_lines(out_file.read_text()) == \
         stable_lines(open(golden).read())
+
+
+# both sphere images 2-dimensional, as in test_not_congruent_is_a_report
+NOT_CONGRUENT = "phi = x^2 + y^3\npsi = x*y + x^3\n"
+
+
+@pytest.mark.parametrize("surface_file, golden", [
+    ("rsurf_z2.surf", "congruence_rsurf_z2_5x5.json"),
+    ("example1.surf", "congruence_example1_5x5.json"),
+    (None, "congruence_not_congruent_5x5.json"),
+], ids=["gamma1", "gamma2", "none"])
+def test_golden_congruence_report(capsys, tmp_path, surface_file, golden):
+    if surface_file is None:
+        path = tmp_path / "surface.surf"
+        path.write_text(NOT_CONGRUENT)
+    else:
+        path = surface(surface_file)
+    code, out, _ = run(capsys, "congruence", "--surface", str(path),
+                       "--grid", "5,5")
+    assert code == 0
+    with open(os.path.join(DATA, golden), encoding="utf-8") as handle:
+        assert out == handle.read()
 
 
 def test_verify_plucker_suite(capsys):
