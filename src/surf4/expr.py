@@ -124,6 +124,7 @@ class _Token:
     text: str
     line: int
     column: int
+    value: float | None = None  # the parsed float of a num token
 
 
 def _tokenize_line(text, lineno):
@@ -151,11 +152,11 @@ def _tokenize_line(text, lineno):
                 j += 1
             literal = text[i:j]
             try:
-                float(literal)
+                value = float(literal)
             except ValueError:
                 raise SurfaceSyntaxError(
                     f"malformed number {literal!r}", lineno, col) from None
-            tokens.append(_Token("num", literal, lineno, col))
+            tokens.append(_Token("num", literal, lineno, col, value))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -254,7 +255,7 @@ class _ExprParser:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return Const(float(tok.text))
+            return Const(tok.value)
         if tok.kind == "ident":
             self.next()
             name = tok.text
@@ -284,7 +285,7 @@ def _parse_number(parser):
         if parser.next().text == "-":
             sign = -sign
     tok = parser.expect("num")
-    return sign * float(tok.text)
+    return sign * tok.value
 
 
 def _parse_domain(parser):

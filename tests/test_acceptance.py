@@ -12,7 +12,7 @@ from surf4 import characteristics as ch
 from surf4 import suites
 from surf4.expr import eval_surface, parse_surface
 from surf4.frames import curvature_report, hessian_quantities
-from surf4.grassmann import gauss_map_at, great_circle_fit
+from surf4.grassmann import gauss_map_at, great_circle_fit, lift_so4
 from surf4.lagrangian import (
     OMEGA1_FORM,
     OMEGA2_FORM,
@@ -65,6 +65,7 @@ def test_criterion_1_example1_pipeline():
         [0, 0, -2 / s, -1 / s],
         [0, 0, 1 / s, -2 / s],
     ])
+    lift_so4(block)  # raises unless the block is orthogonal to 1e-10
     block_residual = symplectic_residual(EX1, STANDARD_FORM, rotation=block)
     hat = parse_surface(
         "phi = (a*(2*x*y - a*x - b*y) - b*(x^2 - y^2))/s\n"
