@@ -8,7 +8,9 @@ characteristic strips, which doubles as the integration accuracy check.
 F is any callable of four scalar-like arguments; evaluating it on jets
 supplies the partial derivatives that drive the characteristic field, so
 no symbolic differentiation is needed.  Batched launches evaluate F once
-per stage on array-valued jets.
+per stage on array-valued jets: the forward and backward strips form one
+batch, and the evaluation that checks |F_q| and the drift of F at a state
+is also RK4's first stage from it.
 """
 
 from __future__ import annotations
@@ -96,54 +98,107 @@ def f_partials(problem, x, y, p, q):
             e1.derivative(0, 1), e2.derivative(0, 1))
 
 
-def characteristic_field(problem, state):
-    """Right-hand side (x', y', z', p', q') on a (5,) or (5, n) state."""
-    x, y, z, p, q = state
-    _, fx, fy, fp, fq = f_partials(problem, x, y, p, q)
+def _field(p, q, fx, fy, fp, fq):
+    """(x', y', z', p', q') from the partials of F at a state."""
     return np.stack([fp, fq, p * fp + q * fq, -fx, -fy])
 
 
-def _rk4_step(problem, state, dt):
-    k1 = characteristic_field(problem, state)
+def characteristic_field(problem, state):
+    """Right-hand side (x', y', z', p', q') on a (5,) or (5, n) state."""
+    x, y, z, p, q = state
+    return _field(p, q, *f_partials(problem, x, y, p, q)[1:])
+
+
+def _rk4_step(problem, state, dt, k1):
+    """One RK4 step from ``state``, whose field ``k1`` the caller has;
+    ``dt`` is a number or holds one step per column."""
     k2 = characteristic_field(problem, state + 0.5 * dt * k1)
     k3 = characteristic_field(problem, state + 0.5 * dt * k2)
     k4 = characteristic_field(problem, state + dt * k3)
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _checked_step(problem, state, dt, f0, t, max_f_drift, x0_labels):
+    """Check a (5, n) batch at time ``t``, then take one RK4 step from it.
+
+    Raises :class:`CharacteristicPointError` when a column has
+    |F_q| < FQ_MIN, and :class:`IntegrationError` when F has drifted more
+    than ``max_f_drift`` from ``f0`` (None skips that check).  The check's
+    evaluation of F is the step's ``k1``.
+    """
+    x, y, _, p, q = state
+    fval, fx, fy, fp, fq = f_partials(problem, x, y, p, q)
+    bad = ~(np.abs(fq) >= FQ_MIN)  # NaN counts as bad
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        x0 = None if x0_labels is None else x0_labels[idx]
+        raise CharacteristicPointError(
+            f"characteristic point: |F_q| < {FQ_MIN} at t = {t}",
+            x0=x0, t=t,
+        )
+    if max_f_drift is not None:
+        drift = float(np.max(np.abs(fval - f0)))
+        if not (drift <= max_f_drift):
+            raise IntegrationError(
+                f"F drifted by {drift} (> {max_f_drift}) at t = {t}"
+            )
+    return _rk4_step(problem, state, dt, _field(p, q, fx, fy, fp, fq))
+
+
+# what a step raises for a failing column: its checks, and F's arithmetic
+_STEP_ERRORS = (CharacteristicPointError, IntegrationError, ArithmeticError,
+                ValueError)
+
+
 def _integrate_batch(problem, states0, dt, steps, max_f_drift=MAX_F_DRIFT,
                      x0_labels=None):
-    """Classical RK4 on a (5, n) batch; returns (steps+1, 5, n) trajectory.
+    """Classical RK4 from a (5, n) batch to t = steps*dt and t = -steps*dt.
 
-    Aborts with :class:`CharacteristicPointError` when any column hits
-    |F_q| < FQ_MIN, and with :class:`IntegrationError` when F drifts more
-    than ``max_f_drift`` from its initial values (None skips that check).
+    Returns the (2*steps + 1, 5, n) trajectory at t = 0, dt, ...,
+    steps*dt, then -dt, ..., -steps*dt.  Both directions advance as one
+    (5, 2n) batch.  Each column's arithmetic is elementwise, so the states
+    and errors are those of a forward run followed by a backward run: a
+    failure of the forward run is raised at once, one of the backward run
+    when the forward run has ended.  The checks are those of
+    :func:`_checked_step`, each run against its own columns.
     """
     states0 = np.asarray(states0, dtype=float)
-    out = np.empty((steps + 1,) + states0.shape)
+    n = states0.shape[1]
+    out = np.empty((2 * steps + 1,) + states0.shape)
     out[0] = states0
     f0 = f_partials(problem, states0[0], states0[1], states0[3],
                     states0[4])[0]
-    state = states0
+    state = np.concatenate([states0, states0], axis=1)
+    dt_both = np.repeat([dt, -dt], n)
+    f0_both = np.concatenate([f0, f0])
+    held = None  # the backward run's error, raised when the forward run ends
     for k in range(steps):
-        fval, _, _, _, fq = f_partials(problem, state[0], state[1],
-                                       state[3], state[4])
-        bad = ~(np.abs(fq) >= FQ_MIN)  # NaN counts as bad
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            x0 = None if x0_labels is None else x0_labels[idx]
-            raise CharacteristicPointError(
-                f"characteristic point: |F_q| < {FQ_MIN} at t = {k * dt}",
-                x0=x0, t=k * dt,
-            )
-        if max_f_drift is not None:
-            drift = float(np.max(np.abs(fval - f0)))
-            if not (drift <= max_f_drift):
-                raise IntegrationError(
-                    f"F drifted by {drift} (> {max_f_drift}) at t = {k * dt}"
-                )
-        state = _rk4_step(problem, state, dt)
-        out[k + 1] = state
+        if held is not None:
+            state = _checked_step(problem, state, dt, f0, k * dt,
+                                  max_f_drift, x0_labels)
+        else:
+            try:
+                stepped = _checked_step(problem, state, dt_both, f0_both,
+                                        k * dt, max_f_drift, None)
+            except _STEP_ERRORS:
+                stepped = None  # some column failed
+            if stepped is None:
+                # retake the step one run at a time, so that the error is
+                # the one that run raises on its own
+                ahead = _checked_step(problem, state[:, :n], dt, f0, k * dt,
+                                      max_f_drift, x0_labels)
+                try:
+                    behind = _checked_step(problem, state[:, n:], -dt, f0,
+                                           k * -dt, max_f_drift, x0_labels)
+                except _STEP_ERRORS as err:
+                    held, behind = err, state[:, :0]
+                stepped = np.concatenate([ahead, behind], axis=1)
+            state = stepped
+        out[k + 1] = state[:, :n]
+        if held is None:
+            out[steps + 1 + k] = state[:, n:]
+    if held is not None:
+        raise held
     return out
 
 
@@ -274,17 +329,13 @@ def reconstruct_surface(problem, n_curves=41, dt=1e-3):
                              x0s + DERIVATIVE_OFFSET])
     states0 = _launch_states(problem, all_x0)
 
-    chunks = []
-    for sign in (1.0, -1.0):
-        try:
-            traj = _integrate_batch(problem, states0, sign * dt, steps,
-                                    x0_labels=all_x0)
-        except CharacteristicPointError as err:
-            raise CharacteristicPointError(
-                f"strip from x0 = {err.x0} aborted: {err}",
-                x0=err.x0, t=err.t) from err
-        chunks.append(traj[1:] if chunks else traj)
-    states = np.concatenate(chunks, axis=0)
+    try:
+        states = _integrate_batch(problem, states0, dt, steps,
+                                  x0_labels=all_x0)
+    except CharacteristicPointError as err:
+        raise CharacteristicPointError(
+            f"strip from x0 = {err.x0} aborted: {err}",
+            x0=err.x0, t=err.t) from err
 
     main = states[:, :, :n_curves]
     xs, ys, zs, ps, qs = (main[:, k, :].ravel() for k in range(5))

@@ -30,6 +30,8 @@ from .lagrangian import congruence_to_lagrangean, grid_points
 
 CSV_HEADER = ("x,y,K,kappa,K1,K2,Delta,class,inflection,singular,"
               "g1x,g1y,g1z,g2x,g2y,g2z")
+NUMBER = "%.17g"  # every float the commands print
+CSV_BLOCK = 1024  # rows formatted per write of a numeric CSV
 
 
 # -- deterministic JSON with fixed float formatting --------------------------
@@ -47,7 +49,7 @@ def _fmt(value):
             # JSON has no NaN or inf; the checks upstream reject them
             raise InternalInconsistencyError(
                 f"non-finite number {value!r} reached the output")
-        return format(float(value), ".17g")
+        return NUMBER % float(value)
     raise TypeError(f"unsupported scalar {value!r}")
 
 
@@ -73,6 +75,25 @@ def to_json(obj, indent=0):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     return _fmt(obj)
+
+
+def _csv_blocks(table):
+    """The rows of a finite 2-D float array as CSV text, each number as
+    :func:`_fmt` writes it, in blocks of CSV_BLOCK rows."""
+    row = ",".join([NUMBER] * table.shape[1]) + "\n"
+    for start in range(0, len(table), CSV_BLOCK):
+        yield "".join([row % tuple(values) for values
+                       in table[start:start + CSV_BLOCK].tolist()])
+
+
+def _write_table(header, table, out_path):
+    """Write a header line and a float array as CSV to ``out_path``."""
+    bad = ~np.isfinite(table)
+    if bad.any():
+        _fmt(table[bad][0])  # raises, naming the first non-finite number
+    with open(out_path, "w", encoding="utf-8") as handle:
+        handle.write(header + "\n")
+        handle.writelines(_csv_blocks(table))
 
 
 def _write_output(text, out_path):
@@ -194,6 +215,10 @@ def _ranged(kind, ok, requirement):
     return parse
 
 
+_positive = _ranged(float, lambda v: math.isfinite(v) and v > 0.0,
+                    "a finite number > 0")
+
+
 def cmd_analyze(args):
     sd = _load_surface(args.surface)
     report = analysis_report(sd, args.grid[0], args.grid[1],
@@ -248,10 +273,7 @@ def cmd_reconstruct(args):
     # verify first: an input error must leave no output file behind
     report = characteristics.verify_reconstruction(samples)
     if args.out:
-        lines = ["x,y,phi,phi_x,phi_y"]
-        for row in samples.columns():
-            lines.append(",".join(_fmt(v) for v in row))
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_table("x,y,phi,phi_x,phi_y", samples.columns(), args.out)
     payload = {
         "c": args.c,
         "nSamples": report.n_samples,
@@ -316,8 +338,8 @@ def build_parser():
     p.add_argument("--surface", required=True)
     p.add_argument("--grid", type=_parse_congruence_grid, default=(15, 15),
                    metavar="NX,NY")
-    p.add_argument("--tol-circle", type=float, default=1e-6)
-    p.add_argument("--tol-symp", type=float, default=1e-8)
+    p.add_argument("--tol-circle", type=_positive, default=1e-6)
+    p.add_argument("--tol-symp", type=_positive, default=1e-8)
     p.set_defaults(func=cmd_congruence)
 
     p = sub.add_parser("reconstruct",
@@ -329,9 +351,7 @@ def build_parser():
     # verification needs a launch curve through the origin
     p.add_argument("--n-curves", default=41, type=_ranged(
         int, lambda n: n >= 3 and n % 2 == 1, "an odd integer >= 3"))
-    p.add_argument("--dt", default=1e-3, type=_ranged(
-        float, lambda dt: math.isfinite(dt) and dt > 0.0,
-        "a finite number > 0"))
+    p.add_argument("--dt", default=1e-3, type=_positive)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="run the property suites")

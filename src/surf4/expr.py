@@ -44,10 +44,13 @@ class SurfaceSyntaxError(ValueError):
 
 
 class SurfaceEvalError(ArithmeticError):
-    """Evaluation failure, carrying the offending subexpression."""
+    """Evaluation failure, carrying the offending subexpression if one is
+    to blame."""
 
-    def __init__(self, message, subexpression):
-        super().__init__(f"{message} in subexpression '{subexpression}'")
+    def __init__(self, message, subexpression=None):
+        if subexpression is not None:
+            message = f"{message} in subexpression '{subexpression}'"
+        super().__init__(message)
         self.subexpression = subexpression
 
 

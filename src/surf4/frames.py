@@ -15,12 +15,13 @@ Conventions fixed here and relied on throughout:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import eval_surface
+from .expr import SurfaceEvalError, eval_surface
 from .jets import Jet
 
 
@@ -120,6 +121,12 @@ class CurvatureReport:
     singular_coefficient: float | None = None
 
 
+def form_overflow(point):
+    """The error for a point whose first fundamental form overflows."""
+    return SurfaceEvalError("first fundamental form overflows at point "
+                            f"{tuple(map(float, point))}")
+
+
 def monge_frame(sd, point, jets=None):
     """First-order frame data and fundamental-form coefficients at a point;
     ``sd`` is read only when ``jets`` is None."""
@@ -138,6 +145,8 @@ def monge_frame(sd, point, jets=None):
     F = px * py + qx * qy
     G = 1.0 + py * py + qy * qy
     W = E * G - F * F
+    if not math.isfinite(W):  # an inf or NaN in E, F or G reaches W
+        raise form_overflow(point)
     if W <= 0.0:
         raise InternalInconsistencyError(f"W = {W} is not positive at {point}")
     Ehat = px * px + py * py + 1.0

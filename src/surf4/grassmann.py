@@ -15,12 +15,14 @@ relabelings, under which every invariant assertion is unchanged).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import eval_surface
-from .frames import InternalInconsistencyError, monge_curvatures, monge_frame
+from .frames import (InternalInconsistencyError, form_overflow,
+                     monge_curvatures, monge_frame)
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -108,11 +110,15 @@ def klein_from_plucker(point):
 def tangent_pair(sd, point):
     """(T1, T2) at a surface point."""
     phi, psi = eval_surface(sd, point, order=1)
-    t1 = np.array([1.0, 0.0, float(phi.derivative(1, 0)),
-                   float(psi.derivative(1, 0))])
-    t2 = np.array([0.0, 1.0, float(phi.derivative(0, 1)),
-                   float(psi.derivative(0, 1))])
-    return t1, t2
+    px, py = float(phi.derivative(1, 0)), float(phi.derivative(0, 1))
+    qx, qy = float(psi.derivative(1, 0)), float(psi.derivative(0, 1))
+    # |T1 ^ T2|^2 = W is 1 plus these squares; plucker_from_pair divides
+    # by its root
+    minor = px * qy - qx * py
+    if not math.isfinite(px * px + py * py + qx * qx + qy * qy
+                         + minor * minor):
+        raise form_overflow(point)
+    return (np.array([1.0, 0.0, px, qx]), np.array([0.0, 1.0, py, qy]))
 
 
 def gauss_map_at(sd, point):

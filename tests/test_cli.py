@@ -3,9 +3,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from surf4.cli import _fmt, main, to_json
+from surf4.cli import CSV_BLOCK, _csv_blocks, _fmt, _write_table, main, to_json
 from surf4.frames import InternalInconsistencyError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -69,18 +73,28 @@ def test_analyze_bad_surface_file(capsys, tmp_path):
 
 NON_FINITE = "phi = exp(1000*x)\npsi = x*y\n"
 OUT = object()  # stands for an output file in the test's directory
-# constants that overflow a float, on the math.exp and the float ** paths
+# constants that overflow a float, on the math.exp and the float ** paths,
+# and finite derivatives whose squares overflow the first fundamental form
+# (the first grid point is (-1, -1) for analyze and gaussmap, and
+# (-0.9, -0.9) for congruence)
 OVERFLOWS = {
     "exp": ("phi = exp(1000)\npsi = x*y\n",
             "error: math range error in subexpression 'exp(1000.0)'\n"),
     "pow": ("phi = 2.0^2000\npsi = x*y\n", "in subexpression '2.0^2000'\n"),
+    "form": ("phi = 1e200*x^2\npsi = x*y\n",
+             "error: first fundamental form overflows at point (-"),
 }
 SURFACE_COMMANDS = {"analyze": ["analyze", "--grid", "3,3", "--out", OUT],
                     "gaussmap": ["gaussmap", "--grid", "3,3", "--out", OUT],
                     "congruence": ["congruence", "--grid", "3,3"]}
-# too coarse to verify: one step leaves 5 samples near the origin, and
-# a step longer than twice the strip range leaves none
-COARSE_DT = [("0.3", "error: only 5 samples within radius"),
+# too coarse to verify: F drifts past its bound in the forward run, one
+# step leaves 5 samples near the origin, and a step longer than twice the
+# strip range leaves none
+COARSE_DT = [("0.05", "error: F drifted by 1.02012278624386e-08 (> 1e-08) "
+                      "at t = 0.35000000000000003\n"),
+             ("0.1", "error: F drifted by 9.30254580033818e-08 (> 1e-08) "
+                     "at t = 0.1\n"),
+             ("0.3", "error: only 5 samples within radius"),
              ("0.5", "error: only 5 samples within radius"),
              ("0.9", "error: dt = 0.9 takes no step")]
 RECONSTRUCT_RANGES = {
@@ -91,6 +105,7 @@ RECONSTRUCT_RANGES = {
 BAD_RECONSTRUCT_ARGS = [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.001"),
                         ("--n-curves", "0"), ("--n-curves", "1"),
                         ("--n-curves", "2"), ("--c", "2"), ("--c", "nan")]
+BAD_TOLERANCES = [("--tol-circle", "nan"), ("--tol-symp", "-1")]
 # surface files the parser refuses: malformed numbers and domains whose
 # width overflows a float
 BAD_SURFACES = {
@@ -118,6 +133,9 @@ BAD_SURFACES = {
      "'sqrt(x)'\n"),
     (["congruence", "--grid", "2,2"], "phi = x^2\npsi = x*y\n",
      "argument --grid: congruence grid must be at least 3x3"),
+    *[(["congruence", "--grid", "3,3", flag, value], "phi = x^2\npsi = x*y\n",
+       f"argument {flag}: must be a finite number > 0, got '{value}'")
+      for flag, value in BAD_TOLERANCES],
     *[(["reconstruct", flag, value], None,
        f"argument {flag}: must be {RECONSTRUCT_RANGES[flag]}, "
        f"got '{value}'") for flag, value in BAD_RECONSTRUCT_ARGS],
@@ -142,6 +160,7 @@ BAD_SURFACES = {
     *[(["analyze", "--grid", "3,3", "--out", OUT], text, message)
       for text, message in BAD_SURFACES.values()],
 ], ids=["eval-error", "congruence-grid",
+        *[f"congruence{flag}={value}" for flag, value in BAD_TOLERANCES],
         *[f"reconstruct{flag}={value}" for flag, value in BAD_RECONSTRUCT_ARGS],
         "reconstruct-branch", "reconstruct-newton",
         "analyze-non-finite", "gaussmap-non-finite",
@@ -233,6 +252,39 @@ def test_golden_analysis_report(capsys, tmp_path):
 
     assert stable_lines(out_file.read_text()) == \
         stable_lines(open(golden).read())
+
+
+# signed zeros, subnormals, the smallest normal and the largest magnitudes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 6)),
+              elements=st.one_of(st.sampled_from(EDGE_FLOATS),
+                                 st.floats(allow_nan=False,
+                                           allow_infinity=False))))
+def test_csv_rows_format_each_number_like_fmt(table):
+    expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)
+    assert "".join(_csv_blocks(table)) == expected
+
+
+@pytest.mark.parametrize("rows", [CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 1])
+def test_csv_blocks_cover_every_row(rows):
+    table = np.random.default_rng(rows).normal(size=(rows, 5))
+    blocks = list(_csv_blocks(table))
+    assert len(blocks) == -(-rows // CSV_BLOCK)
+    assert "".join(blocks).splitlines() == [
+        ",".join(_fmt(v) for v in row) for row in table]
+
+
+def test_table_with_a_non_finite_number_writes_no_file(tmp_path):
+    out_file = tmp_path / "table.csv"
+    table = np.array([[1.0, 2.0], [np.inf, np.nan]])
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"non-finite number np.float64\(inf\)"):
+        _write_table("a,b", table, out_file)
+    assert not out_file.exists()
 
 
 # both sphere images 2-dimensional, as in test_not_congruent_is_a_report
