@@ -435,8 +435,14 @@ def surface_to_text(sd):
 # -- evaluation -----------------------------------------------------------------
 
 
-def eval_expr(node, x, y, params):
-    """Evaluate an AST on float or Jet operands for x and y."""
+def eval_expr(node, x, y, params, powers):
+    """Evaluate an AST on float or Jet operands for x and y.
+
+    ``powers`` memoizes each power of a variable, keyed by (variable name,
+    exponent), so an ``x^2`` that several terms repeat is computed once;
+    pass one dict per pair (x, y).  Other bases are not memoized: a key
+    for them would walk the subtree, and ``Const(0.0) == Const(-0.0)``.
+    """
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -448,13 +454,13 @@ def eval_expr(node, x, y, params):
             raise SurfaceEvalError("undeclared parameter", node.name) from None
     try:
         if isinstance(node, Unary):
-            arg = eval_expr(node.arg, x, y, params)
+            arg = eval_expr(node.arg, x, y, params, powers)
             if node.op == "neg":
                 return -arg
             return getattr(jets, node.op)(arg)
         if isinstance(node, Binary):
-            lhs = eval_expr(node.lhs, x, y, params)
-            rhs = eval_expr(node.rhs, x, y, params)
+            lhs = eval_expr(node.lhs, x, y, params, powers)
+            rhs = eval_expr(node.rhs, x, y, params, powers)
             if node.op == "+":
                 return lhs + rhs
             if node.op == "-":
@@ -463,7 +469,13 @@ def eval_expr(node, x, y, params):
                 return lhs * rhs
             return lhs / rhs
         if isinstance(node, Pow):
-            return eval_expr(node.base, x, y, params) ** node.exponent
+            base = eval_expr(node.base, x, y, params, powers)
+            if not isinstance(node.base, Var):
+                return base ** node.exponent
+            key = (node.base.name, node.exponent)
+            if key not in powers:
+                powers[key] = base ** node.exponent
+            return powers[key]
     except (ZeroDivisionError, ValueError, OverflowError) as e:
         # a failing subexpression raises SurfaceEvalError, which is not
         # caught here, so the innermost failing node is the one reported
@@ -474,9 +486,11 @@ def eval_expr(node, x, y, params):
 def eval_surface(sd, point, order=2):
     """Jets of phi and psi at ``point``.
 
-    Points outside the declared domain only warn; evaluation errors
-    (division by zero, sqrt domain, overflow, a non-finite value or
-    derivative) raise :class:`SurfaceEvalError`.
+    phi and psi share one dict of variable powers (see :func:`eval_expr`),
+    so each ``x^k`` or ``y^k`` is computed once per call.  Points outside
+    the declared domain only warn; evaluation errors (division by zero,
+    sqrt domain, overflow, a non-finite value or derivative) raise
+    :class:`SurfaceEvalError`.
     """
     if not sd.domain.contains(point):
         warnings.warn(
@@ -487,8 +501,9 @@ def eval_surface(sd, point, order=2):
     yj = Jet.variable("y", point, order)
     # overflow shows up as inf or NaN coefficients, rejected just below
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = eval_expr(sd.phi, xj, yj, sd.params)
-        psi = eval_expr(sd.psi, xj, yj, sd.params)
+        powers = {}
+        phi = eval_expr(sd.phi, xj, yj, sd.params, powers)
+        psi = eval_expr(sd.psi, xj, yj, sd.params, powers)
     if not isinstance(phi, Jet):
         phi = Jet.constant(phi, order)
     if not isinstance(psi, Jet):

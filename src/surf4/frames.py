@@ -144,19 +144,38 @@ def monge_frame(sd, point, jets=None):
     E = 1.0 + px * px + qx * qx
     F = px * py + qx * qy
     G = 1.0 + py * py + qy * qy
-    W = E * G - F * F
+    eg = E * G
+    W = eg - F * F
     if not math.isfinite(W):  # an inf or NaN in E, F or G reaches W
         raise form_overflow(point)
     if W <= 0.0:
-        raise InternalInconsistencyError(f"W = {W} is not positive at {point}")
+        # W >= 1 in exact arithmetic; E*G - F^2 is not positive only when
+        # it cancels an E*G of 1e16 or more down to its rounding error
+        raise SurfaceEvalError("first fundamental form is numerically "
+                               f"singular at point {tuple(map(float, point))}")
     Ehat = px * px + py * py + 1.0
     Fhat = px * qx + py * qy
     Ghat = qx * qx + qy * qy + 1.0
-    if abs(Ehat * Ghat - Fhat * Fhat - W) > 1e-10 * max(1.0, abs(W)):
+    _check_hatted_identity(W, eg, Ehat * Ghat, Fhat * Fhat, point)
+    return MongeFrame(t1, t2, n1, n2, E, F, G, W, Ehat, Fhat, Ghat, phi, psi)
+
+
+def _check_hatted_identity(W, eg, eg_hat, ff_hat, point):
+    """Check Ehat*Ghat - Fhat^2 = W = E*G - F^2, given the products.
+
+    Each side cancels when its products are large against W, as on a
+    steep surface, and keeps only about 1e-16 of the larger product; so
+    the bound is 1e-10 times the largest of 1, E*G and Ehat*Ghat (W is at
+    most E*G).  For a surface of moderate slope both products are close
+    to W, and the bound is 1e-10 relative to W.  Products that overflow
+    are the form overflow error, not an inconsistency.
+    """
+    if not (math.isfinite(eg_hat) and math.isfinite(ff_hat)):
+        raise form_overflow(point)
+    if abs(eg_hat - ff_hat - W) > 1e-10 * max(1.0, eg, eg_hat):
         raise InternalInconsistencyError(
             "Ehat*Ghat - Fhat^2 differs from W beyond tolerance"
         )
-    return MongeFrame(t1, t2, n1, n2, E, F, G, W, Ehat, Fhat, Ghat, phi, psi)
 
 
 def _gram_schmidt_pair(v1, v2):
@@ -302,7 +321,14 @@ def curvature_report(sd, point, frame_order="12"):
     is passed to :func:`adapted_frame`.
     """
     mf = monge_frame(sd, point)
-    frame = adapted_frame(mf, order=frame_order)
+    try:
+        frame = adapted_frame(mf, order=frame_order)
+    except np.linalg.LinAlgError:
+        # the tangent or normal Gram matrix is singular in floating point,
+        # as for a plane so steep that 1 + slope^2 rounds to slope^2
+        raise SurfaceEvalError(
+            "adapted frame is numerically singular at point "
+            f"{tuple(map(float, point))}") from None
     sf = _second_form_from(mf, frame)
     a, b, c, e, f, g = sf.a, sf.b, sf.c, sf.e, sf.f, sf.g
     sigma = frame.orient_tangent * frame.orient_normal

@@ -196,17 +196,21 @@ def blaschke_check(sd, point):
     )
 
 
-def planes_isoclinic(p1, p2, tol=1e-9):
+# largest difference of the principal-angle cosines of isoclinic planes
+ISOCLINIC_TOL = 1e-8
+
+
+def planes_isoclinic(p1, p2):
     """True when the two planes have equal principal angles.
 
     Orthonormal bases are reconstructed from the Pluecker data, and the
     singular values of the 2x2 matrix of mutual inner products (the
-    cosines of the principal angles) are compared.
+    cosines of the principal angles) must agree to ``ISOCLINIC_TOL``.
     """
     u1 = p1.basis()
     u2 = p2.basis()
     sv = np.linalg.svd(u1.T @ u2, compute_uv=False)
-    return bool(abs(sv[0] - sv[1]) <= tol)
+    return bool(abs(sv[0] - sv[1]) <= ISOCLINIC_TOL)
 
 
 def graph_plane(alpha, beta):

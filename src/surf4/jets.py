@@ -60,9 +60,13 @@ def _product(a, b, order):
     """Coefficients of the product of two jets with coefficients a and b.
 
     Each output is 0.0 + (w*a)*b + ... over its terms in table order, the
-    rounding of a per-term loop, but gathered into one broadcast.  Tails
-    of unequal rank line up on their last axes, and the result takes
-    numpy's broadcast shape of a and b.
+    rounding of a per-term loop, but gathered into one broadcast and
+    summed by one reduction over the leading (term) axis.  numpy adds the
+    rows of that axis in order, so the reduction rounds like the loop; a
+    reduction that starts from the first row rather than from +0.0 could
+    differ only in the sign of an all-zero sum, which the trailing + 0.0
+    makes +0.0.  Tails of unequal rank line up on their last axes, and
+    the result takes numpy's broadcast shape of a and b.
     """
     if a.shape == b.shape and a.ndim == 2 and a.shape[1] > _BLOCK:
         out = np.empty(a.shape)
@@ -77,9 +81,7 @@ def _product(a, b, order):
         a = a.reshape(a.shape[:1] + (1,) * (len(shape) - a.ndim) + a.shape[1:])
         b = b.reshape(b.shape[:1] + (1,) * (len(shape) - b.ndim) + b.shape[1:])
     terms = w.reshape(w.shape + (1,) * (len(shape) - 1)) * a[s1] * b[s2]
-    acc = 0.0 + terms[0]
-    for term in terms[1:]:
-        acc += term
+    acc = np.add.reduce(terms, axis=0) + 0.0
     return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
 
 
@@ -251,16 +253,27 @@ class Jet:
         return _jet(self.order, self._reciprocal().c * o + 0.0)
 
     def __pow__(self, n):
+        """``self`` to an integer power by repeated squaring.
+
+        The first factor is ``base + 0.0``: for finite coefficients that is
+        bit for bit the unit jet times ``base`` (the one nonzero Leibniz
+        term is 1*1*b, the rest are +-0.0 in a sum from +0.0), without
+        building the unit jet.  A non-finite coefficient stays as it is
+        where the unit product would turn 0*inf into NaN.
+        """
         if not isinstance(n, (int, np.integer)):
             raise TypeError("jet exponent must be an integer")
         n = int(n)
         if n < 0:
             return (self.__pow__(-n))._reciprocal()
-        result = Jet.constant(1.0, self.order, like=self.c)
+        if n == 0:
+            return Jet.constant(1.0, self.order, like=self.c)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = (_jet(self.order, base.c + 0.0) if result is None
+                          else result * base)
             base = base * base if n > 1 else base
             n >>= 1
         return result

@@ -16,6 +16,7 @@ from .expr import SurfaceDef, parse_surface
 from .grassmann import (
     C_SWAP,
     BETA_TARGET,
+    ISOCLINIC_TOL,
     PluckerPoint,
     blaschke_check,
     graph_plane,
@@ -218,8 +219,8 @@ def suite_wong():
             beta = np.array([-sign * alpha[1], sign * alpha[0]])
         else:
             alpha, beta = rng.normal(size=2), rng.normal(size=2)
-        algebraic = max(isosup_residuals(alpha, beta)) < 1e-8
-        svd_test = planes_isoclinic(base, graph_plane(alpha, beta), tol=1e-8)
+        algebraic = max(isosup_residuals(alpha, beta)) < ISOCLINIC_TOL
+        svd_test = planes_isoclinic(base, graph_plane(alpha, beta))
         disagreements += int(algebraic != svd_test)
     rows.append(_row("wong", f"algebraic vs singular-value isoclinic test "
                      f"({n_planes} planes)", float(disagreements), 0.5))

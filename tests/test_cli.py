@@ -106,6 +106,20 @@ BAD_RECONSTRUCT_ARGS = [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.001"),
                         ("--n-curves", "0"), ("--n-curves", "1"),
                         ("--n-curves", "2"), ("--c", "2"), ("--c", "nan")]
 BAD_TOLERANCES = [("--tol-circle", "nan"), ("--tol-symp", "-1")]
+# valid surfaces too steep for double precision at (-1, -1): the adapted
+# normal frame's Gram matrix rounds to singular, the hatted products
+# overflow, and E*G - F^2 rounds to 0
+STEEP = {
+    "plane-1e10": ("phi = 1e10*x\npsi = 1e10*x\n",
+                   "error: adapted frame is numerically singular at point "
+                   "(-1.0, -1.0)\n"),
+    "plane-1e100": ("phi = 1e100*x\npsi = 1e100*x\n",
+                    "error: first fundamental form overflows at point "
+                    "(-1.0, -1.0)\n"),
+    "saddle-1e9": ("phi = 1e9*x*y\npsi = x^2\n",
+                   "error: first fundamental form is numerically singular "
+                   "at point (-1.0, -1.0)\n"),
+}
 # surface files the parser refuses: malformed numbers and domains whose
 # width overflows a float
 BAD_SURFACES = {
@@ -159,6 +173,8 @@ BAD_SURFACES = {
      "error: only 5 samples within radius"),
     *[(["analyze", "--grid", "3,3", "--out", OUT], text, message)
       for text, message in BAD_SURFACES.values()],
+    *[(["analyze", "--grid", "3,3", "--out", OUT], text, message)
+      for text, message in STEEP.values()],
 ], ids=["eval-error", "congruence-grid",
         *[f"congruence{flag}={value}" for flag, value in BAD_TOLERANCES],
         *[f"reconstruct{flag}={value}" for flag, value in BAD_RECONSTRUCT_ARGS],
@@ -169,7 +185,8 @@ BAD_SURFACES = {
           for command in SURFACE_COMMANDS],
         *[f"reconstruct--dt={dt}" for dt, _ in COARSE_DT],
         "reconstruct-out-coarse-dt",
-        *[f"analyze-{kind}" for kind in BAD_SURFACES]])
+        *[f"analyze-{kind}" for kind in BAD_SURFACES],
+        *[f"analyze-steep-{kind}" for kind in STEEP]])
 def test_input_errors_exit_2(capsys, recwarn, tmp_path, argv, text, message):
     out_file = tmp_path / "out.txt"
     argv = [str(out_file) if arg is OUT else arg for arg in argv]
@@ -187,6 +204,39 @@ def test_input_errors_exit_2(capsys, recwarn, tmp_path, argv, text, message):
         assert not [w for w in recwarn if w.category is RuntimeWarning]
     assert "nan" not in out.lower()
     assert not out_file.exists()
+
+
+STEEP_PLANES = {s: f"phi = {s}*x\npsi = {s}*x\n" for s in ("1e5", "1e10",
+                                                               "1e100")}
+
+
+@pytest.mark.parametrize("text, flat", [
+    (STEEP_PLANES["1e5"], True), ("phi = 1e6*x*y\npsi = x^2\n", False),
+], ids=["plane-1e5", "saddle-1e6"])
+def test_analyze_steep_surface(capsys, tmp_path, text, flat):
+    # Ehat*Ghat - Fhat^2 (the plane) and E*G - F^2 (the saddle) cancel
+    # about 1e10 down to W at (-1, -1), and the identity check still holds
+    path = tmp_path / "steep.surf"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", "--surface", str(path),
+                         "--grid", "3,3")
+    assert (code, err) == (0, "")
+    if flat:
+        records = json.loads(out)["records"]
+        assert {(r["K"], r["kappa"]) for r in records} == {(0, 0)}
+
+
+@pytest.mark.parametrize("scale", sorted(STEEP_PLANES))
+@pytest.mark.parametrize("command", ["gaussmap", "congruence"])
+def test_steep_plane_gaussmap_and_congruence(capsys, tmp_path, command,
+                                             scale):
+    path = tmp_path / "steep.surf"
+    path.write_text(STEEP_PLANES[scale])
+    out_file = tmp_path / "out.txt"
+    argv = [str(out_file) if arg is OUT else arg
+            for arg in SURFACE_COMMANDS[command]]
+    code, _, err = run(capsys, *argv, "--surface", str(path))
+    assert (code, err) == (0, "")
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -4,7 +4,8 @@ import warnings
 
 import pytest
 
-from surf4 import expr
+from surf4 import expr, jets
+from surf4.jets import Jet
 from surf4.expr import (
     DomainWarning,
     SurfaceEvalError,
@@ -155,3 +156,62 @@ def test_polynomial_builder():
     sd = expr.SurfaceDef(phi=node, psi=expr.polynomial({(0, 1): 1.0}))
     phi, _ = eval_surface(sd, (0.5, -1.0), 1)
     assert phi.value == pytest.approx(1.5 - 2.0 * 0.25 * -1.0)
+
+
+# phi and psi repeat x^2, x^3 and y^2 across terms and between each other,
+# next to powers of other bases, which are not memoized
+REPEATED_POWERS = ("phi = x^2 + 3*x^2*y - x^3 + x^3*y^2 + y^2 - (x + y)^2\n"
+                   "psi = x^2*y^2 - 2*x^3 + y^2*x + sin(x^2) / (2 + y^2)"
+                   " + (x*y)^3 - y^-2\n")
+
+
+def plain_eval(node, x, y, params):
+    """eval_expr without the power memo: one Jet operation per node."""
+    if isinstance(node, expr.Const):
+        return node.value
+    if isinstance(node, expr.Var):
+        return x if node.name == "x" else y
+    if isinstance(node, expr.Param):
+        return params[node.name]
+    if isinstance(node, expr.Unary):
+        arg = plain_eval(node.arg, x, y, params)
+        return -arg if node.op == "neg" else getattr(jets, node.op)(arg)
+    if isinstance(node, expr.Pow):
+        return plain_eval(node.base, x, y, params) ** node.exponent
+    lhs = plain_eval(node.lhs, x, y, params)
+    rhs = plain_eval(node.rhs, x, y, params)
+    return {"+": lambda: lhs + rhs, "-": lambda: lhs - rhs,
+            "*": lambda: lhs * rhs, "/": lambda: lhs / rhs}[node.op]()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("point", [(-0.0, 0.0), (0.0, -0.0), (0.3, -0.7),
+                                   (-1.0, 0.5)])
+def test_power_memo_matches_plain_walk(order, point, monkeypatch):
+    sd = parse_surface(REPEATED_POWERS)
+    if point[1] == 0.0:  # y^-2 has no jet at y = 0
+        sd.psi = sd.psi.lhs
+    x = Jet.variable("x", point, order)
+    y = Jet.variable("y", point, order)
+    expected = [plain_eval(node, x, y, sd.params) for node in (sd.phi, sd.psi)]
+    powers = []
+    jet_pow = Jet.__pow__
+    monkeypatch.setattr(Jet, "__pow__", lambda self, n: powers.append(n)
+                        or jet_pow(self, n))
+    got = eval_surface(sd, point, order)
+    for jet, want in zip(got, expected):
+        assert (jet.c.shape, jet.c.tobytes()) == (want.c.shape,
+                                                  want.c.tobytes())
+    # x^2, x^3 and y^2 once each, and (x + y)^2 and (x*y)^3 once per use;
+    # y^-2 once, which squares y inside its own call
+    memo = [2, 3, 2] + ([-2, 2] if point[1] != 0.0 else [])
+    assert sorted(powers) == sorted(memo + [2, 3])
+
+
+def test_failing_power_reports_the_innermost_subexpression():
+    # the memo stores no failed power, and the first failure is reported
+    sd = parse_surface("phi = x^-2 + x^-2\npsi = y\n")
+    with pytest.raises(SurfaceEvalError) as err:
+        eval_surface(sd, (0.0, 0.5), 2)
+    assert str(err.value) == ("division by a jet with zero value in "
+                              "subexpression 'x^-2'")

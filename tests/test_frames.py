@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surf4 import frames
-from surf4.expr import parse_surface
+from surf4.expr import SurfaceEvalError, parse_surface
 from surf4.frames import (
     TOLERANCES,
     _second_form_from,
@@ -34,6 +34,30 @@ class TestMongeFrame:
     def test_flat_plane(self):
         mf = monge_frame(FLAT, (0.3, -0.8))
         assert (mf.E, mf.F, mf.G, mf.W) == (1.0, 0.0, 1.0, 1.0)
+
+    def test_hat_identity_bound_scales_with_the_products(self):
+        check = frames._check_hatted_identity
+        big = 2.0**40  # the bound is 1e-10 * 2^40 = 109.95...
+        # W = 1 and Ehat*Ghat - Fhat^2 = 1 + 109 or 1 + 110, exactly
+        check(1.0, 1.0, big, big - 110.0, (0.0, 0.0))
+        with pytest.raises(frames.InternalInconsistencyError):
+            check(1.0, 1.0, big, big - 111.0, (0.0, 0.0))
+        # W = 2 from E*G = 2^40, against Ehat*Ghat = 2 + 109 or 2 + 110
+        check(2.0, big, 111.0, 0.0, (0.0, 0.0))
+        with pytest.raises(frames.InternalInconsistencyError):
+            check(2.0, big, 112.0, 0.0, (0.0, 0.0))
+        # products near W keep the bound 1e-10 relative to W
+        check(6.0, 6.0, 6.0 + 4e-10, 0.0, (0.0, 0.0))
+        with pytest.raises(frames.InternalInconsistencyError):
+            check(6.0, 6.0, 6.0 + 8e-10, 0.0, (0.0, 0.0))
+
+    @pytest.mark.parametrize("products", [(np.inf, 1.0), (1.0, np.inf),
+                                          (np.inf, np.inf)])
+    def test_overflowing_hat_products_are_form_overflow(self, products):
+        with pytest.raises(SurfaceEvalError, match=r"form overflows at "
+                           r"point \(0\.5, -0\.5\)$"):
+            frames._check_hatted_identity(2e200, 2e200, *products,
+                                          (0.5, -0.5))
 
     def test_z2_cauchy_riemann(self):
         for pt in [(0.1, 0.2), (-0.3, 0.25), (0.4, -0.4)]:

@@ -7,6 +7,7 @@ from surf4.expr import parse_surface
 from surf4.grassmann import (
     BETA_TARGET,
     C_SWAP,
+    ISOCLINIC_TOL,
     PluckerPoint,
     blaschke_check,
     gauss_map_at,
@@ -155,9 +156,9 @@ class TestIsoclinicPlanes:
                 beta = np.array([-sign * alpha[1], sign * alpha[0]])
             else:
                 beta = rng.normal(size=2)
-            algebraic = max(isosup_residuals(alpha, beta)) < 1e-9
-            assert planes_isoclinic(xy_plane(), graph_plane(alpha, beta),
-                                    tol=1e-9) == algebraic
+            algebraic = max(isosup_residuals(alpha, beta)) < ISOCLINIC_TOL
+            assert planes_isoclinic(xy_plane(),
+                                    graph_plane(alpha, beta)) == algebraic
 
 
 class TestLift:
@@ -303,5 +304,5 @@ def test_klein_characterization_of_base_isocline():
             np.linalg.norm(klein.a_vec - [1, 0, 0]),
             np.linalg.norm(klein.a_vec + [1, 0, 0]),
             np.linalg.norm(klein.b_vec - [1, 0, 0]),
-            np.linalg.norm(klein.b_vec + [1, 0, 0])) < 1e-9
-        assert planes_isoclinic(base, plane, tol=1e-9) == on_e1
+            np.linalg.norm(klein.b_vec + [1, 0, 0])) < ISOCLINIC_TOL
+        assert planes_isoclinic(base, plane) == on_e1

@@ -363,7 +363,7 @@ _UNARY_OPS = {
     "neg": lambda j: -j, "sqrt": lambda j: j.sqrt(),
     "exp": lambda j: j.exp(), "sin": lambda j: j.sin(),
     "cos": lambda j: j.cos(),
-    **{f"pow{n}": (lambda j, n=n: j ** n) for n in range(-2, 5)},
+    **{f"pow{n}": (lambda j, n=n: j ** n) for n in range(-3, 10)},
 }
 
 
@@ -421,4 +421,33 @@ def test_long_tail_product_matches_reference(order):
     a, b = (rng.uniform(-2.0, 2.0, (n, 10001)) for _ in range(2))
     a[:, ::7] = -0.0
     new, old = _outcomes(lambda cls: (cls(order, a) * cls(order, b)).exp())
+    assert new == old
+
+
+_SPOT_OPS = {
+    "mul": lambda a, b: a * b, "pow1": lambda a, b: a ** 1,
+    "pow3": lambda a, b: a ** 3,
+    "sqrt": lambda a, b: a.sqrt(), "sin": lambda a, b: a.sin(),
+}
+
+
+@pytest.mark.parametrize("tail", [(4097,), (2, 3)], ids=["4097", "2x3"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("op", sorted(_SPOT_OPS))
+def test_kernel_matches_reference_on_mixed_magnitudes(op, order, tail):
+    # magnitudes from 1e-6 to 1e6 make the order of each Leibniz sum
+    # matter, so the one-call reduction must add its terms in table order;
+    # 4097 columns cross the kernel's block
+    rng = np.random.default_rng(17 * order + len(tail))
+    shape = (len(_INDICES[order]),) + tail
+    a, b = (rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-6, 6, shape)
+            for _ in range(2))
+    for c in (a, b):
+        c[rng.random(shape) < 0.2] = 0.0
+        c[rng.random(shape) < 0.2] = -0.0
+    if op == "sqrt":
+        a[0] = 10.0 ** rng.uniform(-6, 6, tail)
+    new, old = _outcomes(
+        lambda cls: _SPOT_OPS[op](cls(order, a.copy()), cls(order, b.copy())))
+    assert isinstance(new, tuple)
     assert new == old
