@@ -118,13 +118,13 @@ def _rk4_step(problem, state, dt, k1):
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _checked_step(problem, state, dt, f0, t, max_f_drift, x0_labels):
+def _checked_step(problem, state, dt, f0, t, x0_labels):
     """Check a (5, n) batch at time ``t``, then take one RK4 step from it.
 
     Raises :class:`CharacteristicPointError` when a column has
     |F_q| < FQ_MIN, and :class:`IntegrationError` when F has drifted more
-    than ``max_f_drift`` from ``f0`` (None skips that check).  The check's
-    evaluation of F is the step's ``k1``.
+    than MAX_F_DRIFT from ``f0``.  The check's evaluation of F is the
+    step's ``k1``.
     """
     x, y, _, p, q = state
     fval, fx, fy, fp, fq = f_partials(problem, x, y, p, q)
@@ -136,13 +136,20 @@ def _checked_step(problem, state, dt, f0, t, max_f_drift, x0_labels):
             f"characteristic point: |F_q| < {FQ_MIN} at t = {t}",
             x0=x0, t=t,
         )
-    if max_f_drift is not None:
-        drift = float(np.max(np.abs(fval - f0)))
-        if not (drift <= max_f_drift):
-            raise IntegrationError(
-                f"F drifted by {drift} (> {max_f_drift}) at t = {t}"
-            )
+    drift = float(np.max(np.abs(fval - f0)))
+    if not (drift <= MAX_F_DRIFT):
+        raise IntegrationError(
+            f"F drifted by {drift} (> {MAX_F_DRIFT}) at t = {t}"
+        )
     return _rk4_step(problem, state, dt, _field(p, q, fx, fy, fp, fq))
+
+
+def _run(problem, state, dt, f0, x0_labels, dest):
+    """Checked RK4 steps from a (5, m) batch, each new state into the next
+    row of ``dest``; ``dt`` is a number or holds one step per column."""
+    for k in range(len(dest)):
+        state = _checked_step(problem, state, dt, f0, k * dt, x0_labels)
+        dest[k] = state.reshape(dest.shape[1:])
 
 
 # what a step raises for a failing column: its checks, and F's arithmetic
@@ -150,17 +157,16 @@ _STEP_ERRORS = (CharacteristicPointError, IntegrationError, ArithmeticError,
                 ValueError)
 
 
-def _integrate_batch(problem, states0, dt, steps, max_f_drift=MAX_F_DRIFT,
-                     x0_labels=None):
+def _integrate_batch(problem, states0, dt, steps, x0_labels=None):
     """Classical RK4 from a (5, n) batch to t = steps*dt and t = -steps*dt.
 
     Returns the (2*steps + 1, 5, n) trajectory at t = 0, dt, ...,
     steps*dt, then -dt, ..., -steps*dt.  Both directions advance as one
     (5, 2n) batch.  Each column's arithmetic is elementwise, so the states
-    and errors are those of a forward run followed by a backward run: a
-    failure of the forward run is raised at once, one of the backward run
-    when the forward run has ended.  The checks are those of
-    :func:`_checked_step`, each run against its own columns.
+    are those of a forward run followed by a backward run; when the batch
+    fails, those two runs are taken one after the other, and the error
+    raised is the first of theirs.  The checks are those of
+    :func:`_checked_step`.
     """
     states0 = np.asarray(states0, dtype=float)
     n = states0.shape[1]
@@ -168,37 +174,16 @@ def _integrate_batch(problem, states0, dt, steps, max_f_drift=MAX_F_DRIFT,
     out[0] = states0
     f0 = f_partials(problem, states0[0], states0[1], states0[3],
                     states0[4])[0]
-    state = np.concatenate([states0, states0], axis=1)
-    dt_both = np.repeat([dt, -dt], n)
-    f0_both = np.concatenate([f0, f0])
-    held = None  # the backward run's error, raised when the forward run ends
-    for k in range(steps):
-        if held is not None:
-            state = _checked_step(problem, state, dt, f0, k * dt,
-                                  max_f_drift, x0_labels)
-        else:
-            try:
-                stepped = _checked_step(problem, state, dt_both, f0_both,
-                                        k * dt, max_f_drift, None)
-            except _STEP_ERRORS:
-                stepped = None  # some column failed
-            if stepped is None:
-                # retake the step one run at a time, so that the error is
-                # the one that run raises on its own
-                ahead = _checked_step(problem, state[:, :n], dt, f0, k * dt,
-                                      max_f_drift, x0_labels)
-                try:
-                    behind = _checked_step(problem, state[:, n:], -dt, f0,
-                                           k * -dt, max_f_drift, x0_labels)
-                except _STEP_ERRORS as err:
-                    held, behind = err, state[:, :0]
-                stepped = np.concatenate([ahead, behind], axis=1)
-            state = stepped
-        out[k + 1] = state[:, :n]
-        if held is None:
-            out[steps + 1 + k] = state[:, n:]
-    if held is not None:
-        raise held
+    try:
+        # step k writes its (5, 2n) state into out[1 + k] and
+        # out[1 + steps + k] through one (5, 2, n) view
+        _run(problem, np.concatenate([states0, states0], axis=1),
+             np.repeat([dt, -dt], n), np.concatenate([f0, f0]), None,
+             out[1:].reshape(2, steps, 5, n).transpose(1, 2, 0, 3))
+    except _STEP_ERRORS:
+        _run(problem, states0, dt, f0, x0_labels, out[1:steps + 1])
+        _run(problem, states0, -dt, f0, x0_labels, out[steps + 1:])
+        raise
     return out
 
 
@@ -251,20 +236,18 @@ class SampleSet:
                                 self.phi_x, self.phi_y])
 
 
-def _initial_q_values(problem, x0s, seed=None):
+def _initial_q_values(problem, x0s):
     """h(x0) with F(x0, 0, phi_x(x0, 0), h) = 0 for every x0, continued
     from a Newton anchor at x = 0 in one sweep per side.
 
-    Newton at x = 0 starts from ``seed`` (default: the problem's declared
-    seed); converging onto a different branch than the declared one raises
-    :class:`BranchError`, as does a discontinuous jump during
-    continuation.  For the b1 = c problem at c = 1/sqrt(2) the
-    continuation is good to |x| about 0.5; beyond the validity radius
-    Newton divergence raises :class:`IntegrationError`.
+    Newton at x = 0 starts from the problem's declared seed; converging
+    onto a root more than 0.5 away from it raises :class:`BranchError`, as
+    does a discontinuous jump during continuation.  For the b1 = c problem
+    at c = 1/sqrt(2) the continuation is good to |x| about 0.5; beyond the
+    validity radius Newton divergence raises :class:`IntegrationError`.
     """
     x0s = np.asarray(x0s, dtype=float)
-    anchor = _newton_q(problem, 0.0, problem.initial_q_seed if seed is None
-                       else seed)
+    anchor = _newton_q(problem, 0.0, problem.initial_q_seed)
     if abs(anchor - problem.initial_q_seed) > 0.5:
         raise BranchError(
             f"compatibility root {anchor} at x = 0 is not on the declared "

@@ -16,7 +16,7 @@ tolerances they used, and identical invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import json
 import math
 import sys
 
@@ -26,7 +26,8 @@ from . import characteristics, suites
 from .expr import SurfaceEvalError, SurfaceSyntaxError, parse_surface
 from .frames import TOLERANCES, InternalInconsistencyError, curvature_report
 from .grassmann import gauss_map_at, great_circle_fit
-from .lagrangian import congruence_to_lagrangean, grid_points
+from .lagrangian import (TOL_CIRCLE, TOL_SYMP, congruence_to_lagrangean,
+                         grid_points)
 
 CSV_HEADER = ("x,y,K,kappa,K1,K2,Delta,class,inflection,singular,"
               "g1x,g1y,g1z,g2x,g2y,g2z")
@@ -72,8 +73,7 @@ def to_json(obj, indent=0):
         return ("[\n" + ",\n".join(inner + r for r in rendered)
                 + "\n" + pad + "]")
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(obj, ensure_ascii=False)
     return _fmt(obj)
 
 
@@ -147,7 +147,7 @@ def analysis_report(sd, nx, ny, source=None):
                        sd.domain.y0, sd.domain.y1],
         },
         "grid": {"nx": nx, "ny": ny},
-        "tolerances": dataclasses.asdict(TOLERANCES),
+        "tolerances": dict(TOLERANCES),
         "records": records,
         "summary": {
             "counts": counts,
@@ -193,6 +193,14 @@ def _parse_grid(text):
     return nx, ny
 
 
+def _parse_analyze_grid(text):
+    nx, ny = _parse_grid(text)
+    if nx * ny < 3:  # the summary fits great circles to the samples
+        raise argparse.ArgumentTypeError(
+            "analyze grid must have at least 3 points")
+    return nx, ny
+
+
 def _parse_congruence_grid(text):
     nx, ny = _parse_grid(text)
     if nx < 3 or ny < 3:
@@ -233,14 +241,11 @@ def cmd_analyze(args):
 def cmd_gaussmap(args):
     sd = _load_surface(args.surface)
     points = grid_points(sd.domain, args.grid[0], args.grid[1], shrink=0.0)
-    lines = ["x,y,g1x,g1y,g1z,g2x,g2y,g2z"]
-    for pt in points:
+    table = np.empty((len(points), 8))
+    for row, pt in zip(table, points):
         _, klein = gauss_map_at(sd, pt)
-        lines.append(",".join(
-            [_fmt(pt[0]), _fmt(pt[1])]
-            + [_fmt(v) for v in klein.a_vec]
-            + [_fmt(v) for v in klein.b_vec]))
-    _write_output("\n".join(lines) + "\n", args.out)
+        row[:2], row[2:5], row[5:] = pt, klein.a_vec, klein.b_vec
+    _write_table("x,y,g1x,g1y,g1z,g2x,g2y,g2z", table, args.out)
     return 0
 
 
@@ -320,7 +325,7 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="per-point curvature records")
     p.add_argument("--surface", required=True)
-    p.add_argument("--grid", type=_parse_grid, default=(15, 15),
+    p.add_argument("--grid", type=_parse_analyze_grid, default=(15, 15),
                    metavar="NX,NY")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -338,8 +343,8 @@ def build_parser():
     p.add_argument("--surface", required=True)
     p.add_argument("--grid", type=_parse_congruence_grid, default=(15, 15),
                    metavar="NX,NY")
-    p.add_argument("--tol-circle", type=_positive, default=1e-6)
-    p.add_argument("--tol-symp", type=_positive, default=1e-8)
+    p.add_argument("--tol-circle", type=_positive, default=TOL_CIRCLE)
+    p.add_argument("--tol-symp", type=_positive, default=TOL_SYMP)
     p.set_defaults(func=cmd_congruence)
 
     p = sub.add_parser("reconstruct",

@@ -423,15 +423,6 @@ def _render(node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def surface_to_text(sd):
-    lines = [f"phi = {to_text(sd.phi)}", f"psi = {to_text(sd.psi)}"]
-    for name in sorted(sd.params):
-        lines.append(f"param {name} = {sd.params[name]!r}")
-    d = sd.domain
-    lines.append(f"domain = [{d.x0!r}, {d.x1!r}] x [{d.y0!r}, {d.y1!r}]")
-    return "\n".join(lines) + "\n"
-
-
 # -- evaluation -----------------------------------------------------------------
 
 

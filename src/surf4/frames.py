@@ -32,32 +32,25 @@ class InternalInconsistencyError(RuntimeError):
     """
 
 
-@dataclass
-class ClassificationTolerances:
-    """Relative tolerance factors for point classification.
-
-    Absolute bands scale with the largest second-derivative magnitude s:
-    delta band = delta * s^4, kappa and k bands = (kappa|k) * s^2, rank
-    band = rank * s.  The Wong band is wong * max(|K|, |kappa|, 1).
-    """
-
-    delta: float = 1e-9
-    kappa: float = 1e-8
-    k: float = 1e-8
-    rank: float = 1e-8
-    wong: float = 1e-8
-
-    def bands(self, scale):
-        return {
-            "delta": self.delta * scale**4,
-            "kappa": self.kappa * scale**2,
-            "k": self.k * scale**2,
-            "rank": self.rank * scale,
-        }
+# relative tolerance factors of point classification; reports embed them
+TOLERANCES = {"delta": 1e-9, "kappa": 1e-8, "k": 1e-8, "rank": 1e-8,
+              "wong": 1e-8}
 
 
-# the one set of classification tolerances; reports embed its values
-TOLERANCES = ClassificationTolerances()
+def _bands(scale):
+    """Absolute bands at the largest second-derivative magnitude ``scale``;
+    its fourth power raises ``OverflowError`` past the largest float."""
+    return {
+        "delta": TOLERANCES["delta"] * scale**4,
+        "kappa": TOLERANCES["kappa"] * scale**2,
+        "k": TOLERANCES["k"] * scale**2,
+        "rank": TOLERANCES["rank"] * scale,
+    }
+
+
+def wong_band(K, kappa):
+    """The band within which |K -+ kappa| = 0 counts as isoclinic."""
+    return TOLERANCES["wong"] * max(abs(K), abs(kappa), 1.0)
 
 
 @dataclass
@@ -193,18 +186,9 @@ def _coords_in(basis1, basis2, v):
     return np.linalg.solve(g, rhs)
 
 
-def adapted_frame(mf, order="12"):
-    """Orthonormal adapted frame by Gram-Schmidt.
-
-    ``order`` selects the tangent Gram-Schmidt order: "12" (default,
-    canonical) or "21" (used by the frame-invariance tests).
-    """
-    if order == "12":
-        e1, e2 = _gram_schmidt_pair(mf.t1, mf.t2)
-    elif order == "21":
-        e1, e2 = _gram_schmidt_pair(mf.t2, mf.t1)
-    else:
-        raise ValueError(f"order must be '12' or '21', got {order!r}")
+def adapted_frame(mf):
+    """Orthonormal adapted frame by Gram-Schmidt of (T1, T2) and (N1, N2)."""
+    e1, e2 = _gram_schmidt_pair(mf.t1, mf.t2)
     e3, e4 = _gram_schmidt_pair(mf.n1, mf.n2)
     chart = np.array([_coords_in(mf.t1, mf.t2, e1),
                       _coords_in(mf.t1, mf.t2, e2)])
@@ -310,19 +294,18 @@ def resultant_determinant(a, b, c, e, f, g):
     return 0.25 * np.linalg.det(m)
 
 
-def curvature_report(sd, point, frame_order="12"):
+def curvature_report(sd, point):
     """Full curvature/classification record at one point.
 
     K, kappa and Delta are each computed along two independent routes
     (Monge-chart determinants vs adapted-frame coefficients, expanded
     discriminant vs resultant determinant) and must agree to 1e-9
     relative; disagreement raises :class:`InternalInconsistencyError`.
-    Classification uses the bands of :data:`TOLERANCES`; ``frame_order``
-    is passed to :func:`adapted_frame`.
+    Classification uses the bands of :data:`TOLERANCES`.
     """
     mf = monge_frame(sd, point)
     try:
-        frame = adapted_frame(mf, order=frame_order)
+        frame = adapted_frame(mf)
     except np.linalg.LinAlgError:
         # the tangent or normal Gram matrix is singular in floating point,
         # as for a plane so steep that 1 + slope^2 rounds to slope^2
@@ -342,6 +325,13 @@ def curvature_report(sd, point, frame_order="12"):
     pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(mf.phi_jet,
                                                        mf.psi_jet)
     scale = max(abs(pxx), abs(pxy), abs(pyy), abs(qxx), abs(qxy), abs(qyy))
+    try:
+        bands = _bands(scale)
+    except OverflowError:
+        # Delta and its bounds live at scale^4, past the largest float
+        raise SurfaceEvalError(
+            "second derivatives overflow the Delta bound at point "
+            f"{tuple(map(float, point))}") from None
     _require_close("K", k_hessian, k_frame, scale**2)
     _require_close("kappa", kappa_det, kappa_frame, scale**2)
 
@@ -353,7 +343,6 @@ def curvature_report(sd, point, frame_order="12"):
     K = k_frame
     kappa = kappa_frame
     delta = delta_expanded
-    bands = TOLERANCES.bands(scale)
 
     if delta < -bands["delta"]:
         point_class = "hyperbolic"
@@ -376,9 +365,9 @@ def curvature_report(sd, point, frame_order="12"):
 
     iso = []
     iso_all = False
-    wong_band = TOLERANCES.wong * max(abs(K), abs(kappa), 1.0)
+    band = wong_band(K, kappa)
     for sign_raw in (1.0, -1.0):
-        if abs(K - sign_raw * kappa_raw) > wong_band:
+        if abs(K - sign_raw * kappa_raw) > band:
             continue
         tag = "+" if sign_raw * sigma > 0 else "-"
         u = np.array([-(b + sign_raw * g), a + sign_raw * f])

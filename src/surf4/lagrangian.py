@@ -39,6 +39,9 @@ OMEGA1_FORM = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
 OMEGA2_FORM = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0],
                         [0.0, -1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
 
+TOL_CIRCLE = 1e-6  # great-circle fit residual of a circle factor
+TOL_SYMP = 1e-8    # pullback residual of a matched symplectic form
+
 
 def grid_points(domain, nx=15, ny=15, shrink=0.1):
     """Rectangular sample grid, shrunk away from the boundary."""
@@ -84,8 +87,7 @@ class CongruenceReport:
     tol_symp: float
 
 
-def congruence_from_tangent_samples(tangent_pairs, tol_circle=1e-6,
-                                    tol_symp=1e-8):
+def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):
     """Congruence pipeline on precomputed tangent pairs.
 
     Fits great circles to both Gauss sphere components; on a match builds
@@ -130,8 +132,8 @@ def congruence_from_tangent_samples(tangent_pairs, tol_circle=1e-6,
     )
 
 
-def congruence_to_lagrangean(sd, grid=(15, 15), tol_circle=1e-6,
-                             tol_symp=1e-8, pre_rotation=None):
+def congruence_to_lagrangean(sd, grid=(15, 15), tol_circle=TOL_CIRCLE,
+                             tol_symp=TOL_SYMP, pre_rotation=None):
     """Run the congruence pipeline on a surface definition.
 
     ``pre_rotation`` applies an ambient rotation to the surface first

@@ -174,9 +174,9 @@ def suite_wong():
     for sd in surfaces:
         for pt in lagrangian.grid_points(sd.domain, 5, 5):
             report = frames.curvature_report(sd, pt)
-            wong_band = frames.TOLERANCES.wong * max(abs(report.K), abs(report.kappa), 1.0)
+            band = frames.wong_band(report.K, report.kappa)
             predicted = min(abs(report.K - report.kappa),
-                            abs(report.K + report.kappa)) <= wong_band
+                            abs(report.K + report.kappa)) <= band
             exists = bool(report.isoclinic_dirs) or report.isoclinic_all
             mismatches += int(predicted != exists)
             total += 1

@@ -40,8 +40,13 @@ class TestCompatibility:
             -1.0, abs=1e-14)
 
     def test_other_branch_rejected(self):
+        # Newton from the declared seed 0.1 converges to the root q = 1,
+        # not to a root on the branch through 0.1
+        problem = PdeProblem(f=lambda x, y, p, q: q * q - 1.0, c=0.0,
+                             initial_curve=lambda x: 0.0,
+                             initial_p=lambda x: 0.0, initial_q_seed=0.1)
         with pytest.raises(BranchError):
-            _initial_q_values(PROBLEM, [0.0], seed=1.0)
+            _initial_q_values(problem, [0.0])
 
     def test_back_substitution(self):
         for x in (0.1, -0.25, 0.4):
@@ -81,13 +86,14 @@ class TestStripIntegrate:
         start = strip(0.2, 0.0, -0.02, -0.2,
                       _initial_q_values(PROBLEM, [0.2])[0])
 
+        # steps fine enough that the drift stays within MAX_F_DRIFT,
+        # which the integrator checks at every step
         def drift(dt, steps):
-            traj = _integrate_batch(PROBLEM, start, dt, steps,
-                                    max_f_drift=None)
+            traj = _integrate_batch(PROBLEM, start, dt, steps)
             return f_along(PROBLEM, traj[:steps + 1]).max()
 
-        coarse = drift(0.08, 5)
-        fine = drift(0.04, 10)
+        coarse = drift(0.04, 10)
+        fine = drift(0.02, 20)
         assert coarse > 1e-13  # above roundoff, so the ratio is meaningful
         assert 8.0 < coarse / fine < 32.0  # about 16x per halving
 
@@ -102,7 +108,7 @@ class TestStripIntegrate:
         )
         with pytest.raises(CharacteristicPointError):
             _integrate_batch(problem, strip(0.0, -0.5, 0.0, 0.0, 1.0), 1e-2,
-                             200, max_f_drift=None)
+                             200)
 
     @pytest.mark.parametrize("f, error", [
         (lambda x, y, p, q: q + math.nan, ch.IntegrationError),  # F is NaN
@@ -242,15 +248,16 @@ def two_runs(problem, states0, dt, steps, max_f_drift, x0_labels):
     return np.concatenate(chunks, axis=0)
 
 
-def outcome(integrate, problem, n_curves, dt, max_f_drift):
-    """The trajectory's bytes, or the error's type, text, x0 and t."""
+def outcome(integrate, problem, n_curves, dt, *args):
+    """The trajectory's bytes, or the error's type, text, x0 and t;
+    ``args`` go to ``integrate`` between the step count and the labels."""
     x0s = np.linspace(-ch.RANGE, ch.RANGE, n_curves)
     all_x0 = np.concatenate([x0s, x0s - ch.DERIVATIVE_OFFSET,
                              x0s + ch.DERIVATIVE_OFFSET])
     states0 = _launch_states(problem, all_x0)
     steps = int(round(ch.RANGE / dt))
     try:
-        return integrate(problem, states0, dt, steps, max_f_drift,
+        return integrate(problem, states0, dt, steps, *args,
                          all_x0).tobytes()
     except Exception as err:
         return (type(err), str(err), getattr(err, "x0", None),
@@ -286,8 +293,7 @@ def walled(a, b):
         "f-raises-backward", "f-raises-forward"])
 def test_merged_batch_matches_two_runs(problem, n_curves, dt, max_f_drift):
     expected = outcome(two_runs, problem, n_curves, dt, max_f_drift)
-    assert outcome(_integrate_batch, problem, n_curves, dt,
-                   max_f_drift) == expected
+    assert outcome(_integrate_batch, problem, n_curves, dt) == expected
 
 
 def test_reconstruction_propagates_characteristic_x0():

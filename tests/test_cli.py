@@ -106,6 +106,9 @@ BAD_RECONSTRUCT_ARGS = [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.001"),
                         ("--n-curves", "0"), ("--n-curves", "1"),
                         ("--n-curves", "2"), ("--c", "2"), ("--c", "nan")]
 BAD_TOLERANCES = [("--tol-circle", "nan"), ("--tol-symp", "-1")]
+# Delta and its bounds grow with the fourth power of the largest second
+# derivative, here 6 * A at (-1, -1): A = 1e76 fits a float, 1e77 does not
+CUBIC = "phi = {}*x^3\npsi = sin(y)\n"
 # valid surfaces too steep for double precision at (-1, -1): the adapted
 # normal frame's Gram matrix rounds to singular, the hatted products
 # overflow, and E*G - F^2 rounds to 0
@@ -147,6 +150,11 @@ BAD_SURFACES = {
      "'sqrt(x)'\n"),
     (["congruence", "--grid", "2,2"], "phi = x^2\npsi = x*y\n",
      "argument --grid: congruence grid must be at least 3x3"),
+    (["analyze", "--grid", "1,2", "--out", OUT], "phi = x^2\npsi = x*y\n",
+     "argument --grid: analyze grid must have at least 3 points"),
+    (["analyze", "--grid", "3,3", "--out", OUT], CUBIC.format("1e77"),
+     "error: second derivatives overflow the Delta bound at point "
+     "(-1.0, -1.0)\n"),
     *[(["congruence", "--grid", "3,3", flag, value], "phi = x^2\npsi = x*y\n",
        f"argument {flag}: must be a finite number > 0, got '{value}'")
       for flag, value in BAD_TOLERANCES],
@@ -175,7 +183,8 @@ BAD_SURFACES = {
       for text, message in BAD_SURFACES.values()],
     *[(["analyze", "--grid", "3,3", "--out", OUT], text, message)
       for text, message in STEEP.values()],
-], ids=["eval-error", "congruence-grid",
+], ids=["eval-error", "congruence-grid", "analyze-grid",
+        "analyze-delta-overflow",
         *[f"congruence{flag}={value}" for flag, value in BAD_TOLERANCES],
         *[f"reconstruct{flag}={value}" for flag, value in BAD_RECONSTRUCT_ARGS],
         "reconstruct-branch", "reconstruct-newton",
@@ -204,6 +213,41 @@ def test_input_errors_exit_2(capsys, recwarn, tmp_path, argv, text, message):
         assert not [w for w in recwarn if w.category is RuntimeWarning]
     assert "nan" not in out.lower()
     assert not out_file.exists()
+
+
+def reject_constant(token):
+    raise ValueError(f"non-finite number {token} in the output")
+
+
+@pytest.mark.parametrize("grid, text, points", [
+    ("1,3", "phi = x^2\npsi = x*y\n", 3), ("3,3", CUBIC.format("1e76"), 9),
+], ids=["grid-1,3", "delta-bound-1e76"])
+def test_analyze_at_the_input_boundaries(capsys, tmp_path, grid, text,
+                                         points):
+    path = tmp_path / "surface.surf"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", "--surface", str(path),
+                         "--grid", grid)
+    assert (code, err) == (0, "")
+    records = json.loads(out, parse_constant=reject_constant)["records"]
+    assert len(records) == points
+
+
+def test_report_file_name_is_escaped(capsys, tmp_path):
+    directory = tmp_path / "dir\tx"
+    directory.mkdir()
+    path = directory / "e.surf"
+    path.write_text("phi = x^2\npsi = x*y\n")
+    code, out, _ = run(capsys, "analyze", "--surface", str(path),
+                       "--grid", "3,3")
+    assert code == 0
+    assert json.loads(out)["surface"]["file"] == str(path)
+
+
+@pytest.mark.parametrize("text", ['a"b\\c', "tab\t nl\n nul\x00 \x1f",
+                                  "\u00e9\u2028"])
+def test_to_json_strings_round_trip(text):
+    assert json.loads(to_json({"s": text})) == {"s": text}
 
 
 STEEP_PLANES = {s: f"phi = {s}*x\npsi = {s}*x\n" for s in ("1e5", "1e10",

@@ -1,12 +1,14 @@
 """Frames, fundamental forms, curvature and classification."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from surf4 import frames
 from surf4.expr import SurfaceEvalError, parse_surface
 from surf4.frames import (
-    TOLERANCES,
+    _bands,
     _second_form_from,
     adapted_frame,
     curvature_report,
@@ -235,28 +237,40 @@ class TestDualRoutes:
 
 class TestFrameInvariance:
     @pytest.mark.parametrize("point", [(0.0, 0.0), (0.35, -0.6), (0.7, 0.2)])
-    def test_swapped_gram_schmidt_order(self, point):
+    def test_swapped_gram_schmidt_order(self, point, monkeypatch):
         rng = np.random.default_rng(17)
         surfaces = [EX1, Z2] + [random_polynomial_surface(rng)
                                 for _ in range(5)]
-        for sd in surfaces:
-            r1 = curvature_report(sd, point)
-            r2 = curvature_report(sd, point, frame_order="21")
-            assert r1.K == pytest.approx(r2.K, rel=1e-10, abs=1e-12)
-            assert r1.kappa == pytest.approx(r2.kappa, rel=1e-10, abs=1e-12)
-            assert r1.delta == pytest.approx(r2.delta, rel=1e-9, abs=1e-12)
-            assert r1.point_class == r2.point_class
-            # direction SETS are the geometric invariant; ordering is not
-            set1 = sorted(tuple(v) for v in r1.asymptotic_dirs)
-            set2 = sorted(tuple(v) for v in r2.asymptotic_dirs)
-            assert len(set1) == len(set2)
-            for v1, v2 in zip(set1, set2):
-                np.testing.assert_allclose(v1, v2, atol=1e-9)
-            iso1 = {tag: vec for vec, tag in r1.isoclinic_dirs}
-            iso2 = {tag: vec for vec, tag in r2.isoclinic_dirs}
-            assert iso1.keys() == iso2.keys()
-            for tag, vec in iso1.items():
-                np.testing.assert_allclose(vec, iso2[tag], atol=1e-9)
+        reports = [curvature_report(sd, point) for sd in surfaces]
+        gram_schmidt = frames._gram_schmidt_pair
+        # re-derive with (T2, T1), with (N2, N1), and with both swapped;
+        # adapted_frame orthonormalizes the tangent pair, then the normal
+        for swaps in [(True, False), (False, True), (True, True)]:
+            order = itertools.cycle(swaps)
+            monkeypatch.setattr(
+                frames, "_gram_schmidt_pair",
+                lambda v1, v2: (gram_schmidt(v2, v1) if next(order)
+                                else gram_schmidt(v1, v2)))
+            for sd, r1 in zip(surfaces, reports):
+                self.assert_same_invariants(r1, curvature_report(sd, point))
+
+    @staticmethod
+    def assert_same_invariants(r1, r2):
+        assert r1.K == pytest.approx(r2.K, rel=1e-10, abs=1e-12)
+        assert r1.kappa == pytest.approx(r2.kappa, rel=1e-10, abs=1e-12)
+        assert r1.delta == pytest.approx(r2.delta, rel=1e-9, abs=1e-12)
+        assert r1.point_class == r2.point_class
+        # direction SETS are the geometric invariant; ordering is not
+        set1 = sorted(tuple(v) for v in r1.asymptotic_dirs)
+        set2 = sorted(tuple(v) for v in r2.asymptotic_dirs)
+        assert len(set1) == len(set2)
+        for v1, v2 in zip(set1, set2):
+            np.testing.assert_allclose(v1, v2, atol=1e-9)
+        iso1 = {tag: vec for vec, tag in r1.isoclinic_dirs}
+        iso2 = {tag: vec for vec, tag in r2.isoclinic_dirs}
+        assert iso1.keys() == iso2.keys()
+        for tag, vec in iso1.items():
+            np.testing.assert_allclose(vec, iso2[tag], atol=1e-9)
 
 
 class TestNormalFormIdentities:
@@ -321,7 +335,7 @@ def test_seven_conditions_agree_on_isoclinic_surface():
             sf = _second_form_from(mf, adapted_frame(mf))
             scale = max(abs(v) for v in
                         (sf.a, sf.b, sf.c, sf.e, sf.f, sf.g)) or 0.0
-            bands = TOLERANCES.bands(scale)
+            bands = _bands(scale)
             cond2 = rep.point_class == "parabolic" and \
                 abs(rep.kappa) <= bands["kappa"]
             cond5 = rep.point_class == "parabolic" and \
