@@ -44,7 +44,8 @@ class BranchError(ValueError):
 
 
 class SamplingError(ValueError):
-    """The strips are too coarse for the samples a step or a check needs."""
+    """The strips are too coarse for the samples a step or a check needs,
+    or too many to hold."""
 
 
 FQ_MIN = 1e-6              # transversality floor on |F_q| along strips
@@ -52,6 +53,7 @@ MAX_F_DRIFT = 1e-8         # bound on the drift of F along strips
 NEWTON_TOL = 1e-12         # |F| at which the compatibility Newton stops
 DERIVATIVE_OFFSET = 3e-5   # launch offset of the second-derivative strips
 RANGE = 0.4                # x0 and t both span [-RANGE, RANGE]
+MAX_FLOATS = np.iinfo(np.intp).max // 8  # most floats one array can hold
 
 
 @dataclass
@@ -303,6 +305,10 @@ def reconstruct_surface(problem, n_curves=41, dt=1e-3):
     give second derivatives of phi at every sample by inverting the
     (launch, time) chart Jacobian.
     """
+    # the trajectory holds (2 steps + 1) x 5 x 3 n_curves floats
+    if not (2 * RANGE / dt + 1) * 15 * n_curves <= MAX_FLOATS:
+        raise SamplingError(f"dt = {dt} with {n_curves} curves needs more "
+                            "trajectory samples than an array can hold")
     steps = int(round(RANGE / dt))
     if steps == 0:
         raise SamplingError(
@@ -427,7 +433,7 @@ def _curvatures_from_values(x, y, p, q, pxx, pxy, pyy):
                                    (2, 0): pxx, (1, 1): pxy, (0, 2): pyy})
     psi = Jet.from_derivatives(2, {(0, 0): 0.0, (1, 0): x, (0, 1): y,
                                    (2, 0): 1.0, (1, 1): 0.0, (0, 2): 1.0})
-    return monge_curvatures(monge_frame(None, (x, y), jets=(phi, psi)))
+    return monge_curvatures(monge_frame(phi, psi, (x, y)))
 
 
 def verify_reconstruction(samples):

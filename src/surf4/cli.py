@@ -111,19 +111,14 @@ def analysis_report(sd, nx, ny, source=None):
     points = grid_points(sd.domain, nx, ny, shrink=0.0)
     records = []
     counts = {"hyperbolic": 0, "parabolic": 0, "elliptic": 0}
-    diff_min = diff_max = None
-    sum_min = sum_max = None
+    diffs, sums = [], []
     g1_samples, g2_samples = [], []
     for pt in points:
         report = curvature_report(sd, pt)
         _, klein = gauss_map_at(sd, pt)
         counts[report.point_class] += 1
-        diff = abs(report.K - report.kappa)
-        ksum = abs(report.K + report.kappa)
-        diff_min = diff if diff_min is None else min(diff_min, diff)
-        diff_max = diff if diff_max is None else max(diff_max, diff)
-        sum_min = ksum if sum_min is None else min(sum_min, ksum)
-        sum_max = ksum if sum_max is None else max(sum_max, ksum)
+        diffs.append(abs(report.K - report.kappa))
+        sums.append(abs(report.K + report.kappa))
         g1_samples.append(klein.a_vec)
         g2_samples.append(klein.b_vec)
         records.append({
@@ -151,8 +146,8 @@ def analysis_report(sd, nx, ny, source=None):
         "records": records,
         "summary": {
             "counts": counts,
-            "kMinusKappaAbs": {"min": diff_min, "max": diff_max},
-            "kPlusKappaAbs": {"min": sum_min, "max": sum_max},
+            "kMinusKappaAbs": {"min": min(diffs), "max": max(diffs)},
+            "kPlusKappaAbs": {"min": min(sums), "max": max(sums)},
             "circleFitGamma1": {"alpha": list(fit1.alpha),
                                 "residual": fit1.residual,
                                 "degenerate": fit1.degenerate},
@@ -190,6 +185,9 @@ def _parse_grid(text):
             f"grid must be NX,NY integers, got {text!r}") from None
     if nx < 1 or ny < 1:
         raise argparse.ArgumentTypeError("grid sizes must be positive")
+    if nx * ny > characteristics.MAX_FLOATS:
+        raise argparse.ArgumentTypeError(
+            f"grid of {nx * ny} points is more than an array can hold")
     return nx, ny
 
 
@@ -375,7 +373,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, SurfaceSyntaxError,
+    except (OSError, UnicodeDecodeError, SurfaceSyntaxError,
             SurfaceEvalError, characteristics.IntegrationError,
             characteristics.BranchError,
             characteristics.CharacteristicPointError,

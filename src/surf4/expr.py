@@ -394,7 +394,9 @@ def to_text(node):
 
 def _render(node):
     if isinstance(node, Const):
-        return repr(node.value), 5
+        # a negative constant binds like unary minus: (-2.0)^2, not -(2.0^2)
+        text = repr(node.value)
+        return text, _PRECEDENCE["neg"] if text[0] == "-" else 5
     if isinstance(node, (Var, Param)):
         return node.name, 5
     if isinstance(node, Pow):
@@ -490,8 +492,9 @@ def eval_surface(sd, point, order=2):
         )
     xj = Jet.variable("x", point, order)
     yj = Jet.variable("y", point, order)
-    # overflow shows up as inf or NaN coefficients, rejected just below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow, and division by a power that underflows to 0, show up as
+    # inf or NaN coefficients, rejected just below
+    with np.errstate(all="ignore"):
         powers = {}
         phi = eval_expr(sd.phi, xj, yj, sd.params, powers)
         psi = eval_expr(sd.psi, xj, yj, sd.params, powers)

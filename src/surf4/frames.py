@@ -78,19 +78,9 @@ class AdaptedFrame:
     e4: np.ndarray
     chart: np.ndarray    # rows: (dx, dy) components of e1, e2
     coframe: np.ndarray  # rows: (dx, dy) components of omega_1, omega_2
-    orient_tangent: float  # sign of det of (e1,e2) in the (T1,T2) basis
-    orient_normal: float   # sign of det of (e3,e4) in the (N1,N2) basis
-
-
-@dataclass
-class SecondFormCoefficients:
-    a: float
-    b: float
-    c: float
-    e: float
-    f: float
-    g: float
-    frame: AdaptedFrame
+    # product of the signs of det of (e1,e2) in the (T1,T2) basis and of
+    # det of (e3,e4) in the (N1,N2) basis
+    orientation: float
 
 
 @dataclass
@@ -120,16 +110,23 @@ def form_overflow(point):
                             f"{tuple(map(float, point))}")
 
 
-def monge_frame(sd, point, jets=None):
-    """First-order frame data and fundamental-form coefficients at a point;
-    ``sd`` is read only when ``jets`` is None."""
-    if jets is None:
-        jets = eval_surface(sd, point, order=2)
-    phi, psi = jets
-    px, py = float(phi.derivative(1, 0)), float(phi.derivative(0, 1))
-    qx, qy = float(psi.derivative(1, 0)), float(psi.derivative(0, 1))
-    t1 = np.array([1.0, 0.0, px, qx])
-    t2 = np.array([0.0, 1.0, py, qy])
+def _slopes(phi, psi):
+    """(phi_x, phi_y, psi_x, psi_y) as Python floats, which do not warn
+    when a product overflows."""
+    return tuple(float(jet.derivative(*k)) for jet in (phi, psi)
+                 for k in ((1, 0), (0, 1)))
+
+
+def _tangents(px, py, qx, qy):
+    """T1 = (1, 0, phi_x, psi_x) and T2 = (0, 1, phi_y, psi_y)."""
+    return np.array([1.0, 0.0, px, qx]), np.array([0.0, 1.0, py, qy])
+
+
+def monge_frame(phi, psi, point):
+    """First-order frame data and fundamental-form coefficients of the
+    order-2 jets ``phi``, ``psi`` at ``point``."""
+    px, py, qx, qy = _slopes(phi, psi)
+    t1, t2 = _tangents(px, py, qx, qy)
     n1 = np.array([-px, -py, 1.0, 0.0])
     n2 = np.array([-qx, -qy, 0.0, 1.0])
     # scalar sums rather than dot products of t1, t2, n1, n2: numpy's dot
@@ -197,9 +194,8 @@ def adapted_frame(mf):
                               _coords_in(mf.n1, mf.n2, e4)])
     return AdaptedFrame(
         e1, e2, e3, e4, chart, coframe,
-        orient_tangent=float(np.sign(np.linalg.det(chart))),
-        orient_normal=float(np.sign(np.linalg.det(normal_coords))),
-    )
+        float(np.sign(np.linalg.det(chart)))
+        * float(np.sign(np.linalg.det(normal_coords))))
 
 
 def _second_derivatives(phi_jet, psi_jet):
@@ -209,7 +205,7 @@ def _second_derivatives(phi_jet, psi_jet):
 
 
 def _second_form_from(mf, frame):
-    """Coefficients a, b, c (toward e3) and e, f, g (toward e4) of II."""
+    """Coefficients (a, b, c) toward e3 and (e, f, g) toward e4 of II."""
     pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(mf.phi_jet,
                                                        mf.psi_jet)
     dxx = np.array([0.0, 0.0, pxx, qxx])
@@ -227,7 +223,7 @@ def _second_form_from(mf, frame):
     e = second(p, p) @ frame.e4
     f = second(p, q) @ frame.e4
     g = second(q, q) @ frame.e4
-    return SecondFormCoefficients(a, b, c, e, f, g, frame)
+    return a, b, c, e, f, g
 
 
 def hessian_quantities(phi_jet, psi_jet):
@@ -303,7 +299,7 @@ def curvature_report(sd, point):
     relative; disagreement raises :class:`InternalInconsistencyError`.
     Classification uses the bands of :data:`TOLERANCES`.
     """
-    mf = monge_frame(sd, point)
+    mf = monge_frame(*eval_surface(sd, point, order=2), point)
     try:
         frame = adapted_frame(mf)
     except np.linalg.LinAlgError:
@@ -312,9 +308,8 @@ def curvature_report(sd, point):
         raise SurfaceEvalError(
             "adapted frame is numerically singular at point "
             f"{tuple(map(float, point))}") from None
-    sf = _second_form_from(mf, frame)
-    a, b, c, e, f, g = sf.a, sf.b, sf.c, sf.e, sf.f, sf.g
-    sigma = frame.orient_tangent * frame.orient_normal
+    a, b, c, e, f, g = _second_form_from(mf, frame)
+    sigma = frame.orientation
 
     k_hessian, kappa_det = monge_curvatures(mf)
     k1, k2 = a * c - b * b, e * g - f * f
@@ -456,23 +451,17 @@ def _adapted_chart_jets(sd, point, frame, target_uv):
                      float(phi0.value), float(psi0.value)])
     # initial guess from the tangent chart
     xy = np.asarray(point, dtype=float) + frame.chart.T @ target_uv
-    phj = psj = None
     for _ in range(40):
         with warnings.catch_warnings():
             # the domain check happens once Newton has landed
             warnings.simplefilter("ignore")
             phj, psj = eval_surface(sd, xy, order=2)
         pos = np.array([xy[0], xy[1], float(phj.value), float(psj.value)])
+        t1, t2 = _tangents(*_slopes(phj, psj))
         res = rot[:2] @ (pos - base) - target_uv
         if np.hypot(res[0], res[1]) < 1e-14:
             break
-        jac = rot[:2] @ np.array([
-            [1.0, 0.0],
-            [0.0, 1.0],
-            [float(phj.derivative(1, 0)), float(phj.derivative(0, 1))],
-            [float(psj.derivative(1, 0)), float(psj.derivative(0, 1))],
-        ])
-        xy = xy - np.linalg.solve(jac, res)
+        xy = xy - np.linalg.solve(rot[:2] @ np.column_stack([t1, t2]), res)
     else:
         raise ValueError(f"chart inversion did not converge near {point}")
     if not sd.domain.contains(xy):
@@ -487,13 +476,8 @@ def _adapted_chart_jets(sd, point, frame, target_uv):
         # derivative data of the row-th rotated coordinate, as functions
         # of the original chart
         weights = rot[row]
-        val = weights @ (np.array([xy[0], xy[1], float(phj.value),
-                                   float(psj.value)]) - base)
-        dx = weights @ np.array([1.0, 0.0, float(phj.derivative(1, 0)),
-                                 float(psj.derivative(1, 0))])
-        dy = weights @ np.array([0.0, 1.0, float(phj.derivative(0, 1)),
-                                 float(psj.derivative(0, 1))])
-        grad = np.array([dx, dy])
+        val = weights @ (pos - base)
+        grad = np.array([weights @ t1, weights @ t2])
         return val, grad, weights[2] * hess_phi + weights[3] * hess_psi
 
     _, grad_u, hess_u = component(0)
@@ -532,16 +516,16 @@ def isoclinic_form_closedness(sd, point):
     the residual frame-dependent and O(1) even on K = kappa surfaces.
     """
     h = CLOSEDNESS_STEP
-    mf0 = monge_frame(sd, point)
-    frame0 = adapted_frame(mf0)
+    frame0 = adapted_frame(monge_frame(*eval_surface(sd, point, order=2),
+                                       point))
 
     def theta_components(target_uv):
         phi, psi = _adapted_chart_jets(sd, point, frame0,
                                        np.asarray(target_uv, float))
-        mf = monge_frame(sd, target_uv, jets=(phi, psi))
+        mf = monge_frame(phi, psi, target_uv)
         frame = adapted_frame(mf)
-        sf = _second_form_from(mf, frame)
-        return frame.coframe.T @ np.array([sf.a + sf.f, sf.b + sf.g])
+        a, b, _, _, f, g = _second_form_from(mf, frame)
+        return frame.coframe.T @ np.array([a + f, b + g])
 
     q_plus = theta_components((h, 0.0))[1]
     q_minus = theta_components((-h, 0.0))[1]

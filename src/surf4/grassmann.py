@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import eval_surface
-from .frames import (InternalInconsistencyError, form_overflow,
-                     monge_curvatures, monge_frame)
+from .frames import (InternalInconsistencyError, _slopes, _tangents,
+                     form_overflow, monge_curvatures, monge_frame)
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -43,25 +43,8 @@ def wedge6(v1, v2):
     return np.array([v1[i] * v2[j] - v1[j] * v2[i] for i, j in PLUCKER_PAIRS])
 
 
-@dataclass
-class PluckerPoint:
-    p: np.ndarray
-
-    def sphere_residual(self):
-        return abs(float(self.p @ self.p) - 1.0)
-
-    def quadric_residual(self):
-        p = self.p
-        return abs(float(p[0] * p[3] + p[1] * p[4] + p[2] * p[5]))
-
-    def basis(self):
-        """An orthonormal basis of the plane (columns of a 4x2 matrix)."""
-        m = np.zeros((4, 4))
-        for (i, j), value in zip(PLUCKER_PAIRS, self.p):
-            m[i, j] = value
-            m[j, i] = -value
-        u, _, _ = np.linalg.svd(m)
-        return u[:, :2]
+# the (x, y)-plane as a Pluecker point
+XY_PLANE = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 @dataclass
@@ -80,21 +63,22 @@ class GreatCircleFit:
 
 
 def plucker_from_pair(v1, v2):
-    """Normalized wedge of two independent 4-vectors."""
+    """Normalized wedge of two independent 4-vectors: the Pluecker point
+    of their plane, a unit 6-array."""
     w = wedge6(v1, v2)
     norm = np.linalg.norm(w)
     if norm <= 1e-12:
         raise ValueError("vectors are linearly dependent (wedge norm <= 1e-12)")
-    return PluckerPoint(w / norm)
+    return w / norm
 
 
-def klein_from_plucker(point):
-    """Sphere-pair coordinates; asserts unit norms instead of renormalizing.
+def klein_from_plucker(p):
+    """Sphere-pair coordinates of the Pluecker point ``p``; asserts unit
+    norms instead of renormalizing.
 
     For a valid Pluecker point |a| = |b| = 1 holds identically (the sphere
     and quadric relations combine); a violation signals an invalid input.
     """
-    p = point.p
     a = np.array([p[0] + p[3], p[1] + p[4], p[2] + p[5]])
     b = np.array([p[0] - p[3], p[1] - p[4], p[2] - p[5]])
     a_norm = float(np.linalg.norm(a))
@@ -109,20 +93,18 @@ def klein_from_plucker(point):
 
 def tangent_pair(sd, point):
     """(T1, T2) at a surface point."""
-    phi, psi = eval_surface(sd, point, order=1)
-    px, py = float(phi.derivative(1, 0)), float(phi.derivative(0, 1))
-    qx, qy = float(psi.derivative(1, 0)), float(psi.derivative(0, 1))
+    px, py, qx, qy = _slopes(*eval_surface(sd, point, order=1))
     # |T1 ^ T2|^2 = W is 1 plus these squares; plucker_from_pair divides
     # by its root
     minor = px * qy - qx * py
     if not math.isfinite(px * px + py * py + qx * qx + qy * qy
                          + minor * minor):
         raise form_overflow(point)
-    return (np.array([1.0, 0.0, px, qx]), np.array([0.0, 1.0, py, qy]))
+    return _tangents(px, py, qx, qy)
 
 
 def gauss_map_at(sd, point):
-    """Tangent plane at ``point`` as (PluckerPoint, KleinPoint)."""
+    """Tangent plane at ``point`` as (Pluecker point, KleinPoint)."""
     t1, t2 = tangent_pair(sd, point)
     plucker = plucker_from_pair(t1, t2)
     return plucker, klein_from_plucker(plucker)
@@ -176,7 +158,7 @@ def blaschke_check(sd, point):
     t1 = triple(a_px, a_mx, a_py, a_my, a0)
     t2 = triple(b_px, b_mx, b_py, b_my, b0)
 
-    mf = monge_frame(sd, point)
+    mf = monge_frame(*eval_surface(sd, point, order=2), point)
     K, kappa = monge_curvatures(mf)
     sqrt_w = np.sqrt(mf.W)
     rhs1 = abs(K + kappa) * sqrt_w
@@ -200,24 +182,33 @@ def blaschke_check(sd, point):
 ISOCLINIC_TOL = 1e-8
 
 
+def _basis(p):
+    """An orthonormal basis of the plane of the Pluecker point ``p``
+    (columns of a 4x2 matrix)."""
+    m = np.zeros((4, 4))
+    for (i, j), value in zip(PLUCKER_PAIRS, p):
+        m[i, j] = value
+        m[j, i] = -value
+    u, _, _ = np.linalg.svd(m)
+    return u[:, :2]
+
+
 def planes_isoclinic(p1, p2):
-    """True when the two planes have equal principal angles.
+    """True when the planes of the Pluecker points ``p1``, ``p2`` have
+    equal principal angles.
 
     Orthonormal bases are reconstructed from the Pluecker data, and the
     singular values of the 2x2 matrix of mutual inner products (the
     cosines of the principal angles) must agree to ``ISOCLINIC_TOL``.
     """
-    u1 = p1.basis()
-    u2 = p2.basis()
-    sv = np.linalg.svd(u1.T @ u2, compute_uv=False)
+    sv = np.linalg.svd(_basis(p1).T @ _basis(p2), compute_uv=False)
     return bool(abs(sv[0] - sv[1]) <= ISOCLINIC_TOL)
 
 
 def graph_plane(alpha, beta):
-    """Plane u = alpha1 x + beta1 y, v = alpha2 x + beta2 y as a PluckerPoint."""
-    v1 = np.array([1.0, 0.0, alpha[0], alpha[1]])
-    v2 = np.array([0.0, 1.0, beta[0], beta[1]])
-    return plucker_from_pair(v1, v2)
+    """Pluecker point of the plane u = alpha1 x + beta1 y,
+    v = alpha2 x + beta2 y."""
+    return plucker_from_pair(*_tangents(alpha[0], beta[0], alpha[1], beta[1]))
 
 
 def isosup_residuals(alpha, beta):
@@ -226,10 +217,6 @@ def isosup_residuals(alpha, beta):
     beta = np.asarray(beta, dtype=float)
     return (abs(float(alpha @ alpha - beta @ beta)),
             abs(float(alpha @ beta)))
-
-
-def xy_plane():
-    return PluckerPoint(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
 
 
 def lift_so4(m):

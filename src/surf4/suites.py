@@ -17,7 +17,7 @@ from .grassmann import (
     C_SWAP,
     BETA_TARGET,
     ISOCLINIC_TOL,
-    PluckerPoint,
+    XY_PLANE,
     blaschke_check,
     graph_plane,
     isosup_residuals,
@@ -26,7 +26,6 @@ from .grassmann import (
     planes_isoclinic,
     plucker_from_pair,
     rotation_from_alpha,
-    xy_plane,
 )
 
 SEED = 20240614
@@ -99,10 +98,11 @@ def suite_plucker():
     rng = np.random.default_rng(SEED)
     worst_sphere = worst_quadric = worst_unit = 0.0
     for _ in range(n_planes):
-        point = plucker_from_pair(rng.normal(size=4), rng.normal(size=4))
-        worst_sphere = max(worst_sphere, point.sphere_residual())
-        worst_quadric = max(worst_quadric, point.quadric_residual())
-        klein = klein_from_plucker(point)
+        p = plucker_from_pair(rng.normal(size=4), rng.normal(size=4))
+        worst_sphere = max(worst_sphere, abs(float(p @ p) - 1.0))
+        worst_quadric = max(worst_quadric, abs(float(
+            p[0] * p[3] + p[1] * p[4] + p[2] * p[5])))
+        klein = klein_from_plucker(p)
         worst_unit = max(worst_unit, abs(klein.a_norm - 1.0),
                          abs(klein.b_norm - 1.0))
     return [
@@ -148,7 +148,7 @@ def suite_blaschke():
     for pt in grid:
         result = blaschke_check(sd, pt)
         report = frames.curvature_report(sd, pt)
-        mf = frames.monge_frame(sd, pt)
+        mf = frames.monge_frame(*expr.eval_surface(sd, pt, order=2), pt)
         sqw = np.sqrt(mf.W)
         k_est = 0.5 * (eps1 * result.t1 + eps2 * result.t2) / sqw
         kappa_est = 0.5 * (eps1 * result.t1 - eps2 * result.t2) / sqw
@@ -199,18 +199,14 @@ def suite_wong():
     worst_swap = 0.0
     for _ in range(n_swap):
         alpha = rng.normal(size=2)
-        plane = plucker_from_pair(
-            np.array([1.0, 0.0, alpha[0], alpha[1]]),
-            np.array([0.0, 1.0, alpha[1], -alpha[0]]))
-        image = PluckerPoint(lift_c @ plane.p)
-        klein = klein_from_plucker(image)
+        plane = graph_plane(alpha, (alpha[1], -alpha[0]))
+        klein = klein_from_plucker(lift_c @ plane)
         worst_swap = max(worst_swap, float(np.max(np.abs(
             klein.a_vec - np.array([1.0, 0.0, 0.0])))))
     rows.append(_row("wong", f"C maps the minus isocline set onto the plus "
                      f"set ({n_swap} planes)", worst_swap, 1e-10))
 
     # algebraic isoclinicity test agrees with the singular-value test
-    base = xy_plane()
     disagreements = 0
     for k in range(n_planes):
         if k % 2 == 0:
@@ -220,7 +216,7 @@ def suite_wong():
         else:
             alpha, beta = rng.normal(size=2), rng.normal(size=2)
         algebraic = max(isosup_residuals(alpha, beta)) < ISOCLINIC_TOL
-        svd_test = planes_isoclinic(base, graph_plane(alpha, beta))
+        svd_test = planes_isoclinic(XY_PLANE, graph_plane(alpha, beta))
         disagreements += int(algebraic != svd_test)
     rows.append(_row("wong", f"algebraic vs singular-value isoclinic test "
                      f"({n_planes} planes)", float(disagreements), 0.5))
@@ -241,8 +237,8 @@ def suite_lift():
         worst_orth = max(worst_orth, float(np.max(np.abs(
             la @ la.T - np.eye(6)))))
         v1, v2 = rng.normal(size=4), rng.normal(size=4)
-        lhs = plucker_from_pair(a @ v1, a @ v2).p
-        rhs = la @ plucker_from_pair(v1, v2).p
+        lhs = plucker_from_pair(a @ v1, a @ v2)
+        rhs = la @ plucker_from_pair(v1, v2)
         worst_equi = max(worst_equi, float(np.max(np.abs(lhs - rhs))))
     worst_post = 0.0
     for _ in range(n_alphas):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, stable output."""
 
+import errno
 import json
 import os
 
@@ -106,6 +107,35 @@ BAD_RECONSTRUCT_ARGS = [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.001"),
                         ("--n-curves", "0"), ("--n-curves", "1"),
                         ("--n-curves", "2"), ("--c", "2"), ("--c", "nan")]
 BAD_TOLERANCES = [("--tol-circle", "nan"), ("--tol-symp", "-1")]
+# paths the file system refuses: one below a regular file, and a name
+# longer than a directory entry holds (neither can be created)
+BELOW_FILE = os.path.join(surface("example1.surf"), "x")
+FILESYSTEM_ERRORS = {
+    "analyze-surface-below-file": (
+        ["analyze", "--surface", BELOW_FILE], errno.ENOTDIR),
+    "gaussmap-out-below-file": (
+        ["gaussmap", "--surface", surface("example1.surf"), "--grid", "3,3",
+         "--out", BELOW_FILE], errno.ENOTDIR),
+    "analyze-out-name-too-long": (
+        ["analyze", "--surface", surface("example1.surf"), "--grid", "3,3",
+         "--out", "a" * 300], errno.ENAMETOOLONG),
+}
+# sizes past the largest array, rejected before numpy sees them: the step
+# count of --dt 5e-324 is inf, and a 1e20 x 3 grid has 3e20 points
+OVERSIZE = {
+    **{f"reconstruct{flag}={value}": (
+        ["reconstruct", flag, value],
+        f"error: dt = {dt} with {curves} curves needs more trajectory "
+        "samples than an array can hold\n")
+       for flag, value, dt, curves in [
+           ("--dt", "5e-324", "5e-324", 41), ("--dt", "1e-300", "1e-300", 41),
+           ("--n-curves", "1000000000000000000001", "0.001",
+            1000000000000000000001)]},
+    **{f"{command}-grid-1e20,3": (
+        argv + ["--grid", "100000000000000000000,3"],
+        "argument --grid: grid of 300000000000000000000 points is more than "
+        "an array can hold") for command, argv in SURFACE_COMMANDS.items()},
+}
 # Delta and its bounds grow with the fourth power of the largest second
 # derivative, here 6 * A at (-1, -1): A = 1e76 fits a float, 1e77 does not
 CUBIC = "phi = {}*x^3\npsi = sin(y)\n"
@@ -183,6 +213,18 @@ BAD_SURFACES = {
       for text, message in BAD_SURFACES.values()],
     *[(["analyze", "--grid", "3,3", "--out", OUT], text, message)
       for text, message in STEEP.values()],
+    # the square of v = 1e-300 in the Taylor series of sqrt underflows to 0
+    (["analyze", "--grid", "3,3", "--out", OUT],
+     "phi = x\npsi = sqrt(-1e-300*x)\n",
+     "error: non-finite derivative of psi at point (-1.0, -1.0) in "
+     "subexpression 'sqrt(-1e-300 * x)'\n"),
+    *[(argv, None, f"error: [Errno {code}] {os.strerror(code)}: ")
+      for argv, code in FILESYSTEM_ERRORS.values()],
+    (["analyze", "--grid", "3,3", "--out", OUT], b"phi = x\xff\npsi = y\n",
+     "error: 'utf-8' codec can't decode byte 0xff in position 7: invalid "
+     "start byte\n"),
+    *[(argv, None if argv[0] == "reconstruct" else "phi = x\npsi = y\n",
+       message) for argv, message in OVERSIZE.values()],
 ], ids=["eval-error", "congruence-grid", "analyze-grid",
         "analyze-delta-overflow",
         *[f"congruence{flag}={value}" for flag, value in BAD_TOLERANCES],
@@ -195,18 +237,20 @@ BAD_SURFACES = {
         *[f"reconstruct--dt={dt}" for dt, _ in COARSE_DT],
         "reconstruct-out-coarse-dt",
         *[f"analyze-{kind}" for kind in BAD_SURFACES],
-        *[f"analyze-steep-{kind}" for kind in STEEP]])
+        *[f"analyze-steep-{kind}" for kind in STEEP],
+        "analyze-sqrt-underflow", *FILESYSTEM_ERRORS, "analyze-undecodable",
+        *OVERSIZE])
 def test_input_errors_exit_2(capsys, recwarn, tmp_path, argv, text, message):
     out_file = tmp_path / "out.txt"
     argv = [str(out_file) if arg is OUT else arg for arg in argv]
     if text is not None:
         path = tmp_path / "surface.surf"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         argv += ["--surface", str(path)]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert message in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and err.count("error:") == 1
     if message.startswith("error:"):
         # the one-line message and nothing else, numpy warnings included
         assert err.startswith("error:") and err.count("\n") == 1

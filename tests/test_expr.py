@@ -7,7 +7,9 @@ import pytest
 from surf4 import expr, jets
 from surf4.jets import Jet
 from surf4.expr import (
+    Const,
     DomainWarning,
+    Pow,
     SurfaceEvalError,
     SurfaceSyntaxError,
     eval_surface,
@@ -142,6 +144,13 @@ def test_print_parse_idempotent():
         assert sd2 == sd1
         assert f"phi = {to_text(sd2.phi)}\npsi = {to_text(sd2.psi)}\n" \
             == printed
+
+
+def test_negative_constant_keeps_its_sign_under_a_power():
+    node = Pow(Const(-2.0), 2)
+    assert to_text(node) == "(-2.0)^2"
+    sd = parse_surface(f"phi = {to_text(node)}\npsi = y\n")
+    assert eval_surface(sd, (0.0, 0.0), 1)[0].value == 4.0
 
 
 def test_order1_agrees_with_truncated_order3():

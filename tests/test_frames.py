@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from surf4 import frames
-from surf4.expr import SurfaceEvalError, parse_surface
+from surf4.expr import SurfaceEvalError, eval_surface, parse_surface
 from surf4.frames import (
     _bands,
     _second_form_from,
@@ -23,9 +23,13 @@ Z2 = parse_surface("phi = x^2 - y^2\npsi = 2*x*y")
 FLAT = parse_surface("phi = 0\npsi = 0")
 
 
+def mf_at(sd, point):
+    return monge_frame(*eval_surface(sd, point, order=2), point)
+
+
 class TestMongeFrame:
     def test_example1_origin(self):
-        mf = monge_frame(EX1, (0.0, 0.0))
+        mf = mf_at(EX1, (0.0, 0.0))
         np.testing.assert_allclose(mf.t1, [1, 0, 0, 1])
         np.testing.assert_allclose(mf.t2, [0, 1, 0, 2])
         assert (mf.E, mf.F, mf.G, mf.W) == (2.0, 2.0, 5.0, 6.0)
@@ -34,7 +38,7 @@ class TestMongeFrame:
         assert mf.Ehat * mf.Ghat - mf.Fhat**2 == pytest.approx(mf.W)
 
     def test_flat_plane(self):
-        mf = monge_frame(FLAT, (0.3, -0.8))
+        mf = mf_at(FLAT, (0.3, -0.8))
         assert (mf.E, mf.F, mf.G, mf.W) == (1.0, 0.0, 1.0, 1.0)
 
     def test_hat_identity_bound_scales_with_the_products(self):
@@ -63,7 +67,7 @@ class TestMongeFrame:
 
     def test_z2_cauchy_riemann(self):
         for pt in [(0.1, 0.2), (-0.3, 0.25), (0.4, -0.4)]:
-            mf = monge_frame(Z2, pt)
+            mf = mf_at(Z2, pt)
             expected = 1 + 4 * pt[0]**2 + 4 * pt[1]**2
             assert mf.E == pytest.approx(expected, abs=1e-14)
             assert mf.G == pytest.approx(expected, abs=1e-14)
@@ -72,13 +76,13 @@ class TestMongeFrame:
 
 class TestAdaptedFrame:
     def test_flat_plane_is_standard_basis(self):
-        fr = adapted_frame(monge_frame(FLAT, (0.0, 0.0)))
+        fr = adapted_frame(mf_at(FLAT, (0.0, 0.0)))
         np.testing.assert_allclose(
             np.vstack([fr.e1, fr.e2, fr.e3, fr.e4]), np.eye(4), atol=1e-15)
         np.testing.assert_allclose(fr.coframe, np.eye(2), atol=1e-15)
 
     def test_example1_gram_schmidt(self):
-        fr = adapted_frame(monge_frame(EX1, (0.0, 0.0)))
+        fr = adapted_frame(mf_at(EX1, (0.0, 0.0)))
         np.testing.assert_allclose(fr.e1, np.array([1, 0, 0, 1]) / np.sqrt(2),
                                    atol=1e-15)
         np.testing.assert_allclose(fr.e2, np.array([-1, 1, 0, 1]) / np.sqrt(3),
@@ -86,7 +90,7 @@ class TestAdaptedFrame:
 
     @pytest.mark.parametrize("point", [(0.0, 0.0), (0.4, -0.3), (0.72, 0.55)])
     def test_orthonormality_and_coframe_roundtrip(self, point):
-        fr = adapted_frame(monge_frame(EX1, point))
+        fr = adapted_frame(mf_at(EX1, point))
         basis = np.vstack([fr.e1, fr.e2, fr.e3, fr.e4])
         np.testing.assert_allclose(basis @ basis.T, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(fr.coframe @ fr.chart.T, np.eye(2),
@@ -95,15 +99,14 @@ class TestAdaptedFrame:
 
 class TestSecondForm:
     def test_z2_origin(self):
-        mf = monge_frame(Z2, (0.0, 0.0))
-        sf = _second_form_from(mf, adapted_frame(mf))
-        assert (sf.a, sf.b, sf.c) == (2.0, 0.0, -2.0)
-        assert (sf.e, sf.f, sf.g) == (0.0, 2.0, 0.0)
+        mf = mf_at(Z2, (0.0, 0.0))
+        a, b, c, e, f, g = _second_form_from(mf, adapted_frame(mf))
+        assert (a, b, c) == (2.0, 0.0, -2.0)
+        assert (e, f, g) == (0.0, 2.0, 0.0)
 
     def test_flat_plane(self):
-        mf = monge_frame(FLAT, (0.2, 0.3))
-        sf = _second_form_from(mf, adapted_frame(mf))
-        assert (sf.a, sf.b, sf.c, sf.e, sf.f, sf.g) == (0,) * 6
+        mf = mf_at(FLAT, (0.2, 0.3))
+        assert _second_form_from(mf, adapted_frame(mf)) == (0,) * 6
 
 
 class TestCurvatureReport:
@@ -212,9 +215,8 @@ class TestDualRoutes:
         for _ in range(50):
             sd = random_polynomial_surface(rng)
             pt = tuple(rng.uniform(-0.8, 0.8, size=2))
-            mf = monge_frame(sd, pt)
-            sf = _second_form_from(mf, adapted_frame(mf))
-            a, b, c, e, f, g = sf.a, sf.b, sf.c, sf.e, sf.f, sf.g
+            mf = mf_at(sd, pt)
+            a, b, c, e, f, g = _second_form_from(mf, adapted_frame(mf))
             d1 = (a * f - b * e) * (b * g - c * f) - 0.25 * (a * g - c * e)**2
             d2 = (a * c - b * b) * (e * g - f * f) \
                 - 0.25 * (a * g + c * e - 2 * b * f)**2
@@ -331,20 +333,18 @@ def test_seven_conditions_agree_on_isoclinic_surface():
     for x in np.linspace(-0.4, 0.4, 9):
         for y in np.linspace(-0.4, 0.4, 9):
             rep = curvature_report(z3, (float(x), float(y)))
-            mf = monge_frame(z3, (float(x), float(y)))
-            sf = _second_form_from(mf, adapted_frame(mf))
-            scale = max(abs(v) for v in
-                        (sf.a, sf.b, sf.c, sf.e, sf.f, sf.g)) or 0.0
+            mf = mf_at(z3, (float(x), float(y)))
+            a, b, c, e, f, g = _second_form_from(mf, adapted_frame(mf))
+            scale = max(abs(v) for v in (a, b, c, e, f, g)) or 0.0
             bands = _bands(scale)
             cond2 = rep.point_class == "parabolic" and \
                 abs(rep.kappa) <= bands["kappa"]
             cond5 = rep.point_class == "parabolic" and \
                 abs(rep.K) <= bands["k"]
             cond7 = rep.gauss_singular
-            m3 = np.array([[sf.a, sf.b, sf.c], [sf.e, sf.f, sf.g]])
+            m3 = np.array([[a, b, c], [e, f, g]])
             cond3 = np.linalg.svd(m3, compute_uv=False)[1] <= bands["rank"]
-            m6 = np.array([[sf.a, sf.b, sf.e, sf.f],
-                           [sf.b, sf.c, sf.f, sf.g]])
+            m6 = np.array([[a, b, e, f], [b, c, f, g]])
             cond6 = np.linalg.svd(m6, compute_uv=False)[1] <= bands["rank"]
             assert cond2 == cond5 == cond7 == cond3 == cond6
             hits += int(cond2)

@@ -8,7 +8,7 @@ from surf4.grassmann import (
     BETA_TARGET,
     C_SWAP,
     ISOCLINIC_TOL,
-    PluckerPoint,
+    XY_PLANE,
     blaschke_check,
     gauss_map_at,
     graph_plane,
@@ -19,7 +19,6 @@ from surf4.grassmann import (
     planes_isoclinic,
     plucker_from_pair,
     rotation_from_alpha,
-    xy_plane,
 )
 from surf4.suites import EXAMPLE1_TEXT
 
@@ -30,16 +29,16 @@ E4 = np.eye(4)
 
 class TestPlucker:
     def test_coordinate_planes(self):
-        np.testing.assert_allclose(plucker_from_pair(E4[0], E4[1]).p,
+        np.testing.assert_allclose(plucker_from_pair(E4[0], E4[1]),
                                    [1, 0, 0, 0, 0, 0])
-        np.testing.assert_allclose(plucker_from_pair(E4[2], E4[3]).p,
+        np.testing.assert_allclose(plucker_from_pair(E4[2], E4[3]),
                                    [0, 0, 0, 1, 0, 0])
 
     def test_example1_tangent_plane(self):
         point = plucker_from_pair(np.array([1.0, 0, 0, 1]),
                                   np.array([0.0, 1, 0, 2]))
         np.testing.assert_allclose(
-            point.p, np.array([1, 0, 2, 0, 1, 0]) / np.sqrt(6), atol=1e-15)
+            point, np.array([1, 0, 2, 0, 1, 0]) / np.sqrt(6), atol=1e-15)
         # |T1 ^ T2| = sqrt(W) with W = 6 for this plane
         assert np.linalg.norm(np.array([1, 0, 2, 0, 1, 0.0])) == \
             pytest.approx(np.sqrt(6))
@@ -52,19 +51,20 @@ class TestPlucker:
     def test_relations_on_random_planes(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            point = plucker_from_pair(rng.normal(size=4), rng.normal(size=4))
-            assert point.sphere_residual() < 1e-12
-            assert point.quadric_residual() < 1e-12
+            p = plucker_from_pair(rng.normal(size=4), rng.normal(size=4))
+            assert abs(float(p @ p) - 1.0) < 1e-12
+            assert abs(float(
+                p[0] * p[3] + p[1] * p[4] + p[2] * p[5])) < 1e-12
 
 
 class TestKlein:
     def test_base_plane(self):
-        k = klein_from_plucker(PluckerPoint(np.array([1.0, 0, 0, 0, 0, 0])))
+        k = klein_from_plucker(np.array([1.0, 0, 0, 0, 0, 0]))
         np.testing.assert_allclose(k.a_vec, [1, 0, 0])
         np.testing.assert_allclose(k.b_vec, [1, 0, 0])
 
     def test_p34_flips_sign_in_b(self):
-        k = klein_from_plucker(PluckerPoint(np.array([0.0, 0, 0, 1, 0, 0])))
+        k = klein_from_plucker(np.array([0.0, 0, 0, 1, 0, 0]))
         np.testing.assert_allclose(k.a_vec, [1, 0, 0])
         np.testing.assert_allclose(k.b_vec, [-1, 0, 0])
 
@@ -79,13 +79,13 @@ class TestKlein:
 
     def test_invalid_point_rejected(self):
         # on the sphere but violating the quadric: Klein norms leave 1
-        bad = PluckerPoint(np.array([0.8, 0.0, 0.0, 0.6, 0.0, 0.0]))
+        bad = np.array([0.8, 0.0, 0.0, 0.6, 0.0, 0.0])
         with pytest.raises(ValueError, match="not unit"):
             klein_from_plucker(bad)
 
     def test_nan_point_rejected(self):
         with pytest.raises(ValueError, match="not unit"):
-            klein_from_plucker(PluckerPoint(np.full(6, np.nan)))
+            klein_from_plucker(np.full(6, np.nan))
 
 
 class TestGaussMap:
@@ -135,17 +135,17 @@ class TestBlaschke:
 
 class TestIsoclinicPlanes:
     def test_self(self):
-        assert planes_isoclinic(xy_plane(), xy_plane())
+        assert planes_isoclinic(XY_PLANE, XY_PLANE)
 
     def test_rotation_graph(self):
         plane = plucker_from_pair(np.array([1.0, 0, 0, -1]),
                                   np.array([0.0, 1, 1, 0]))
-        assert planes_isoclinic(xy_plane(), plane)
+        assert planes_isoclinic(XY_PLANE, plane)
 
     def test_tilted_graph_not_isoclinic(self):
         plane = plucker_from_pair(np.array([1.0, 0, 1, 0]),
                                   np.array([0.0, 1, 0, 0]))
-        assert not planes_isoclinic(xy_plane(), plane)
+        assert not planes_isoclinic(XY_PLANE, plane)
 
     def test_algebraic_equivalence(self):
         rng = np.random.default_rng(3)
@@ -157,7 +157,7 @@ class TestIsoclinicPlanes:
             else:
                 beta = rng.normal(size=2)
             algebraic = max(isosup_residuals(alpha, beta)) < ISOCLINIC_TOL
-            assert planes_isoclinic(xy_plane(),
+            assert planes_isoclinic(XY_PLANE,
                                     graph_plane(alpha, beta)) == algebraic
 
 
@@ -179,8 +179,8 @@ class TestLift:
         lift_q = lift_so4(q)
         for _ in range(20):
             v1, v2 = rng.normal(size=4), rng.normal(size=4)
-            lhs = plucker_from_pair(q @ v1, q @ v2).p
-            rhs = lift_q @ plucker_from_pair(v1, v2).p
+            lhs = plucker_from_pair(q @ v1, q @ v2)
+            rhs = lift_q @ plucker_from_pair(v1, v2)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_homomorphism(self):
@@ -282,13 +282,13 @@ def test_plus_isocline_set_is_c_of_minus():
                                   np.array([0.0, 1, alpha[1], -alpha[0]]))
         assert np.allclose(klein_from_plucker(minus).b_vec, [1, 0, 0],
                            atol=1e-12)
-        image = klein_from_plucker(PluckerPoint(lift_c @ minus.p))
+        image = klein_from_plucker(lift_c @ minus)
         np.testing.assert_allclose(image.a_vec, [1, 0, 0], atol=1e-10)
 
 
 def test_klein_characterization_of_base_isocline():
     rng = np.random.default_rng(12)
-    base = xy_plane()
+    base = XY_PLANE
     for k in range(60):
         if k % 3 == 0:
             alpha = rng.normal(size=2)
