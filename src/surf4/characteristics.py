@@ -485,25 +485,26 @@ def verify_reconstruction(samples):
         worst_kk = max(worst_kk, abs(K - kappa))
 
     expected_gamma1 = np.array([math.sqrt(0.5), 0.0, -math.sqrt(0.5)])
+
+    def below(name, value, threshold):
+        return name, value, threshold, value < threshold
+
     checks = [
-        ("F conserved along strips", samples.f_drift, MAX_F_DRIFT,
-         samples.f_drift < MAX_F_DRIFT),
-        ("b1 equals c at every sample", b1_dev, B1_TOL, b1_dev < B1_TOL),
+        below("F conserved along strips", samples.f_drift, MAX_F_DRIFT),
+        below("b1 equals c at every sample", b1_dev, B1_TOL),
         ("Gamma1 circle residual above floor", fit_a.residual, CIRCLE_FLOOR,
          fit_a.residual > CIRCLE_FLOOR),
         ("Gamma2 circle residual above floor", fit_b.residual, CIRCLE_FLOOR,
          fit_b.residual > CIRCLE_FLOOR),
-        ("Gamma1 at origin", float(np.max(np.abs(
-            gamma1_origin - expected_gamma1))), GAMMA1_ORIGIN_TOL,
-         bool(np.max(np.abs(gamma1_origin - expected_gamma1))
-              < GAMMA1_ORIGIN_TOL)),
-        ("phi_xx(0,0) = -1", abs(pxx + 1.0), FD_TOL, abs(pxx + 1.0) < FD_TOL),
-        ("phi_xy(0,0) = 2", abs(pxy - 2.0), FD_TOL, abs(pxy - 2.0) < FD_TOL),
-        ("phi_yy(0,0) = 0", abs(pyy), FD_TOL, abs(pyy) < FD_TOL),
-        ("K - kappa on estimable samples", worst_kk, CURVATURE_TOL,
-         worst_kk < CURVATURE_TOL),
-        ("phi_xy agreement of the two chart routes", samples.phi_xy_spread,
-         1e-4, samples.phi_xy_spread < 1e-4),
+        below("Gamma1 at origin",
+              float(np.max(np.abs(gamma1_origin - expected_gamma1))),
+              GAMMA1_ORIGIN_TOL),
+        below("phi_xx(0,0) = -1", abs(pxx + 1.0), FD_TOL),
+        below("phi_xy(0,0) = 2", abs(pxy - 2.0), FD_TOL),
+        below("phi_yy(0,0) = 0", abs(pyy), FD_TOL),
+        below("K - kappa on estimable samples", worst_kk, CURVATURE_TOL),
+        below("phi_xy agreement of the two chart routes",
+              samples.phi_xy_spread, 1e-4),
     ]
     return ReconstructionReport(
         n_samples=len(samples), f_drift=samples.f_drift,

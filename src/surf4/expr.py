@@ -22,7 +22,6 @@ extraction.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +51,6 @@ class SurfaceEvalError(ArithmeticError):
             message = f"{message} in subexpression '{subexpression}'"
         super().__init__(message)
         self.subexpression = subexpression
-
-
-class DomainWarning(UserWarning):
-    pass
 
 
 # -- AST ---------------------------------------------------------------------
@@ -331,12 +326,16 @@ def parse_surface(text):
         if head.text == "param":
             name_tok = parser.expect("ident")
             parser.expect("op", "=")
+            value_tok = parser.peek()
             value = _parse_number(parser)
             parser.expect("end")
             if name_tok.text in ("x", "y") or name_tok.text in _FUNCTIONS:
                 parser.error(f"{name_tok.text!r} is reserved", name_tok)
             if name_tok.text in params:
                 parser.error(f"parameter {name_tok.text!r} redeclared", name_tok)
+            if not math.isfinite(value):
+                parser.error(f"parameter {name_tok.text!r} is not a finite "
+                             "number", value_tok)
             params[name_tok.text] = value
             continue
         if head.text == "domain":
@@ -480,16 +479,12 @@ def eval_surface(sd, point, order=2):
     """Jets of phi and psi at ``point``.
 
     phi and psi share one dict of variable powers (see :func:`eval_expr`),
-    so each ``x^k`` or ``y^k`` is computed once per call.  Points outside
-    the declared domain only warn; evaluation errors (division by zero,
-    sqrt domain, overflow, a non-finite value or derivative) raise
+    so each ``x^k`` or ``y^k`` is computed once per call.  The point is
+    not checked against the declared domain; callers that can leave it
+    check it themselves.  Evaluation errors (division by zero, sqrt
+    domain, overflow, a non-finite value or derivative) raise
     :class:`SurfaceEvalError`.
     """
-    if not sd.domain.contains(point):
-        warnings.warn(
-            f"point {tuple(point)} lies outside the surface domain",
-            DomainWarning, stacklevel=2,
-        )
     xj = Jet.variable("x", point, order)
     yj = Jet.variable("y", point, order)
     # overflow, and division by a power that underflows to 0, show up as

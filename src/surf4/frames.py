@@ -16,7 +16,6 @@ Conventions fixed here and relied on throughout:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +75,7 @@ class AdaptedFrame:
     e2: np.ndarray
     e3: np.ndarray
     e4: np.ndarray
-    chart: np.ndarray    # rows: (dx, dy) components of e1, e2
-    coframe: np.ndarray  # rows: (dx, dy) components of omega_1, omega_2
+    chart: np.ndarray  # rows: (dx, dy) components of e1, e2
     # product of the signs of det of (e1,e2) in the (T1,T2) basis and of
     # det of (e3,e4) in the (N1,N2) basis
     orientation: float
@@ -175,25 +173,24 @@ def _gram_schmidt_pair(v1, v2):
     return e1, e2
 
 
-def _coords_in(basis1, basis2, v):
-    # components of v in the (basis1, basis2) span, via the Gram system
+def _coords_in(basis1, basis2, vectors):
+    """Rows: components of each vector in the (basis1, basis2) span, from
+    one Gram matrix and one solve per vector (a single solve with both
+    right-hand sides rounds differently)."""
     g = np.array([[basis1 @ basis1, basis1 @ basis2],
                   [basis1 @ basis2, basis2 @ basis2]])
-    rhs = np.array([v @ basis1, v @ basis2])
-    return np.linalg.solve(g, rhs)
+    return np.array([np.linalg.solve(g, np.array([v @ basis1, v @ basis2]))
+                     for v in vectors])
 
 
 def adapted_frame(mf):
     """Orthonormal adapted frame by Gram-Schmidt of (T1, T2) and (N1, N2)."""
     e1, e2 = _gram_schmidt_pair(mf.t1, mf.t2)
     e3, e4 = _gram_schmidt_pair(mf.n1, mf.n2)
-    chart = np.array([_coords_in(mf.t1, mf.t2, e1),
-                      _coords_in(mf.t1, mf.t2, e2)])
-    coframe = np.linalg.inv(chart.T)
-    normal_coords = np.array([_coords_in(mf.n1, mf.n2, e3),
-                              _coords_in(mf.n1, mf.n2, e4)])
+    chart = _coords_in(mf.t1, mf.t2, (e1, e2))
+    normal_coords = _coords_in(mf.n1, mf.n2, (e3, e4))
     return AdaptedFrame(
-        e1, e2, e3, e4, chart, coframe,
+        e1, e2, e3, e4, chart,
         float(np.sign(np.linalg.det(chart)))
         * float(np.sign(np.linalg.det(normal_coords))))
 
@@ -216,14 +213,10 @@ def _second_form_from(mf, frame):
         return u[0] * v[0] * dxx + (u[0] * v[1] + u[1] * v[0]) * dxy \
             + u[1] * v[1] * dyy
 
-    p, q = frame.chart[0], frame.chart[1]
-    a = second(p, p) @ frame.e3
-    b = second(p, q) @ frame.e3
-    c = second(q, q) @ frame.e3
-    e = second(p, p) @ frame.e4
-    f = second(p, q) @ frame.e4
-    g = second(q, q) @ frame.e4
-    return a, b, c, e, f, g
+    p, q = frame.chart
+    pp, pq, qq = second(p, p), second(p, q), second(q, q)
+    return (pp @ frame.e3, pq @ frame.e3, qq @ frame.e3,
+            pp @ frame.e4, pq @ frame.e4, qq @ frame.e4)
 
 
 def hessian_quantities(phi_jet, psi_jet):
@@ -261,18 +254,21 @@ def _require_close(name, u, v, scale):
         )
 
 
+def _first_positive(v):
+    """``v`` or ``-v``, whichever has its first component of magnitude
+    > 1e-12 positive (``v`` when there is none)."""
+    for comp in v:
+        if abs(comp) > 1e-12:
+            return -v if comp < 0 else v
+    return v
+
+
 def _normalize_dir(vec):
     v = np.asarray(vec, dtype=float)
     n = np.linalg.norm(v)
     if n == 0.0:
         return None
-    v = v / n
-    for comp in v:
-        if abs(comp) > 1e-12:
-            if comp < 0:
-                v = -v
-            break
-    return v
+    return _first_positive(v / n)
 
 
 def _frame_dir_to_chart(frame, u):
@@ -435,27 +431,22 @@ def _asymptotic_directions(a, b, c, e, f, g, frame, point_class, bands):
     return out, False
 
 
-def _adapted_chart_jets(sd, point, frame, target_uv):
+def _adapted_chart_jets(sd, point, chart, rot, base, target_uv):
     """Order-2 jets of the surface re-graphed in the chart adapted at
     ``point``, evaluated at chart coordinates ``target_uv``.
 
-    The adapted chart translates the surface point to the origin and
-    rotates R^4 by the adapted frame, making the tangent plane the new
-    (x, y)-plane.  The preimage of the chart stencil point is found by
-    Newton iteration; first and second derivatives of the re-graphed
-    surface follow from the exact change-of-variables formulas.
+    The adapted chart translates the surface point ``base`` to the origin
+    and rotates R^4 by ``rot``, whose rows are the adapted frame at
+    ``point``, making the tangent plane the new (x, y)-plane; ``chart``
+    holds that frame's tangent rows in (dx, dy) components.  The preimage
+    of the chart stencil point is found by Newton iteration; first and
+    second derivatives of the re-graphed surface follow from the exact
+    change-of-variables formulas.
     """
-    rot = np.vstack([frame.e1, frame.e2, frame.e3, frame.e4])
-    phi0, psi0 = eval_surface(sd, point, order=1)
-    base = np.array([point[0], point[1],
-                     float(phi0.value), float(psi0.value)])
     # initial guess from the tangent chart
-    xy = np.asarray(point, dtype=float) + frame.chart.T @ target_uv
+    xy = np.asarray(point, dtype=float) + chart.T @ target_uv
     for _ in range(40):
-        with warnings.catch_warnings():
-            # the domain check happens once Newton has landed
-            warnings.simplefilter("ignore")
-            phj, psj = eval_surface(sd, xy, order=2)
+        phj, psj = eval_surface(sd, xy, order=2)
         pos = np.array([xy[0], xy[1], float(phj.value), float(psj.value)])
         t1, t2 = _tangents(*_slopes(phj, psj))
         res = rot[:2] @ (pos - base) - target_uv
@@ -510,22 +501,28 @@ def isoclinic_form_closedness(sd, point):
     The form is evaluated in the chart adapted at ``point`` (surface
     re-graphed over its own tangent plane, the chart in which the paper's
     frame quantities are defined); at the four stencil points it is
-    converted to chart (dx, dy) components through the coframe, and the
-    exterior-derivative coefficient is the central difference of those
-    components.  Evaluating instead in a fixed ambient Monge chart makes
-    the residual frame-dependent and O(1) even on K = kappa surfaces.
+    converted to chart (dx, dy) components through the coframe, the
+    inverse of the transposed chart matrix, and the exterior-derivative
+    coefficient is the central difference of those components.
+    Evaluating instead in a fixed ambient Monge chart makes the residual
+    frame-dependent and O(1) even on K = kappa surfaces.
     """
     h = CLOSEDNESS_STEP
     frame0 = adapted_frame(monge_frame(*eval_surface(sd, point, order=2),
                                        point))
+    rot = np.vstack([frame0.e1, frame0.e2, frame0.e3, frame0.e4])
+    phi0, psi0 = eval_surface(sd, point, order=1)
+    base = np.array([point[0], point[1],
+                     float(phi0.value), float(psi0.value)])
 
     def theta_components(target_uv):
-        phi, psi = _adapted_chart_jets(sd, point, frame0,
+        phi, psi = _adapted_chart_jets(sd, point, frame0.chart, rot, base,
                                        np.asarray(target_uv, float))
         mf = monge_frame(phi, psi, target_uv)
         frame = adapted_frame(mf)
         a, b, _, _, f, g = _second_form_from(mf, frame)
-        return frame.coframe.T @ np.array([a + f, b + g])
+        coframe = np.linalg.inv(frame.chart.T)
+        return coframe.T @ np.array([a + f, b + g])
 
     q_plus = theta_components((h, 0.0))[1]
     q_minus = theta_components((-h, 0.0))[1]

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import eval_surface
-from .frames import (InternalInconsistencyError, _slopes, _tangents,
-                     form_overflow, monge_curvatures, monge_frame)
+from .frames import (InternalInconsistencyError, _first_positive, _slopes,
+                     _tangents, form_overflow, monge_curvatures, monge_frame)
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -313,12 +313,7 @@ def great_circle_fit(samples):
         raise ValueError("need at least 3 sample vectors of dimension 3")
     gram = pts.T @ pts
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
-    alpha = eigenvectors[:, 0]
-    for comp in alpha:
-        if abs(comp) > 1e-12:
-            if comp < 0:
-                alpha = -alpha
-            break
+    alpha = _first_positive(eigenvectors[:, 0])
     residual = float(np.max(np.abs(pts @ alpha)))
     scale = max(float(eigenvalues[-1]), 1e-300)
     degenerate = bool(eigenvalues[1] <= 1e-12 * scale)

@@ -173,6 +173,13 @@ BAD_SURFACES = {
                               "must have finite widths\n"),
 }
 
+# a parameter literal past the largest float parses to inf, which the
+# parser refuses whether or not the parameter is used; an overflowing
+# literal inside phi or psi is an evaluation error
+PARAM_OVERFLOW = "phi = x^2\npsi = y^2\nparam a = 1e400\n"
+PARAM_MESSAGE = ("error: line 3, column 11: parameter 'a' is not a finite "
+                 "number\n")
+
 
 @pytest.mark.parametrize("argv, text, message", [
     (["analyze"], "phi = sqrt(x)\npsi = y\n",
@@ -225,6 +232,12 @@ BAD_SURFACES = {
      "start byte\n"),
     *[(argv, None if argv[0] == "reconstruct" else "phi = x\npsi = y\n",
        message) for argv, message in OVERSIZE.values()],
+    (["analyze", "--grid", "3,3"], PARAM_OVERFLOW, PARAM_MESSAGE),
+    (["gaussmap", "--grid", "3,3", "--out", OUT], PARAM_OVERFLOW,
+     PARAM_MESSAGE),
+    (["analyze", "--grid", "3,3"], "phi = 1e400*x\npsi = y\n",
+     "error: non-finite derivative of phi at point (-1.0, -1.0) in "
+     "subexpression 'inf * x'\n"),
 ], ids=["eval-error", "congruence-grid", "analyze-grid",
         "analyze-delta-overflow",
         *[f"congruence{flag}={value}" for flag, value in BAD_TOLERANCES],
@@ -239,7 +252,8 @@ BAD_SURFACES = {
         *[f"analyze-{kind}" for kind in BAD_SURFACES],
         *[f"analyze-steep-{kind}" for kind in STEEP],
         "analyze-sqrt-underflow", *FILESYSTEM_ERRORS, "analyze-undecodable",
-        *OVERSIZE])
+        *OVERSIZE, "analyze-param-overflow", "gaussmap-param-overflow",
+        "analyze-literal-overflow"])
 def test_input_errors_exit_2(capsys, recwarn, tmp_path, argv, text, message):
     out_file = tmp_path / "out.txt"
     argv = [str(out_file) if arg is OUT else arg for arg in argv]
@@ -445,6 +459,30 @@ def test_golden_congruence_report(capsys, tmp_path, surface_file, golden):
     assert code == 0
     with open(os.path.join(DATA, golden), encoding="utf-8") as handle:
         assert out == handle.read()
+
+
+def test_largest_finite_param_is_accepted(capsys, tmp_path):
+    path = tmp_path / "surface.surf"
+    path.write_text("phi = x^2\npsi = y^2\n"
+                    "param a = 1.7976931348623157e308\n")
+    code, out, err = run(capsys, "analyze", "--surface", str(path),
+                         "--grid", "3,3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["surface"]["params"] == {
+        "a": 1.7976931348623157e308}
+
+
+@pytest.mark.parametrize("name", ["rsurf_z2", "rsurf_z3", "gradient_x2y"])
+@pytest.mark.parametrize("argv", [["analyze", "--format", "csv"],
+                                  ["gaussmap"]], ids=["analyze", "gaussmap"])
+def test_golden_csv_reports(capsys, tmp_path, name, argv):
+    out_file = tmp_path / "out.csv"
+    code, _, _ = run(capsys, *argv, "--surface", surface(f"{name}.surf"),
+                     "--grid", "7,5", "--out", str(out_file))
+    assert code == 0
+    golden = os.path.join(DATA, f"{argv[0]}_{name}_7x5.csv")
+    with open(golden, "rb") as handle:
+        assert out_file.read_bytes() == handle.read()
 
 
 def test_verify_plucker_suite(capsys):

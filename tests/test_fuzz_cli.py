@@ -13,12 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surf4.cli import main
-from surf4.expr import Binary, Const, Pow, Unary, Var, to_text
+from surf4.expr import Binary, Const, Param, Pow, Unary, Var, to_text
 
 CONSTANTS = st.builds(lambda sign, magnitude: Const(sign * magnitude),
                       st.sampled_from([1.0, -1.0]),
                       st.floats(1e-300, 1e300))
-LEAVES = st.one_of(CONSTANTS, st.sampled_from([Var("x"), Var("y")]))
+# parameter literals of either sign from 1e-300 to 1e400: those past the
+# largest float are input errors whether or not the parameter is used
+PARAM_LITERALS = st.builds(
+    lambda sign, mantissa, exponent: f"{sign}{mantissa!r}e{exponent}",
+    st.sampled_from(["", "-"]), st.floats(1.0, 10.0, exclude_max=True),
+    st.integers(-300, 399))
 
 
 def _extend(children):
@@ -30,7 +35,17 @@ def _extend(children):
     )
 
 
-EXPRESSIONS = st.recursive(LEAVES, _extend, max_leaves=6)
+def _surfaces(params):
+    # phi and psi over x, y and the declared parameters, each of which may
+    # be used or left unused
+    leaves = st.one_of(CONSTANTS, st.sampled_from(
+        [Var("x"), Var("y"), *map(Param, sorted(params))]))
+    expressions = st.recursive(leaves, _extend, max_leaves=6)
+    return st.tuples(st.just(params), expressions, expressions)
+
+
+SURFACES = st.dictionaries(st.sampled_from(["a", "b"]), PARAM_LITERALS,
+                           max_size=2).flatmap(_surfaces)
 
 
 def finite(token):
@@ -60,11 +75,14 @@ def run(*argv):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(EXPRESSIONS, EXPRESSIONS)
-def test_random_surfaces_exit_0_or_2_with_finite_output(phi, psi):
+@given(SURFACES)
+def test_random_surfaces_exit_0_or_2_with_finite_output(surface):
+    params, phi, psi = surface
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "surface.surf")
         with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(f"param {name} = {literal}\n"
+                              for name, literal in params.items())
             handle.write(f"phi = {to_text(phi)}\npsi = {to_text(psi)}\n")
         for command in ("analyze", "congruence"):
             _, out = run(command, "--surface", path, "--grid", "3,3")
