@@ -16,7 +16,7 @@ is also RK4's first stage from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -364,25 +364,6 @@ FIT_DEGREE = 3
 N_CURVATURE_POINTS = 200   # interior samples of the K - kappa check
 
 
-@dataclass
-class ReconstructionReport:
-    n_samples: int
-    f_drift: float
-    b1_max_deviation: float
-    gamma1_fit_residual: float
-    gamma2_fit_residual: float
-    gamma1_origin: np.ndarray      # after the axis-relabeling convention map
-    phi_xx_origin: float
-    phi_xy_origin: float
-    phi_yy_origin: float
-    k_minus_kappa_max: float
-    checks: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return all(ok for _, _, _, ok in self.checks)
-
-
 def sample_klein_vectors(samples):
     """Canonical (a, b) sphere vectors of the tangent planes, vectorized."""
     x, y, p, q = samples.x, samples.y, samples.phi_x, samples.phi_y
@@ -442,7 +423,9 @@ def verify_reconstruction(samples):
     The origin second derivatives come from a local polynomial fit of
     degree FIT_DEGREE over nearby samples.  The curvature check uses the
     flow-propagated second derivatives of the sample set.  A sample set
-    too sparse for a check raises :class:`SamplingError`.
+    too sparse for a check raises :class:`SamplingError`.  Returns the
+    report as the ``reconstruct`` command prints it, keys in printed
+    order.
     """
     if len(samples) < 100:
         raise SamplingError("need at least 100 samples to verify")
@@ -487,15 +470,18 @@ def verify_reconstruction(samples):
     expected_gamma1 = np.array([math.sqrt(0.5), 0.0, -math.sqrt(0.5)])
 
     def below(name, value, threshold):
-        return name, value, threshold, value < threshold
+        return {"name": name, "value": value, "threshold": threshold,
+                "passed": value < threshold}
 
     checks = [
         below("F conserved along strips", samples.f_drift, MAX_F_DRIFT),
         below("b1 equals c at every sample", b1_dev, B1_TOL),
-        ("Gamma1 circle residual above floor", fit_a.residual, CIRCLE_FLOOR,
-         fit_a.residual > CIRCLE_FLOOR),
-        ("Gamma2 circle residual above floor", fit_b.residual, CIRCLE_FLOOR,
-         fit_b.residual > CIRCLE_FLOOR),
+        {"name": "Gamma1 circle residual above floor",
+         "value": fit_a.residual, "threshold": CIRCLE_FLOOR,
+         "passed": fit_a.residual > CIRCLE_FLOOR},
+        {"name": "Gamma2 circle residual above floor",
+         "value": fit_b.residual, "threshold": CIRCLE_FLOOR,
+         "passed": fit_b.residual > CIRCLE_FLOOR},
         below("Gamma1 at origin",
               float(np.max(np.abs(gamma1_origin - expected_gamma1))),
               GAMMA1_ORIGIN_TOL),
@@ -506,12 +492,18 @@ def verify_reconstruction(samples):
         below("phi_xy agreement of the two chart routes",
               samples.phi_xy_spread, 1e-4),
     ]
-    return ReconstructionReport(
-        n_samples=len(samples), f_drift=samples.f_drift,
-        b1_max_deviation=b1_dev,
-        gamma1_fit_residual=fit_a.residual,
-        gamma2_fit_residual=fit_b.residual,
-        gamma1_origin=gamma1_origin,
-        phi_xx_origin=pxx, phi_xy_origin=pxy, phi_yy_origin=pyy,
-        k_minus_kappa_max=worst_kk, checks=checks,
-    )
+    return {
+        "c": samples.c,
+        "nSamples": len(samples),
+        "fDrift": samples.f_drift,
+        "b1MaxDeviation": b1_dev,
+        "gamma1FitResidual": fit_a.residual,
+        "gamma2FitResidual": fit_b.residual,
+        "gamma1Origin": gamma1_origin,
+        "phiXXOrigin": pxx,
+        "phiXYOrigin": pxy,
+        "phiYYOrigin": pyy,
+        "kMinusKappaMax": worst_kk,
+        "checks": checks,
+        "passed": all(check["passed"] for check in checks),
+    }

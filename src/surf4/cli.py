@@ -111,16 +111,10 @@ def analysis_report(sd, nx, ny, source=None):
     points = grid_points(sd.domain, nx, ny, shrink=0.0)
     records = []
     counts = {"hyperbolic": 0, "parabolic": 0, "elliptic": 0}
-    diffs, sums = [], []
-    g1_samples, g2_samples = [], []
     for pt in points:
         report = curvature_report(sd, pt)
         _, klein = gauss_map_at(sd, pt)
         counts[report.point_class] += 1
-        diffs.append(abs(report.K - report.kappa))
-        sums.append(abs(report.K + report.kappa))
-        g1_samples.append(klein.a_vec)
-        g2_samples.append(klein.b_vec)
         records.append({
             "x": pt[0], "y": pt[1],
             "K": report.K, "kappa": report.kappa,
@@ -132,8 +126,10 @@ def analysis_report(sd, nx, ny, source=None):
             "Gamma1": list(klein.a_vec),
             "Gamma2": list(klein.b_vec),
         })
-    fit1 = great_circle_fit(g1_samples)
-    fit2 = great_circle_fit(g2_samples)
+    diffs = [abs(rec["K"] - rec["kappa"]) for rec in records]
+    sums = [abs(rec["K"] + rec["kappa"]) for rec in records]
+    fit1 = great_circle_fit([rec["Gamma1"] for rec in records])
+    fit2 = great_circle_fit([rec["Gamma2"] for rec in records])
     return {
         "surface": {
             "file": source,
@@ -249,23 +245,10 @@ def cmd_gaussmap(args):
 
 def cmd_congruence(args):
     sd = _load_surface(args.surface)
-    rep = congruence_to_lagrangean(
+    report = congruence_to_lagrangean(
         sd, grid=args.grid, tol_circle=args.tol_circle,
         tol_symp=args.tol_symp)
-    payload = {
-        "circleFactor": rep.circle_factor,
-        "alpha": None if rep.alpha is None else list(rep.alpha),
-        "fitResidual": rep.fit_residual,
-        "rotation": [list(row) for row in rep.rotation],
-        "symplecticResidual": rep.symplectic_residual,
-        "matchedForm": rep.matched_form,
-        "residualStandard": rep.residual_standard,
-        "residualOmega1": rep.residual_omega1,
-        "fitResidualGamma1": rep.fit_residual_gamma1,
-        "fitResidualGamma2": rep.fit_residual_gamma2,
-        "tolerances": {"circle": rep.tol_circle, "symplectic": rep.tol_symp},
-    }
-    sys.stdout.write(to_json(payload) + "\n")
+    sys.stdout.write(to_json(report) + "\n")
     return 0
 
 
@@ -277,25 +260,8 @@ def cmd_reconstruct(args):
     report = characteristics.verify_reconstruction(samples)
     if args.out:
         _write_table("x,y,phi,phi_x,phi_y", samples.columns(), args.out)
-    payload = {
-        "c": args.c,
-        "nSamples": report.n_samples,
-        "fDrift": report.f_drift,
-        "b1MaxDeviation": report.b1_max_deviation,
-        "gamma1FitResidual": report.gamma1_fit_residual,
-        "gamma2FitResidual": report.gamma2_fit_residual,
-        "gamma1Origin": list(report.gamma1_origin),
-        "phiXXOrigin": report.phi_xx_origin,
-        "phiXYOrigin": report.phi_xy_origin,
-        "phiYYOrigin": report.phi_yy_origin,
-        "kMinusKappaMax": report.k_minus_kappa_max,
-        "checks": [{"name": name, "value": value, "threshold": threshold,
-                    "passed": passed}
-                   for name, value, threshold, passed in report.checks],
-        "passed": report.passed,
-    }
-    sys.stdout.write(to_json(payload) + "\n")
-    return 0 if report.passed else 1
+    sys.stdout.write(to_json(report) + "\n")
+    return 0 if report["passed"] else 1
 
 
 def cmd_verify(args):

@@ -253,6 +253,8 @@ class _ExprParser:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
+            if not math.isfinite(tok.value):
+                self.error(f"number {tok.text!r} is not finite", tok)
             return Const(tok.value)
         if tok.kind == "ident":
             self.next()

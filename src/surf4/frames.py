@@ -508,10 +508,9 @@ def isoclinic_form_closedness(sd, point):
     frame-dependent and O(1) even on K = kappa surfaces.
     """
     h = CLOSEDNESS_STEP
-    frame0 = adapted_frame(monge_frame(*eval_surface(sd, point, order=2),
-                                       point))
+    phi0, psi0 = eval_surface(sd, point, order=2)
+    frame0 = adapted_frame(monge_frame(phi0, psi0, point))
     rot = np.vstack([frame0.e1, frame0.e2, frame0.e3, frame0.e4])
-    phi0, psi0 = eval_surface(sd, point, order=1)
     base = np.array([point[0], point[1],
                      float(phi0.value), float(psi0.value)])
 

@@ -73,8 +73,8 @@ def plucker_from_pair(v1, v2):
 
 
 def klein_from_plucker(p):
-    """Sphere-pair coordinates of the Pluecker point ``p``; asserts unit
-    norms instead of renormalizing.
+    """Sphere-pair coordinates of the Pluecker point ``p``; checks that
+    both norms are 1 to 1e-10, then divides each vector by its norm.
 
     For a valid Pluecker point |a| = |b| = 1 holds identically (the sphere
     and quadric relations combine); a violation signals an invalid input.

@@ -13,8 +13,6 @@ rotated tangent pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grassmann import (
@@ -71,36 +69,24 @@ def _residual_on_pairs(tangent_pairs, form, rotation=None):
     return worst
 
 
-@dataclass
-class CongruenceReport:
-    circle_factor: str          # gamma1 | gamma2 | none
-    alpha: np.ndarray | None
-    fit_residual: float
-    rotation: np.ndarray        # 4x4; the identity when not congruent
-    symplectic_residual: float
-    matched_form: str           # standard | orientationReversed | none
-    residual_standard: float
-    residual_omega1: float
-    fit_residual_gamma1: float
-    fit_residual_gamma2: float
-    tol_circle: float
-    tol_symp: float
-
-
 def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):
     """Congruence pipeline on precomputed tangent pairs.
 
     Fits great circles to both Gauss sphere components; on a match builds
     the candidate rotation from the fitted circle normal and reports the
     pullback residuals of the standard form and of Omega_1 under it.
-    "Not congruent" is a report outcome, not an error.
+    "Not congruent" is a report outcome, not an error: the circle factor
+    and matched form are then "none" and the rotation is the identity.
+    Returns the report as the ``congruence`` command prints it, keys in
+    printed order.
     """
     kleins = [klein_from_plucker(plucker_from_pair(t1, t2))
               for t1, t2 in tangent_pairs]
     fit_a = great_circle_fit([k.a_vec for k in kleins])
     fit_b = great_circle_fit([k.b_vec for k in kleins])
 
-    if min(fit_a.residual, fit_b.residual) > tol_circle:
+    fit_residual = min(fit_a.residual, fit_b.residual)
+    if fit_residual > tol_circle:
         factor, alpha, rotation = "none", None, None
     elif fit_b.residual <= fit_a.residual:
         factor, alpha = "gamma2", fit_b.alpha
@@ -120,16 +106,19 @@ def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):
             matched, achieved = "standard", res_std
         elif res_om1 <= tol_symp:
             matched, achieved = "orientationReversed", res_om1
-    return CongruenceReport(
-        circle_factor=factor, alpha=alpha,
-        fit_residual=min(fit_a.residual, fit_b.residual),
-        rotation=np.eye(4) if rotation is None else rotation,
-        symplectic_residual=achieved, matched_form=matched,
-        residual_standard=res_std, residual_omega1=res_om1,
-        fit_residual_gamma1=fit_a.residual,
-        fit_residual_gamma2=fit_b.residual,
-        tol_circle=tol_circle, tol_symp=tol_symp,
-    )
+    return {
+        "circleFactor": factor,
+        "alpha": alpha,
+        "fitResidual": fit_residual,
+        "rotation": np.eye(4) if rotation is None else rotation,
+        "symplecticResidual": achieved,
+        "matchedForm": matched,
+        "residualStandard": res_std,
+        "residualOmega1": res_om1,
+        "fitResidualGamma1": fit_a.residual,
+        "fitResidualGamma2": fit_b.residual,
+        "tolerances": {"circle": tol_circle, "symplectic": tol_symp},
+    }
 
 
 def congruence_to_lagrangean(sd, grid=(15, 15), tol_circle=TOL_CIRCLE,

@@ -282,9 +282,9 @@ def suite_lagrangean():
             worst_kk = max(worst_kk, abs(report.K - report.kappa))
         rotation = _random_so4(rng)
         rep = lagrangian.congruence_to_lagrangean(sd, pre_rotation=rotation)
-        factors.add(rep.circle_factor)
-        worst_suff = max(worst_suff, rep.symplectic_residual
-                         if rep.matched_form != "none" else np.inf)
+        factors.add(rep["circleFactor"])
+        worst_suff = max(worst_suff, rep["symplecticResidual"]
+                         if rep["matchedForm"] != "none" else np.inf)
     return [
         _row("lagrangean", f"|b2| on Gauss samples of {n_surfaces} "
              "gradient graphs", worst_b2, 1e-10),

@@ -79,12 +79,12 @@ def test_criterion_1_example1_pipeline():
 
     ok = (worst_const < 1e-12 and worst_kk < 1e-12
           and alpha_err < 1e-8 and fit.residual < 1e-10
-          and rep.symplectic_residual < 1e-9
+          and rep["symplecticResidual"] < 1e-9
           and block_residual < 1e-12 and worst_nf < 1e-12)
     report(1, ok,
            f"determinants {worst_const:.1e}, K-kappa {worst_kk:.1e}, "
            f"alpha err {alpha_err:.1e}, fit {fit.residual:.1e}, "
-           f"congruence {rep.symplectic_residual:.1e}, "
+           f"congruence {rep['symplecticResidual']:.1e}, "
            f"block rotation {block_residual:.1e}, normal form "
            f"{worst_nf:.1e}")
 
@@ -169,9 +169,9 @@ def test_criterion_7_example2_reconstruction():
     axis = np.abs(samples.y) < 1e-15
     slope = np.polyfit(samples.x[axis], samples.phi_x[axis], 1)[0]
     ok = (field_err < 1e-12 and samples.f_drift < 1e-8
-          and abs(slope + 1.0) < 1e-12 and rep.passed)
-    lines = "; ".join(f"{name} = {value:.2e}"
-                      for name, value, _, _ in rep.checks)
+          and abs(slope + 1.0) < 1e-12 and rep["passed"])
+    lines = "; ".join(f"{check['name']} = {check['value']:.2e}"
+                      for check in rep["checks"])
     report(7, ok, f"field err {field_err:.1e}, initial phi_xx slope "
            f"{slope:+.12f}; {lines}")
 

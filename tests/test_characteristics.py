@@ -141,17 +141,18 @@ class TestReconstruction:
 
     def test_verification_report(self, samples):
         report = verify_reconstruction(samples)
-        for name, value, threshold, passed in report.checks:
-            assert passed, (name, value, threshold)
-        assert report.passed
+        for check in report["checks"]:
+            assert check["passed"], (check["name"], check["value"],
+                                     check["threshold"])
+        assert report["passed"]
 
     def test_origin_values(self, samples):
         report = verify_reconstruction(samples)
-        assert report.phi_xx_origin == pytest.approx(-1.0, abs=1e-3)
-        assert report.phi_xy_origin == pytest.approx(2.0, abs=1e-3)
-        assert report.phi_yy_origin == pytest.approx(0.0, abs=1e-3)
+        assert report["phiXXOrigin"] == pytest.approx(-1.0, abs=1e-3)
+        assert report["phiXYOrigin"] == pytest.approx(2.0, abs=1e-3)
+        assert report["phiYYOrigin"] == pytest.approx(0.0, abs=1e-3)
         np.testing.assert_allclose(
-            report.gamma1_origin,
+            report["gamma1Origin"],
             [math.sqrt(0.5), 0.0, -math.sqrt(0.5)], atol=1e-6)
 
     def test_b1_constraint_expanded_formula(self, samples):
@@ -166,8 +167,8 @@ class TestReconstruction:
 
     def test_circle_residuals_above_floor(self, samples):
         report = verify_reconstruction(samples)
-        assert report.gamma1_fit_residual > 0.01
-        assert report.gamma2_fit_residual > 0.01
+        assert report["gamma1FitResidual"] > 0.01
+        assert report["gamma2FitResidual"] > 0.01
 
 
 def oscillator(theta):

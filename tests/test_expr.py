@@ -2,6 +2,7 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 from surf4 import expr, jets
@@ -15,6 +16,8 @@ from surf4.expr import (
     parse_surface,
     to_text,
 )
+from surf4.lagrangian import grid_points
+from surf4.suites import random_gradient_surface, random_polynomial_surface
 
 EXAMPLE1 = ("phi = x^2 - y^2\n"
             "psi = a*x + b*y - 2*x*y\n"
@@ -163,6 +166,39 @@ def test_order1_agrees_with_truncated_order3():
             for (i, j), value in jet1.coeffs.items():
                 assert value == pytest.approx(jet3.derivative(i, j),
                                               abs=1e-14)
+
+
+# isoclinic_form_closedness takes the base position of its adapted chart
+# from the order-2 jets, so their values must be the order-1 values
+VALUE_SURFACES = [
+    EXAMPLE1,
+    "phi = x^3 - 3*x*y^2\npsi = 3*x^2*y - y^3\n",
+    "phi = 2*x*y\npsi = x^2\n",
+    "phi = sin(x*y) + exp(x - y)\npsi = sqrt(2 + x) * cos(y)^3\n",
+    "phi = (1 + x^2)^-2 - y/(3 + x)\npsi = exp(-x*y)/(2 - y)\n",
+]
+
+
+def assert_order2_values_equal_order1_values(sd, points):
+    for point in points:
+        low = eval_surface(sd, point, 1)
+        high = eval_surface(sd, point, 2)
+        assert [float(jet.value) for jet in low] == \
+            [float(jet.value) for jet in high], point
+
+
+@pytest.mark.parametrize("text", VALUE_SURFACES)
+def test_order2_values_equal_order1_values(text):
+    sd = parse_surface(text)
+    assert_order2_values_equal_order1_values(sd, grid_points(sd.domain, 9, 9))
+
+
+def test_order2_values_equal_order1_values_on_suite_surfaces():
+    rng = np.random.default_rng(11)
+    for build in [random_polynomial_surface, random_gradient_surface] * 10:
+        sd = build(rng)
+        assert_order2_values_equal_order1_values(
+            sd, grid_points(sd.domain, 5, 5))
 
 
 def test_polynomial_builder():

@@ -51,12 +51,13 @@ def test_example1_residual_values():
 class TestCongruence:
     def test_example1(self):
         rep = congruence_to_lagrangean(EX1)
-        assert rep.circle_factor == "gamma2"
-        np.testing.assert_allclose(rep.alpha, np.array([0, 2, 1]) / np.sqrt(5),
+        assert rep["circleFactor"] == "gamma2"
+        np.testing.assert_allclose(rep["alpha"],
+                                   np.array([0, 2, 1]) / np.sqrt(5),
                                    atol=1e-10)
-        assert rep.fit_residual < 1e-10
-        assert rep.symplectic_residual < 1e-9
-        assert rep.matched_form in ("standard", "orientationReversed")
+        assert rep["fitResidual"] < 1e-10
+        assert rep["symplecticResidual"] < 1e-9
+        assert rep["matchedForm"] in ("standard", "orientationReversed")
 
     def test_example1_paper_rotation_regression(self):
         a, b = 1.0, 2.0
@@ -87,14 +88,14 @@ class TestCongruence:
 
     def test_already_lagrangean(self):
         rep = congruence_to_lagrangean(GRADIENT)
-        assert rep.circle_factor != "none"
-        assert rep.fit_residual < 1e-10
-        assert rep.symplectic_residual < 1e-10
+        assert rep["circleFactor"] != "none"
+        assert rep["fitResidual"] < 1e-10
+        assert rep["symplecticResidual"] < 1e-10
 
     def test_z2_uses_constant_gamma1(self):
         rep = congruence_to_lagrangean(Z2)
-        assert rep.circle_factor == "gamma1"
-        assert rep.symplectic_residual < 1e-10
+        assert rep["circleFactor"] == "gamma1"
+        assert rep["symplecticResidual"] < 1e-10
 
     def test_gradient_graph_necessity(self):
         rng = np.random.default_rng(15)
@@ -112,18 +113,18 @@ class TestCongruence:
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]
             rep = congruence_to_lagrangean(sd, pre_rotation=q)
-            assert rep.matched_form != "none"
-            assert rep.symplectic_residual < 1e-8
+            assert rep["matchedForm"] != "none"
+            assert rep["symplecticResidual"] < 1e-8
 
     def test_not_congruent_is_a_report(self):
         # a surface whose both sphere images are 2-dimensional
         sd = parse_surface("phi = x^2 + y^3\npsi = x*y + x^3")
         rep = congruence_to_lagrangean(sd)
-        assert rep.circle_factor == "none"
-        assert rep.matched_form == "none"
-        assert rep.rotation.tolist() == np.eye(4).tolist()
-        assert rep.fit_residual_gamma1 > 1e-3
-        assert rep.fit_residual_gamma2 > 1e-3
+        assert rep["circleFactor"] == "none"
+        assert rep["matchedForm"] == "none"
+        assert rep["rotation"].tolist() == np.eye(4).tolist()
+        assert rep["fitResidualGamma1"] > 1e-3
+        assert rep["fitResidualGamma2"] > 1e-3
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="3x3"):
