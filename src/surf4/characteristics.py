@@ -22,14 +22,14 @@ import numpy as np
 
 from . import jets
 from .frames import monge_curvatures, monge_frame
-from .grassmann import great_circle_fit
+from .grassmann import C_AXES, great_circle_fit
 from .jets import Jet
 
 
 class CharacteristicPointError(RuntimeError):
     """|F_q| fell below the transversality floor along a strip."""
 
-    def __init__(self, message, x0=None, t=None):
+    def __init__(self, message, x0, t):
         super().__init__(message)
         self.x0 = x0
         self.t = t
@@ -53,6 +53,9 @@ MAX_F_DRIFT = 1e-8         # bound on the drift of F along strips
 NEWTON_TOL = 1e-12         # |F| at which the compatibility Newton stops
 DERIVATIVE_OFFSET = 3e-5   # launch offset of the second-derivative strips
 RANGE = 0.4                # x0 and t both span [-RANGE, RANGE]
+DEFAULT_C = math.sqrt(0.5)  # b1 = c of the paper's example surface
+DEFAULT_N_CURVES = 41      # launch curves of a default reconstruction
+DEFAULT_DT = 1e-3          # strip step of a default reconstruction
 MAX_FLOATS = np.iinfo(np.intp).max // 8  # most floats one array can hold
 
 
@@ -65,7 +68,7 @@ class PdeProblem:
     initial_q_seed: float = -1.0
 
 
-def example2_problem(c=1.0 / math.sqrt(2.0)):
+def example2_problem(c=DEFAULT_C):
     """The b1 = c surface problem: psi = (x^2 + y^2)/2, phi(x, 0) = -x^2/2."""
 
     def f(x, y, p, q):
@@ -159,7 +162,7 @@ _STEP_ERRORS = (CharacteristicPointError, IntegrationError, ArithmeticError,
                 ValueError)
 
 
-def _integrate_batch(problem, states0, dt, steps, x0_labels=None):
+def _integrate_batch(problem, states0, dt, steps, x0_labels):
     """Classical RK4 from a (5, n) batch to t = steps*dt and t = -steps*dt.
 
     Returns the (2*steps + 1, 5, n) trajectory at t = 0, dt, ...,
@@ -233,10 +236,6 @@ class SampleSet:
     def __len__(self):
         return len(self.x)
 
-    def columns(self):
-        return np.column_stack([self.x, self.y, self.phi,
-                                self.phi_x, self.phi_y])
-
 
 def _initial_q_values(problem, x0s):
     """h(x0) with F(x0, 0, phi_x(x0, 0), h) = 0 for every x0, continued
@@ -291,7 +290,8 @@ def _launch_states(problem, x0s):
     return states0
 
 
-def reconstruct_surface(problem, n_curves=41, dt=1e-3):
+def reconstruct_surface(problem, n_curves=DEFAULT_N_CURVES,
+                        dt=DEFAULT_DT):
     """Launch strips from the initial curve and collect scattered samples.
 
     ``n_curves`` strips start at (x0, 0, phi(x0, 0), phi_x(x0, 0), h(x0))
@@ -439,10 +439,7 @@ def verify_reconstruction(samples):
     origin_idx = int(np.argmin(samples.x**2 + samples.y**2))
     if samples.x[origin_idx]**2 + samples.y[origin_idx]**2 > 1e-16:
         raise SamplingError("no sample at the origin")
-    a_origin = a_vecs[origin_idx]
-    # convention map: exchange of the last two sphere axes (the relabeling
-    # the coordinate swap C induces on sphere coordinates)
-    gamma1_origin = a_origin[[0, 2, 1]]
+    gamma1_origin = a_vecs[origin_idx][C_AXES]
 
     # a useful fit needs several strips inside the disc; widen the radius
     # when the launch spacing is coarse

@@ -26,8 +26,8 @@ from . import characteristics, suites
 from .expr import SurfaceEvalError, SurfaceSyntaxError, parse_surface
 from .frames import TOLERANCES, InternalInconsistencyError, curvature_report
 from .grassmann import gauss_map_at, great_circle_fit
-from .lagrangian import (TOL_CIRCLE, TOL_SYMP, congruence_to_lagrangean,
-                         grid_points)
+from .lagrangian import (DEFAULT_GRID, TOL_CIRCLE, TOL_SYMP,
+                         congruence_to_lagrangean, grid_points)
 
 CSV_HEADER = ("x,y,K,kappa,K1,K2,Delta,class,inflection,singular,"
               "g1x,g1y,g1z,g2x,g2y,g2z")
@@ -107,7 +107,7 @@ def _write_output(text, out_path):
 # -- analyze ------------------------------------------------------------------
 
 
-def analysis_report(sd, nx, ny, source=None):
+def analysis_report(sd, nx, ny, source):
     points = grid_points(sd.domain, nx, ny, shrink=0.0)
     records = []
     counts = {"hyperbolic": 0, "parabolic": 0, "elliptic": 0}
@@ -223,8 +223,7 @@ _positive = _ranged(float, lambda v: math.isfinite(v) and v > 0.0,
 
 def cmd_analyze(args):
     sd = _load_surface(args.surface)
-    report = analysis_report(sd, args.grid[0], args.grid[1],
-                             source=args.surface)
+    report = analysis_report(sd, args.grid[0], args.grid[1], args.surface)
     if args.format == "json":
         _write_output(to_json(report) + "\n", args.out)
     else:
@@ -259,7 +258,9 @@ def cmd_reconstruct(args):
     # verify first: an input error must leave no output file behind
     report = characteristics.verify_reconstruction(samples)
     if args.out:
-        _write_table("x,y,phi,phi_x,phi_y", samples.columns(), args.out)
+        table = np.column_stack([samples.x, samples.y, samples.phi,
+                                 samples.phi_x, samples.phi_y])
+        _write_table("x,y,phi,phi_x,phi_y", table, args.out)
     sys.stdout.write(to_json(report) + "\n")
     return 0 if report["passed"] else 1
 
@@ -289,7 +290,7 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="per-point curvature records")
     p.add_argument("--surface", required=True)
-    p.add_argument("--grid", type=_parse_analyze_grid, default=(15, 15),
+    p.add_argument("--grid", type=_parse_analyze_grid, default=DEFAULT_GRID,
                    metavar="NX,NY")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -297,7 +298,7 @@ def build_parser():
 
     p = sub.add_parser("gaussmap", help="CSV of Gauss-map samples")
     p.add_argument("--surface", required=True)
-    p.add_argument("--grid", type=_parse_grid, default=(15, 15),
+    p.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID,
                    metavar="NX,NY")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gaussmap)
@@ -305,7 +306,7 @@ def build_parser():
     p = sub.add_parser("congruence",
                        help="great-circle test and Lagrangean congruence")
     p.add_argument("--surface", required=True)
-    p.add_argument("--grid", type=_parse_congruence_grid, default=(15, 15),
+    p.add_argument("--grid", type=_parse_congruence_grid, default=DEFAULT_GRID,
                    metavar="NX,NY")
     p.add_argument("--tol-circle", type=_positive, default=TOL_CIRCLE)
     p.add_argument("--tol-symp", type=_positive, default=TOL_SYMP)
@@ -313,14 +314,15 @@ def build_parser():
 
     p = sub.add_parser("reconstruct",
                        help="rebuild the b1 = c example surface")
-    p.add_argument("--c", default=float(np.sqrt(0.5)), type=_ranged(
+    p.add_argument("--c", default=characteristics.DEFAULT_C, type=_ranged(
         float, lambda c: math.isfinite(c) and abs(c) < 1.0,
         "a finite number with |c| < 1"))
     p.add_argument("--out")
     # verification needs a launch curve through the origin
-    p.add_argument("--n-curves", default=41, type=_ranged(
-        int, lambda n: n >= 3 and n % 2 == 1, "an odd integer >= 3"))
-    p.add_argument("--dt", default=1e-3, type=_positive)
+    p.add_argument("--n-curves", type=_ranged(
+        int, lambda n: n >= 3 and n % 2 == 1, "an odd integer >= 3"),
+        default=characteristics.DEFAULT_N_CURVES)
+    p.add_argument("--dt", type=_positive, default=characteristics.DEFAULT_DT)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="run the property suites")

@@ -263,16 +263,14 @@ def _first_positive(v):
     return v
 
 
-def _normalize_dir(vec):
-    v = np.asarray(vec, dtype=float)
+def _chart_direction(frame, u):
+    """The unit chart vector of the frame direction ``u``, signed by
+    :func:`_first_positive`; None when it is zero."""
+    v = u[0] * frame.chart[0] + u[1] * frame.chart[1]
     n = np.linalg.norm(v)
     if n == 0.0:
         return None
     return _first_positive(v / n)
-
-
-def _frame_dir_to_chart(frame, u):
-    return _normalize_dir(u[0] * frame.chart[0] + u[1] * frame.chart[1])
 
 
 def resultant_determinant(a, b, c, e, f, g):
@@ -326,8 +324,10 @@ def curvature_report(sd, point):
     _require_close("K", k_hessian, k_frame, scale**2)
     _require_close("kappa", kappa_det, kappa_frame, scale**2)
 
-    delta_expanded = (a * f - b * e) * (b * g - c * f) \
-        - 0.25 * (a * g - c * e) ** 2
+    A = a * f - b * e
+    B = a * g - c * e
+    C = b * g - c * f
+    delta_expanded = A * C - 0.25 * B ** 2
     delta_resultant = resultant_determinant(a, b, c, e, f, g)
     _require_close("Delta", delta_expanded, delta_resultant, scale**4)
 
@@ -351,8 +351,8 @@ def curvature_report(sd, point):
         else:
             inflection = "flat"
 
-    asym, asym_all = _asymptotic_directions(
-        a, b, c, e, f, g, frame, point_class, bands)
+    asym, asym_all = _asymptotic_directions(A, B, C, frame, point_class,
+                                            bands)
 
     iso = []
     iso_all = False
@@ -365,7 +365,7 @@ def curvature_report(sd, point):
         if np.linalg.norm(u) <= bands["rank"]:
             iso_all = True
             continue
-        iso.append((_frame_dir_to_chart(frame, u), tag))
+        iso.append((_chart_direction(frame, u), tag))
 
     d2 = np.array([[pxx, qxx, pxy, qxy], [pxy, qxy, pyy, qyy]])
     singular_values = np.linalg.svd(d2, compute_uv=False)
@@ -384,15 +384,12 @@ def curvature_report(sd, point):
     )
 
 
-def _asymptotic_directions(a, b, c, e, f, g, frame, point_class, bands):
-    """Solve N(u1, u2) = 0 for the asymptotic directions.
+def _asymptotic_directions(A, B, C, frame, point_class, bands):
+    """Solve A u1^2 + B u1 u2 + C u2^2 = 0 for the asymptotic directions.
 
     Coefficients live at second-derivative-squared scale, so the
     degenerate test uses the kappa band.
     """
-    A = a * f - b * e
-    B = a * g - c * e
-    C = b * g - c * f
     band = bands["kappa"]
     if max(abs(A), abs(B), abs(C)) <= band:
         return [], True
@@ -423,7 +420,7 @@ def _asymptotic_directions(a, b, c, e, f, g, frame, point_class, bands):
     dirs = from_roots(swap=abs(A) < abs(C))
     out = []
     for u in dirs:
-        vec = _frame_dir_to_chart(frame, np.asarray(u))
+        vec = _chart_direction(frame, np.asarray(u))
         if vec is not None and not any(
             abs(abs(vec @ w) - 1.0) < 1e-9 for w in out
         ):

@@ -34,6 +34,8 @@ C_SWAP = np.array([
     [0.0, 0.0, 0.0, 1.0],
     [0.0, 0.0, 1.0, 0.0],
 ])
+# the sphere-axis relabeling C_SWAP induces; its lift also swaps a and b
+C_AXES = [0, 2, 1]
 
 
 def wedge6(v1, v2):

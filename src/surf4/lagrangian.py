@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grassmann import (
+    C_AXES,
     C_SWAP,
     great_circle_fit,
     klein_from_plucker,
@@ -39,9 +40,10 @@ OMEGA2_FORM = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0],
 
 TOL_CIRCLE = 1e-6  # great-circle fit residual of a circle factor
 TOL_SYMP = 1e-8    # pullback residual of a matched symplectic form
+DEFAULT_GRID = (15, 15)  # NX, NY of the default sample grid
 
 
-def grid_points(domain, nx=15, ny=15, shrink=0.1):
+def grid_points(domain, nx, ny, shrink=0.1):
     """Rectangular sample grid, shrunk away from the boundary."""
     dx = (domain.x1 - domain.x0) * shrink / 2.0
     dy = (domain.y1 - domain.y0) * shrink / 2.0
@@ -53,12 +55,12 @@ def grid_points(domain, nx=15, ny=15, shrink=0.1):
 def symplectic_residual(sd, form, grid=None, rotation=None):
     """max |form(R T1, R T2)| / (|T1| |T2|) over the grid."""
     if grid is None:
-        grid = grid_points(sd.domain)
+        grid = grid_points(sd.domain, *DEFAULT_GRID)
     pairs = [tangent_pair(sd, pt) for pt in grid]
     return _residual_on_pairs(pairs, form, rotation)
 
 
-def _residual_on_pairs(tangent_pairs, form, rotation=None):
+def _residual_on_pairs(tangent_pairs, form, rotation):
     worst = 0.0
     for t1, t2 in tangent_pairs:
         if rotation is not None:
@@ -92,11 +94,10 @@ def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):
         factor, alpha = "gamma2", fit_b.alpha
         rotation = rotation_from_alpha(alpha).T
     else:
-        # the a-factor case: swap the roles of the sphere factors with the
-        # fixed map C (its lift exchanges them, relabeling axes 2 and 3),
+        # the a-factor case: swap the sphere factors with the fixed map C,
         # then run the alpha construction on the swapped circle normal
         factor, alpha = "gamma1", fit_a.alpha
-        rotation = rotation_from_alpha(alpha[[0, 2, 1]]).T @ C_SWAP
+        rotation = rotation_from_alpha(alpha[C_AXES]).T @ C_SWAP
 
     res_std = _residual_on_pairs(tangent_pairs, STANDARD_FORM, rotation)
     res_om1 = _residual_on_pairs(tangent_pairs, OMEGA1_FORM, rotation)
@@ -121,7 +122,7 @@ def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):
     }
 
 
-def congruence_to_lagrangean(sd, grid=(15, 15), tol_circle=TOL_CIRCLE,
+def congruence_to_lagrangean(sd, grid=DEFAULT_GRID, tol_circle=TOL_CIRCLE,
                              tol_symp=TOL_SYMP, pre_rotation=None):
     """Run the congruence pipeline on a surface definition.
 

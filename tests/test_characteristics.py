@@ -78,7 +78,7 @@ class TestField:
 class TestStripIntegrate:
     def test_f_conserved(self):
         traj = _integrate_batch(PROBLEM, strip(0.0, 0.0, 0.0, 0.0, -1.0),
-                                1e-3, 400)
+                                1e-3, 400, None)
         assert traj.shape == (801, 5, 1)
         assert f_along(PROBLEM, traj[::20]).max() < 1e-8
 
@@ -89,7 +89,7 @@ class TestStripIntegrate:
         # steps fine enough that the drift stays within MAX_F_DRIFT,
         # which the integrator checks at every step
         def drift(dt, steps):
-            traj = _integrate_batch(PROBLEM, start, dt, steps)
+            traj = _integrate_batch(PROBLEM, start, dt, steps, None)
             return f_along(PROBLEM, traj[:steps + 1]).max()
 
         coarse = drift(0.04, 10)
@@ -108,7 +108,7 @@ class TestStripIntegrate:
         )
         with pytest.raises(CharacteristicPointError):
             _integrate_batch(problem, strip(0.0, -0.5, 0.0, 0.0, 1.0), 1e-2,
-                             200)
+                             200, None)
 
     @pytest.mark.parametrize("f, error", [
         (lambda x, y, p, q: q + math.nan, ch.IntegrationError),  # F is NaN
@@ -118,7 +118,8 @@ class TestStripIntegrate:
         problem = PdeProblem(f=f, c=0.0, initial_curve=lambda x: 0.0,
                              initial_p=lambda x: 0.0)
         with pytest.raises(error):
-            _integrate_batch(problem, strip(0.0, 0.0, 0.0, 0.0, 1.0), 1e-2, 3)
+            _integrate_batch(problem, strip(0.0, 0.0, 0.0, 0.0, 1.0), 1e-2, 3,
+                             None)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, stable output."""
 
 import errno
+import inspect
 import json
 import os
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from surf4.cli import CSV_BLOCK, _csv_blocks, _fmt, _write_table, main, to_json
+from surf4 import characteristics, lagrangian
+from surf4.cli import (CSV_BLOCK, _csv_blocks, _fmt, _write_table,
+                       build_parser, main, to_json)
 from surf4.frames import InternalInconsistencyError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -401,8 +404,9 @@ def test_golden_analysis_report(capsys, tmp_path):
         return [line for line in text.splitlines()
                 if not line.lstrip().startswith('"file":')]
 
-    assert stable_lines(out_file.read_text()) == \
-        stable_lines(open(golden).read())
+    with open(golden, encoding="utf-8") as handle:
+        assert stable_lines(out_file.read_text()) == \
+            stable_lines(handle.read())
 
 
 # signed zeros, subnormals, the smallest normal and the largest magnitudes
@@ -511,3 +515,39 @@ def test_reconstruct_small(capsys, tmp_path):
     lines = out_file.read_text().splitlines()
     assert lines[0] == "x,y,phi,phi_x,phi_y"
     assert len(lines) == payload["nSamples"] + 1
+
+
+def test_golden_reconstruct_defaults(capsys):
+    code, out, _ = run(capsys, "reconstruct")
+    assert code == 0
+    with open(os.path.join(DATA, "reconstruct_defaults.json"),
+              encoding="utf-8") as handle:
+        assert out == handle.read()
+
+
+def defaults_of(function):
+    return {name: param.default for name, param
+            in inspect.signature(function).parameters.items()}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["reconstruct"])
+    assert args.c.hex() == characteristics.DEFAULT_C.hex() == \
+        characteristics.example2_problem().c.hex()
+    library = defaults_of(characteristics.reconstruct_surface)
+    assert args.n_curves == characteristics.DEFAULT_N_CURVES == \
+        library["n_curves"]
+    assert args.dt.hex() == characteristics.DEFAULT_DT.hex() == \
+        library["dt"].hex()
+
+    for argv in (["analyze"], ["gaussmap", "--out", "s.csv"],
+                 ["congruence"]):
+        args = parser.parse_args([*argv, "--surface", "s.surf"])
+        assert args.grid == lagrangian.DEFAULT_GRID
+    library = defaults_of(lagrangian.congruence_to_lagrangean)
+    assert args.grid == library["grid"]
+    assert args.tol_circle.hex() == lagrangian.TOL_CIRCLE.hex() == \
+        library["tol_circle"].hex()
+    assert args.tol_symp.hex() == lagrangian.TOL_SYMP.hex() == \
+        library["tol_symp"].hex()
