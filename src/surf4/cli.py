@@ -23,11 +23,13 @@ import sys
 import numpy as np
 
 from . import characteristics, suites
-from .expr import SurfaceEvalError, SurfaceSyntaxError, parse_surface
+from .expr import (SurfaceEvalError, SurfaceSyntaxError, eval_surface,
+                   parse_surface)
 from .frames import TOLERANCES, InternalInconsistencyError, curvature_report
 from .grassmann import gauss_map_at, great_circle_fit
 from .lagrangian import (DEFAULT_GRID, TOL_CIRCLE, TOL_SYMP,
-                         congruence_to_lagrangean, grid_points)
+                         congruence_grid, congruence_to_lagrangean,
+                         grid_points)
 
 CSV_HEADER = ("x,y,K,kappa,K1,K2,Delta,class,inflection,singular,"
               "g1x,g1y,g1z,g2x,g2y,g2z")
@@ -105,6 +107,14 @@ def _write_output(text, out_path):
 
 
 # -- analyze ------------------------------------------------------------------
+#
+# analyze, gaussmap and congruence evaluate the surface one point at a
+# time, in the order the points are checked, so the first failing point
+# is the one reported.  The benchmark's tests pin that shape
+# (eval_surface calls per grid point in
+# perfbench/tests/test_perfbench.py); a grid evaluated in one
+# expr.eval_points call, as the suites do, waits until that pin becomes
+# a ceiling.
 
 
 def analysis_report(sd, nx, ny, source):
@@ -112,8 +122,8 @@ def analysis_report(sd, nx, ny, source):
     records = []
     counts = {"hyperbolic": 0, "parabolic": 0, "elliptic": 0}
     for pt in points:
-        report = curvature_report(sd, pt)
-        _, klein = gauss_map_at(sd, pt)
+        report = curvature_report(*eval_surface(sd, pt, order=2), pt)
+        _, klein = gauss_map_at(*eval_surface(sd, pt, order=1), pt)
         counts[report.point_class] += 1
         records.append({
             "x": pt[0], "y": pt[1],
@@ -236,7 +246,7 @@ def cmd_gaussmap(args):
     points = grid_points(sd.domain, args.grid[0], args.grid[1], shrink=0.0)
     table = np.empty((len(points), 8))
     for row, pt in zip(table, points):
-        _, klein = gauss_map_at(sd, pt)
+        _, klein = gauss_map_at(*eval_surface(sd, pt, order=1), pt)
         row[:2], row[2:5], row[5:] = pt, klein.a_vec, klein.b_vec
     _write_table("x,y,g1x,g1y,g1z,g2x,g2y,g2z", table, args.out)
     return 0
@@ -244,9 +254,11 @@ def cmd_gaussmap(args):
 
 def cmd_congruence(args):
     sd = _load_surface(args.surface)
+    points = congruence_grid(sd.domain, args.grid)
+    # a generator: each point is evaluated just before its tangent pair
+    jets = (eval_surface(sd, pt, order=1) for pt in points)
     report = congruence_to_lagrangean(
-        sd, grid=args.grid, tol_circle=args.tol_circle,
-        tol_symp=args.tol_symp)
+        points, jets, tol_circle=args.tol_circle, tol_symp=args.tol_symp)
     sys.stdout.write(to_json(report) + "\n")
     return 0
 

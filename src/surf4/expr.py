@@ -503,8 +503,36 @@ def eval_surface(sd, point, order=2):
         if not all(map(math.isfinite, jet.c.ravel().tolist())):
             raise SurfaceEvalError(
                 f"non-finite derivative of {name} at point "
-                f"{tuple(map(float, point))}", to_text(getattr(sd, name)))
+                f"{_first_bad_point(jet.c, point)}",
+                to_text(getattr(sd, name)))
     return phi, psi
+
+
+def _first_bad_point(c, point):
+    """(x, y) of the first column of the coefficients ``c`` at ``point``
+    (numbers, or arrays of x and y) that holds a non-finite value."""
+    x, y = np.broadcast_arrays(*point)
+    bad = np.broadcast_to(~np.isfinite(c).all(axis=0), x.shape).ravel()
+    i = int(np.argmax(bad))
+    return float(x.ravel()[i]), float(y.ravel()[i])
+
+
+def eval_points(sd, points, order):
+    """Jets of phi and psi at each of ``points``, from one
+    :func:`eval_surface` call on the arrays of their x and y.
+
+    Returns one ``(phi, psi)`` pair per point.  Each jet views its column
+    of the batch coefficients (a jet that does not depend on x or y is
+    the same for every point) and equals ``eval_surface(sd, point,
+    order)`` bit for bit.  A point that fails fails the whole batch.
+    """
+    x, y = np.array(points, dtype=float).reshape(-1, 2).T
+    columns = []
+    for jet in eval_surface(sd, (x, y), order):
+        c = jet.c if jet.c.ndim == 2 else jet.c[:, np.newaxis]
+        c = np.broadcast_to(c, (len(c), len(x)))
+        columns.append([Jet(order, c[:, i]) for i in range(len(x))])
+    return list(zip(*columns))
 
 
 def polynomial(coeffs):

@@ -284,8 +284,9 @@ def resultant_determinant(a, b, c, e, f, g):
     return 0.25 * np.linalg.det(m)
 
 
-def curvature_report(sd, point):
-    """Full curvature/classification record at one point.
+def curvature_report(phi, psi, point):
+    """Full curvature/classification record of the order-2 jets ``phi``,
+    ``psi`` at ``point``.
 
     K, kappa and Delta are each computed along two independent routes
     (Monge-chart determinants vs adapted-frame coefficients, expanded
@@ -293,7 +294,7 @@ def curvature_report(sd, point):
     relative; disagreement raises :class:`InternalInconsistencyError`.
     Classification uses the bands of :data:`TOLERANCES`.
     """
-    mf = monge_frame(*eval_surface(sd, point, order=2), point)
+    mf = monge_frame(phi, psi, point)
     try:
         frame = adapted_frame(mf)
     except np.linalg.LinAlgError:

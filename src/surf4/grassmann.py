@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import eval_surface
+from .expr import eval_points, eval_surface
 from .frames import (InternalInconsistencyError, _first_positive, _slopes,
                      _tangents, form_overflow, monge_curvatures, monge_frame)
 
@@ -93,9 +93,9 @@ def klein_from_plucker(p):
     return KleinPoint(a / a_norm, b / b_norm, a_norm, b_norm)
 
 
-def tangent_pair(sd, point):
-    """(T1, T2) at a surface point."""
-    px, py, qx, qy = _slopes(*eval_surface(sd, point, order=1))
+def tangent_pair(phi, psi, point):
+    """(T1, T2) of the order-1 jets ``phi``, ``psi`` at ``point``."""
+    px, py, qx, qy = _slopes(phi, psi)
     # |T1 ^ T2|^2 = W is 1 plus these squares; plucker_from_pair divides
     # by its root
     minor = px * qy - qx * py
@@ -105,9 +105,10 @@ def tangent_pair(sd, point):
     return _tangents(px, py, qx, qy)
 
 
-def gauss_map_at(sd, point):
-    """Tangent plane at ``point`` as (Pluecker point, KleinPoint)."""
-    t1, t2 = tangent_pair(sd, point)
+def gauss_map_at(phi, psi, point):
+    """Tangent plane of the order-1 jets ``phi``, ``psi`` at ``point``, as
+    (Pluecker point, KleinPoint)."""
+    t1, t2 = tangent_pair(phi, psi, point)
     plucker = plucker_from_pair(t1, t2)
     return plucker, klein_from_plucker(plucker)
 
@@ -138,27 +139,22 @@ def blaschke_check(sd, point):
     """
     h = BLASCHKE_STEP
     x, y = point
-    for pt in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)):
+    stencil = [(x + h, y), (x - h, y), (x, y + h), (x, y - h)]
+    for pt in stencil:
         if not sd.domain.contains(pt):
             raise ValueError(f"Blaschke stencil point {pt} leaves the domain")
+    stencil.append((x, y))
+    kleins = [gauss_map_at(phi, psi, pt)[1] for pt, (phi, psi)
+              in zip(stencil, eval_points(sd, stencil, 1))]
 
-    def gamma(pt):
-        _, klein = gauss_map_at(sd, pt)
-        return klein.a_vec, klein.b_vec
-
-    a_px, b_px = gamma((x + h, y))
-    a_mx, b_mx = gamma((x - h, y))
-    a_py, b_py = gamma((x, y + h))
-    a_my, b_my = gamma((x, y - h))
-    a0, b0 = gamma((x, y))
-
-    def triple(plus_x, minus_x, plus_y, minus_y, center):
+    def triple(vectors):
+        plus_x, minus_x, plus_y, minus_y, center = vectors
         dx = (plus_x - minus_x) / (2 * h)
         dy = (plus_y - minus_y) / (2 * h)
         return float(np.cross(dx, dy) @ center)
 
-    t1 = triple(a_px, a_mx, a_py, a_my, a0)
-    t2 = triple(b_px, b_mx, b_py, b_my, b0)
+    t1 = triple([klein.a_vec for klein in kleins])
+    t2 = triple([klein.b_vec for klein in kleins])
 
     mf = monge_frame(*eval_surface(sd, point, order=2), point)
     K, kappa = monge_curvatures(mf)

@@ -295,7 +295,7 @@ class Jet:
         if np.any(np.asarray(v) == 0.0):
             raise ZeroDivisionError("division by a jet with zero value")
         inv = 1.0 / v
-        series = [inv * (-inv) ** k for k in range(self.order + 1)]
+        series = [inv * _power(-inv, k) for k in range(self.order + 1)]
         return self._compose(series)
 
     def sqrt(self):
@@ -304,8 +304,10 @@ class Jet:
             raise ValueError("sqrt of a jet with non-positive value")
         r = np.sqrt(v)
         # Taylor coefficients of sqrt at v: binom(1/2, k) v^(1/2 - k)
-        series = [r, 0.5 * r / v, -0.125 * r / v**2, 0.0625 * r / v**3]
-        return self._compose(series[: self.order + 1])
+        series = [r, 0.5 * r / v]
+        for k, weight in ((2, -0.125), (3, 0.0625))[: self.order - 1]:
+            series.append(weight * r / _power(v, k))
+        return self._compose(series)
 
     def exp(self):
         e = np.exp(self.c[0])
@@ -321,6 +323,21 @@ class Jet:
         s, co = np.sin(self.c[0]), np.cos(self.c[0])
         series = [co, -s, -co / 2.0, s / 6.0]
         return self._compose(series[: self.order + 1])
+
+
+def _power(v, k):
+    """``v ** k`` for a number ``v``, and for an array each element as that
+    number alone would give it.
+
+    On one float64 numpy computes ``v ** k`` by the C library's ``pow``,
+    which is not correctly rounded; the array operator squares exactly
+    and may take another ``pow``, so for k >= 2 the two disagree in the
+    last bit on a fraction of the inputs.  A jet column must not depend
+    on the batch it was evaluated in.
+    """
+    if np.ndim(v) == 0 or k < 2:
+        return v ** k
+    return np.array([s ** k for s in v.ravel()]).reshape(v.shape)
 
 
 def _jet(order, c):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .expr import eval_points
 from .grassmann import (
     C_AXES,
     C_SWAP,
@@ -52,22 +53,38 @@ def grid_points(domain, nx, ny, shrink=0.1):
     return [(float(x), float(y)) for x in xs for y in ys]
 
 
+def congruence_grid(domain, grid):
+    """The sample points of the ``grid`` = (NX, NY) congruence grid over
+    ``domain``; NX and NY must be at least 3."""
+    nx, ny = grid
+    if nx < 3 or ny < 3:
+        raise ValueError("congruence grid must be at least 3x3")
+    return grid_points(domain, nx, ny)
+
+
+def _tangent_pairs(points, jets):
+    """(T1, T2) at each point from its order-1 jets, taken in step."""
+    return [tangent_pair(phi, psi, pt) for pt, (phi, psi) in zip(points, jets)]
+
+
 def symplectic_residual(sd, form, grid=None, rotation=None):
     """max |form(R T1, R T2)| / (|T1| |T2|) over the grid."""
     if grid is None:
         grid = grid_points(sd.domain, *DEFAULT_GRID)
-    pairs = [tangent_pair(sd, pt) for pt in grid]
-    return _residual_on_pairs(pairs, form, rotation)
+    pairs = _tangent_pairs(grid, eval_points(sd, grid, 1))
+    return _residuals_on_pairs(pairs, (form,), rotation)[0]
 
 
-def _residual_on_pairs(tangent_pairs, form, rotation):
-    worst = 0.0
+def _residuals_on_pairs(tangent_pairs, forms, rotation):
+    """max |form(R T1, R T2)| / (|R T1| |R T2|) over the pairs, for each
+    of ``forms``; each pair is rotated and normed once."""
+    worst = [0.0] * len(forms)
     for t1, t2 in tangent_pairs:
         if rotation is not None:
             t1, t2 = rotation @ t1, rotation @ t2
-        value = (abs(float(t1 @ form @ t2))
-                 / (np.linalg.norm(t1) * np.linalg.norm(t2)))
-        worst = max(worst, value)
+        scale = np.linalg.norm(t1) * np.linalg.norm(t2)
+        for k, form in enumerate(forms):
+            worst[k] = max(worst[k], abs(float(t1 @ form @ t2)) / scale)
     return worst
 
 
@@ -99,8 +116,8 @@ def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):
         factor, alpha = "gamma1", fit_a.alpha
         rotation = rotation_from_alpha(alpha[C_AXES]).T @ C_SWAP
 
-    res_std = _residual_on_pairs(tangent_pairs, STANDARD_FORM, rotation)
-    res_om1 = _residual_on_pairs(tangent_pairs, OMEGA1_FORM, rotation)
+    res_std, res_om1 = _residuals_on_pairs(
+        tangent_pairs, (STANDARD_FORM, OMEGA1_FORM), rotation)
     matched, achieved = "none", min(res_std, res_om1)
     if rotation is not None:
         if res_std <= tol_symp:
@@ -122,18 +139,16 @@ def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):
     }
 
 
-def congruence_to_lagrangean(sd, grid=DEFAULT_GRID, tol_circle=TOL_CIRCLE,
+def congruence_to_lagrangean(points, jets, tol_circle=TOL_CIRCLE,
                              tol_symp=TOL_SYMP, pre_rotation=None):
-    """Run the congruence pipeline on a surface definition.
+    """Run the congruence pipeline on sample ``points`` of a surface and
+    their order-1 ``jets``, an iterable of (phi, psi) pairs read in step
+    with the points.
 
     ``pre_rotation`` applies an ambient rotation to the surface first
     (tangent pairs are rotated; the surface is never re-graphed).
     """
-    nx, ny = grid
-    if nx < 3 or ny < 3:
-        raise ValueError("congruence grid must be at least 3x3")
-    points = grid_points(sd.domain, nx, ny)
-    pairs = [tangent_pair(sd, pt) for pt in points]
+    pairs = _tangent_pairs(points, jets)
     if pre_rotation is not None:
         r = np.asarray(pre_rotation, dtype=float)
         pairs = [(r @ t1, r @ t2) for t1, t2 in pairs]

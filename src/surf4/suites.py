@@ -145,10 +145,10 @@ def suite_blaschke():
     eps1 = signs1.pop() if len(signs1) == 1 else 1.0
     eps2 = signs2.pop() if len(signs2) == 1 else 1.0
     worst_cor = 0.0
-    for pt in grid:
+    for pt, (phi, psi) in zip(grid, expr.eval_points(sd, grid, 2)):
         result = blaschke_check(sd, pt)
-        report = frames.curvature_report(sd, pt)
-        mf = frames.monge_frame(*expr.eval_surface(sd, pt, order=2), pt)
+        report = frames.curvature_report(phi, psi, pt)
+        mf = frames.monge_frame(phi, psi, pt)
         sqw = np.sqrt(mf.W)
         k_est = 0.5 * (eps1 * result.t1 + eps2 * result.t2) / sqw
         kappa_est = 0.5 * (eps1 * result.t1 - eps2 * result.t2) / sqw
@@ -172,8 +172,9 @@ def suite_wong():
     surfaces = [parse_surface(EXAMPLE1_TEXT), parse_surface(RSURF_Z2_TEXT)]
     surfaces += [random_polynomial_surface(rng) for _ in range(10)]
     for sd in surfaces:
-        for pt in lagrangian.grid_points(sd.domain, 5, 5):
-            report = frames.curvature_report(sd, pt)
+        points = lagrangian.grid_points(sd.domain, 5, 5)
+        for pt, (phi, psi) in zip(points, expr.eval_points(sd, points, 2)):
+            report = frames.curvature_report(phi, psi, pt)
             band = frames.wong_band(report.K, report.kappa)
             predicted = min(abs(report.K - report.kappa),
                             abs(report.K + report.kappa)) <= band
@@ -275,13 +276,17 @@ def suite_lagrangean():
     factors = set()
     for _ in range(n_surfaces):
         sd = random_gradient_surface(rng)
-        for pt in lagrangian.grid_points(sd.domain, 5, 5):
-            _, klein = grassmann.gauss_map_at(sd, pt)
+        points = lagrangian.grid_points(sd.domain, 5, 5)
+        for pt, order1, order2 in zip(points, expr.eval_points(sd, points, 1),
+                                      expr.eval_points(sd, points, 2)):
+            _, klein = grassmann.gauss_map_at(*order1, pt)
             worst_b2 = max(worst_b2, abs(float(klein.b_vec[1])))
-            report = frames.curvature_report(sd, pt)
+            report = frames.curvature_report(*order2, pt)
             worst_kk = max(worst_kk, abs(report.K - report.kappa))
         rotation = _random_so4(rng)
-        rep = lagrangian.congruence_to_lagrangean(sd, pre_rotation=rotation)
+        grid = lagrangian.congruence_grid(sd.domain, lagrangian.DEFAULT_GRID)
+        rep = lagrangian.congruence_to_lagrangean(
+            grid, expr.eval_points(sd, grid, 1), pre_rotation=rotation)
         factors.add(rep["circleFactor"])
         worst_suff = max(worst_suff, rep["symplecticResidual"]
                          if rep["matchedForm"] != "none" else np.inf)

@@ -10,10 +10,11 @@ import numpy as np
 
 from surf4 import characteristics as ch
 from surf4 import suites
-from surf4.expr import eval_surface, parse_surface
+from surf4.expr import eval_points, eval_surface, parse_surface
 from surf4.frames import curvature_report, hessian_quantities
 from surf4.grassmann import gauss_map_at, great_circle_fit, lift_so4
 from surf4.lagrangian import (
+    DEFAULT_GRID,
     OMEGA1_FORM,
     OMEGA2_FORM,
     STANDARD_FORM,
@@ -25,6 +26,19 @@ from surf4.lagrangian import (
 EX1 = parse_surface(suites.EXAMPLE1_TEXT)
 Z2 = parse_surface(suites.RSURF_Z2_TEXT)
 Z3 = parse_surface(suites.RSURF_Z3_TEXT)
+
+
+def report_at(sd, point):
+    return curvature_report(*eval_surface(sd, point, order=2), point)
+
+
+def gauss_at(sd, point):
+    return gauss_map_at(*eval_surface(sd, point, order=1), point)
+
+
+def congruence_of(sd):
+    points = grid_points(sd.domain, *DEFAULT_GRID)
+    return congruence_to_lagrangean(points, eval_points(sd, points, 1))
 
 
 def report(criterion, passed, detail=""):
@@ -46,16 +60,16 @@ def test_criterion_1_example1_pipeline():
             abs(hq["N"] + 4), abs(hq["M"]), abs(hq["Q"]))
 
     # (b) K = kappa over the grid
-    worst_kk = max(abs(curvature_report(EX1, pt).K
-                       - curvature_report(EX1, pt).kappa) for pt in grid)
+    worst_kk = max(abs(report_at(EX1, pt).K
+                       - report_at(EX1, pt).kappa) for pt in grid)
 
     # (c) great-circle fit of the second sphere component
-    fit = great_circle_fit([gauss_map_at(EX1, pt)[1].b_vec for pt in grid])
+    fit = great_circle_fit([gauss_at(EX1, pt)[1].b_vec for pt in grid])
     alpha_expected = np.array([0.0, 2.0, 1.0]) / np.sqrt(5.0)
     alpha_err = float(np.max(np.abs(fit.alpha - alpha_expected)))
 
     # (d) recovered congruence
-    rep = congruence_to_lagrangean(EX1)
+    rep = congruence_of(EX1)
 
     # (e) the printed block rotation and its transformed graph
     s = math.sqrt(5.0)
@@ -98,10 +112,10 @@ def test_criterion_2_r_surface_suite():
         worst_a = worst_mean = worst_sum = worst_closed = 0.0
         singular_mismatch = 0
         for pt in grid:
-            _, klein = gauss_map_at(sd, pt)
+            _, klein = gauss_at(sd, pt)
             worst_a = max(worst_a, float(np.max(np.abs(
                 klein.a_vec - np.array([1.0, 0.0, 0.0])))))
-            rep = curvature_report(sd, pt)
+            rep = report_at(sd, pt)
             worst_mean = max(worst_mean, abs(rep.mean_h[0]),
                              abs(rep.mean_h[1]))
             worst_sum = max(worst_sum, abs(rep.K + rep.kappa))

@@ -525,6 +525,14 @@ def test_golden_reconstruct_defaults(capsys):
         assert out == handle.read()
 
 
+def test_golden_verify_all(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    with open(os.path.join(DATA, "verify_all.txt"),
+              encoding="utf-8") as handle:
+        assert out == handle.read()
+
+
 def defaults_of(function):
     return {name: param.default for name, param
             in inspect.signature(function).parameters.items()}
@@ -545,8 +553,10 @@ def test_cli_defaults_are_the_library_defaults():
                  ["congruence"]):
         args = parser.parse_args([*argv, "--surface", "s.surf"])
         assert args.grid == lagrangian.DEFAULT_GRID
+    # the library takes sample points, not a grid size: DEFAULT_GRID is
+    # the one default grid
     library = defaults_of(lagrangian.congruence_to_lagrangean)
-    assert args.grid == library["grid"]
+    assert "grid" not in library
     assert args.tol_circle.hex() == lagrangian.TOL_CIRCLE.hex() == \
         library["tol_circle"].hex()
     assert args.tol_symp.hex() == lagrangian.TOL_SYMP.hex() == \

@@ -5,19 +5,24 @@ import warnings
 import numpy as np
 import pytest
 
-from surf4 import expr, jets
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surf4 import expr, frames, grassmann, jets, suites
 from surf4.jets import Jet
 from surf4.expr import (
     Const,
     Pow,
     SurfaceEvalError,
     SurfaceSyntaxError,
+    eval_points,
     eval_surface,
     parse_surface,
     to_text,
 )
 from surf4.lagrangian import grid_points
 from surf4.suites import random_gradient_surface, random_polynomial_surface
+from test_fuzz_cli import SURFACES
 
 EXAMPLE1 = ("phi = x^2 - y^2\n"
             "psi = a*x + b*y - 2*x*y\n"
@@ -265,3 +270,110 @@ def test_failing_power_reports_the_innermost_subexpression():
         eval_surface(sd, (0.0, 0.5), 2)
     assert str(err.value) == ("division by a jet with zero value in "
                               "subexpression 'x^-2'")
+
+
+def test_non_finite_column_names_its_point():
+    # 1 / 1e-320 overflows; an evaluation on arrays names the first such
+    # column's point, as an evaluation at that point alone does
+    sd = parse_surface("phi = 1/x\npsi = y")
+    points = [(0.5, 0.25), (1e-320, -0.5), (-1e-320, 0.75)]
+    with pytest.raises(SurfaceEvalError) as single:
+        eval_surface(sd, points[1], 1)
+    assert str(single.value) == ("non-finite derivative of phi at point "
+                                 "(1e-320, -0.5) in subexpression '1.0 / x'")
+    x, y = np.array(points).T
+    for batch in (lambda: eval_surface(sd, (x, y), 1),
+                  lambda: eval_points(sd, points, 1)):
+        with pytest.raises(SurfaceEvalError) as err:
+            batch()
+        assert str(err.value) == str(single.value)
+
+
+def assert_points_match_single_evaluations(sd, points, order):
+    """eval_points equals eval_surface at each point, bit for bit, or
+    fails where one of them fails."""
+    try:
+        single = [eval_surface(sd, point, order) for point in points]
+    except SurfaceEvalError:
+        with pytest.raises(SurfaceEvalError):
+            eval_points(sd, points, order)
+        return
+    batch = eval_points(sd, points, order)
+    assert len(batch) == len(points)
+    for got, want in zip(batch, single):
+        for g, w in zip(got, want):
+            assert (g.order, g.c.shape, g.c.tobytes()) == \
+                (w.order, w.c.shape, w.c.tobytes())
+
+
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(-1.0, 1.0))
+POINTS = st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1,
+                  max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(SURFACES, POINTS, st.integers(1, 3))
+def test_eval_points_matches_single_points(surface, points, order):
+    params, phi, psi = surface
+    text = "".join(f"param {name} = {literal}\n"
+                   for name, literal in params.items())
+    try:
+        sd = parse_surface(f"{text}phi = {to_text(phi)}\npsi = {to_text(psi)}")
+    except SurfaceSyntaxError:  # a parameter literal past the largest float
+        return
+    assert_points_match_single_evaluations(sd, points, order)
+
+
+@pytest.mark.parametrize("text", [
+    "phi = 1\npsi = a\nparam a = 2",
+    "phi = sqrt(a) / 3\npsi = x - y\nparam a = 0.5",
+    "phi = 1/(x + 2) + sqrt(3 + y)^3 - exp(x*y)/(1.5 + sin(x))\n"
+    "psi = x^-2*y + cos(x + y)^3 - a*sqrt(x^2 + 1)\nparam a = 0.3",
+], ids=["constant", "constant-phi", "division-and-sqrt"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_eval_points_matches_single_points_on_a_grid(text, order):
+    sd = parse_surface(text)
+    assert_points_match_single_evaluations(
+        sd, grid_points(sd.domain, 9, 7), order)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_eval_points_matches_single_points_in_the_series_powers(order):
+    # the sqrt and reciprocal series raise a number to the 2nd and 3rd
+    # power, where numpy rounds one float64 and an array differently in
+    # a fraction of the inputs; 3000 points meet some at either power
+    sd = parse_surface("phi = sqrt(x)\npsi = 1/y\n"
+                       "domain = [0.01, 10] x [0.01, 10]")
+    points = [tuple(p) for p in
+              np.random.default_rng(5).uniform(0.01, 10.0, (3000, 2))]
+    assert_points_match_single_evaluations(sd, points, order)
+
+
+def count_evaluations(monkeypatch):
+    """The order of each eval_surface call, through every module alias."""
+    orders = []
+    real = expr.eval_surface
+
+    def counting(sd, point, order):
+        orders.append(order)
+        return real(sd, point, order)
+
+    for module in (expr, frames, grassmann):
+        monkeypatch.setattr(module, "eval_surface", counting)
+    return orders
+
+
+def test_suite_lagrangean_evaluates_each_grid_once(monkeypatch):
+    orders = count_evaluations(monkeypatch)
+    assert all(row.passed for row in suites.suite_lagrangean())
+    # per surface: the 25 Gauss samples, the same points at order 2 for
+    # the curvature reports, and the 225-point congruence grid
+    assert orders == [1, 2, 1] * 20
+
+
+def test_blaschke_check_evaluates_twice(monkeypatch):
+    orders = count_evaluations(monkeypatch)
+    grassmann.blaschke_check(parse_surface(suites.EXAMPLE1_TEXT), (0.3, 0.2))
+    # the stencil and its centre at order 1, the centre at order 2
+    assert orders == [1, 2]

@@ -27,6 +27,10 @@ def mf_at(sd, point):
     return monge_frame(*eval_surface(sd, point, order=2), point)
 
 
+def report_at(sd, point):
+    return curvature_report(*eval_surface(sd, point, order=2), point)
+
+
 class TestMongeFrame:
     def test_example1_origin(self):
         mf = mf_at(EX1, (0.0, 0.0))
@@ -109,7 +113,7 @@ class TestSecondForm:
 
 class TestCurvatureReport:
     def test_z2_origin(self):
-        rep = curvature_report(Z2, (0.0, 0.0))
+        rep = report_at(Z2, (0.0, 0.0))
         assert rep.K == pytest.approx(-8.0)
         assert rep.kappa == pytest.approx(8.0)
         assert rep.mean_h == (0.0, 0.0)
@@ -123,12 +127,12 @@ class TestCurvatureReport:
         hq = hessian_quantities(*eval_surface(EX1, (0.0, 0.0), 2))
         assert hq["H_phi"] == hq["H_psi"] == hq["L"] == hq["N"] == -4.0
         assert hq["M"] == hq["Q"] == 0.0
-        rep = curvature_report(EX1, (0.0, 0.0))
+        rep = report_at(EX1, (0.0, 0.0))
         assert rep.K == pytest.approx(-7.0 / 9.0, abs=1e-14)
         assert rep.kappa == pytest.approx(-7.0 / 9.0, abs=1e-14)
 
     def test_flat_plane(self):
-        rep = curvature_report(FLAT, (0.5, -0.5))
+        rep = report_at(FLAT, (0.5, -0.5))
         assert rep.K == rep.kappa == rep.delta == 0.0
         assert rep.mean_h == (0.0, 0.0)
         assert rep.point_class == "parabolic"
@@ -141,29 +145,29 @@ class TestCurvatureReport:
         for _ in range(20):
             sd = random_polynomial_surface(rng)
             pt = tuple(rng.uniform(-0.8, 0.8, size=2))
-            rep = curvature_report(sd, pt)
+            rep = report_at(sd, pt)
             assert rep.K == pytest.approx(rep.K1 + rep.K2, rel=1e-12,
                                           abs=1e-12)
 
     def test_classification_cases(self):
-        hyper = curvature_report(parse_surface("phi = x^2\npsi = y^2"),
-                                 (0.0, 0.0))
+        hyper = report_at(parse_surface("phi = x^2\npsi = y^2"),
+                          (0.0, 0.0))
         assert hyper.point_class == "hyperbolic"
         dirs = sorted(tuple(np.round(v, 12)) for v in hyper.asymptotic_dirs)
         assert dirs == [(0.0, 1.0), (1.0, 0.0)]
 
-        real = curvature_report(parse_surface("phi = x^2 - y^2\npsi = 0"),
-                                (0.0, 0.0))
+        real = report_at(parse_surface("phi = x^2 - y^2\npsi = 0"),
+                         (0.0, 0.0))
         assert (real.point_class, real.inflection) == ("parabolic", "real")
         assert real.K < 0
 
-        imag = curvature_report(parse_surface("phi = x^2 + y^2\npsi = 0"),
-                                (0.0, 0.0))
+        imag = report_at(parse_surface("phi = x^2 + y^2\npsi = 0"),
+                         (0.0, 0.0))
         assert (imag.point_class, imag.inflection) == ("parabolic",
                                                        "imaginary")
 
-        flat = curvature_report(parse_surface("phi = x^2\npsi = 0"),
-                                (0.0, 0.0))
+        flat = report_at(parse_surface("phi = x^2\npsi = 0"),
+                         (0.0, 0.0))
         assert (flat.point_class, flat.inflection) == ("parabolic", "flat")
         assert flat.K1 == flat.K2 == 0.0
         assert flat.gauss_singular
@@ -174,7 +178,7 @@ class TestCurvatureReport:
         found = 0
         for x in np.linspace(-0.2, 0.2, 21):
             for y in np.linspace(-0.2, 0.2, 21):
-                rep = curvature_report(sd, (float(x), float(y)))
+                rep = report_at(sd, (float(x), float(y)))
                 if rep.inflection == "flat":
                     scale = 1e-6
                     assert abs(rep.K1) <= scale and abs(rep.K2) <= scale
@@ -182,18 +186,18 @@ class TestCurvatureReport:
         assert found >= 1
 
     def test_wong_direction_emission(self):
-        rep = curvature_report(EX1, (0.0, 0.0))
+        rep = report_at(EX1, (0.0, 0.0))
         assert len(rep.isoclinic_dirs) == 1
         vec, tag = rep.isoclinic_dirs[0]
         assert tag == "+"
         np.testing.assert_allclose(vec, np.array([1, -2]) / np.sqrt(5),
                                    atol=1e-12)
         # z^2 has K = -kappa with every direction isoclinic
-        rep2 = curvature_report(Z2, (0.0, 0.0))
+        rep2 = report_at(Z2, (0.0, 0.0))
         assert rep2.isoclinic_all
         # |K| != |kappa| emits nothing (K = 4, kappa = 0 at this origin)
-        rep3 = curvature_report(parse_surface("phi = x^2 + y^2\npsi = 0"),
-                                (0.0, 0.0))
+        rep3 = report_at(parse_surface("phi = x^2 + y^2\npsi = 0"),
+                         (0.0, 0.0))
         assert abs(abs(rep3.K) - abs(rep3.kappa)) > 1.0
         assert not rep3.isoclinic_dirs and not rep3.isoclinic_all
 
@@ -206,7 +210,7 @@ class TestDualRoutes:
         for _ in range(100):
             sd = random_polynomial_surface(rng)
             for pt in pts:
-                curvature_report(sd, pt)  # raises on route disagreement
+                report_at(sd, pt)  # raises on route disagreement
 
     def test_third_delta_expansion_agrees(self):
         rng = np.random.default_rng(8)
@@ -241,7 +245,7 @@ class TestFrameInvariance:
         rng = np.random.default_rng(17)
         surfaces = [EX1, Z2] + [random_polynomial_surface(rng)
                                 for _ in range(5)]
-        reports = [curvature_report(sd, point) for sd in surfaces]
+        reports = [report_at(sd, point) for sd in surfaces]
         gram_schmidt = frames._gram_schmidt_pair
         # re-derive with (T2, T1), with (N2, N1), and with both swapped;
         # adapted_frame orthonormalizes the tangent pair, then the normal
@@ -252,7 +256,7 @@ class TestFrameInvariance:
                 lambda v1, v2: (gram_schmidt(v2, v1) if next(order)
                                 else gram_schmidt(v1, v2)))
             for sd, r1 in zip(surfaces, reports):
-                self.assert_same_invariants(r1, curvature_report(sd, point))
+                self.assert_same_invariants(r1, report_at(sd, point))
 
     @staticmethod
     def assert_same_invariants(r1, r2):
@@ -278,7 +282,7 @@ class TestNormalFormIdentities:
         # phi_y == psi_x: gradient graph of F = x^3 y + x y^3
         sd = parse_surface("phi = 3*x^2*y + y^3\npsi = x^3 + 3*x*y^2")
         for pt in [(0.0, 0.0), (0.3, 0.5), (-0.7, 0.2), (0.6, -0.6)]:
-            rep = curvature_report(sd, pt)
+            rep = report_at(sd, pt)
             assert abs(rep.K - rep.kappa) < 1e-10
 
     def test_reversed_normal_form_k_equals_minus_kappa(self):
@@ -286,7 +290,7 @@ class TestNormalFormIdentities:
         # psi_x = -2y
         sd = parse_surface("phi = x^2 + y^2\npsi = -2*x*y")
         for pt in [(0.0, 0.0), (0.3, 0.5), (-0.7, 0.2)]:
-            rep = curvature_report(sd, pt)
+            rep = report_at(sd, pt)
             assert abs(rep.K + rep.kappa) < 1e-10
 
 
@@ -307,14 +311,14 @@ def test_gauss_singularity_flag_on_z3():
         "domain = [-0.5, 0.5] x [-0.5, 0.5]")
     for x in np.linspace(-0.5, 0.5, 11):
         for y in np.linspace(-0.5, 0.5, 11):
-            rep = curvature_report(z3, (float(x), float(y)))
+            rep = report_at(z3, (float(x), float(y)))
             assert rep.gauss_singular == (x == 0.0 and y == 0.0)
             assert (rep.singular_coefficient is None) != rep.gauss_singular
 
 
 def test_singular_coefficient_matches_normal_form():
     # phi = x^2, psi = 0 has normal-form coefficient C = 2 at the origin
-    rep = curvature_report(parse_surface("phi = x^2\npsi = 0"), (0.0, 0.0))
+    rep = report_at(parse_surface("phi = x^2\npsi = 0"), (0.0, 0.0))
     assert rep.gauss_singular
     assert rep.singular_coefficient == pytest.approx(2.0)
 
@@ -330,7 +334,7 @@ def test_seven_conditions_agree_on_isoclinic_surface():
     hits = 0
     for x in np.linspace(-0.4, 0.4, 9):
         for y in np.linspace(-0.4, 0.4, 9):
-            rep = curvature_report(z3, (float(x), float(y)))
+            rep = report_at(z3, (float(x), float(y)))
             mf = mf_at(z3, (float(x), float(y)))
             a, b, c, e, f, g = _second_form_from(mf, adapted_frame(mf))
             scale = max(abs(v) for v in (a, b, c, e, f, g)) or 0.0

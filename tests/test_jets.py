@@ -234,6 +234,13 @@ def _loop_leibniz_table(order):
 _LOOP_LEIBNIZ = {o: _loop_leibniz_table(o) for o in (1, 2, 3)}
 
 
+def _loop_power(v, k):
+    """v ** k by the C library's pow, one element at a time: what a jet
+    at a single point computes, whatever batch its column sits in."""
+    return np.array([math.pow(s, k) for s in np.ravel(v)]).reshape(
+        np.shape(v))
+
+
 class LoopJet:
     __array_ufunc__ = None
 
@@ -316,7 +323,7 @@ class LoopJet:
         if np.any(np.asarray(v) == 0.0):
             raise ZeroDivisionError("division by a jet with zero value")
         inv = 1.0 / v
-        return self._compose([inv * (-inv) ** k
+        return self._compose([inv * _loop_power(-inv, k)
                               for k in range(self.order + 1)])
 
     def sqrt(self):
@@ -324,7 +331,8 @@ class LoopJet:
         if np.any(np.asarray(v) <= 0.0):
             raise ValueError("sqrt of a jet with non-positive value")
         r = np.sqrt(v)
-        series = [r, 0.5 * r / v, -0.125 * r / v**2, 0.0625 * r / v**3]
+        series = [r, 0.5 * r / v, -0.125 * r / _loop_power(v, 2),
+                  0.0625 * r / _loop_power(v, 3)]
         return self._compose(series[: self.order + 1])
 
     def exp(self):

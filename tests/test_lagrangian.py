@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from surf4.expr import parse_surface
+from surf4.expr import eval_points, eval_surface, parse_surface
 from surf4.grassmann import gauss_map_at
 from surf4.lagrangian import (
+    DEFAULT_GRID,
     OMEGA1_FORM,
     OMEGA2_FORM,
     STANDARD_FORM,
+    congruence_grid,
     congruence_to_lagrangean,
     grid_points,
     symplectic_residual,
@@ -18,6 +20,16 @@ from surf4.suites import EXAMPLE1_TEXT, random_gradient_surface
 EX1 = parse_surface(EXAMPLE1_TEXT)
 Z2 = parse_surface("phi = x^2 - y^2\npsi = 2*x*y")
 GRADIENT = parse_surface("phi = 2*x*y\npsi = x^2")  # gradient of F = x^2 y
+
+
+def gauss_at(sd, point):
+    return gauss_map_at(*eval_surface(sd, point, order=1), point)
+
+
+def congruence_of(sd, **options):
+    points = grid_points(sd.domain, *DEFAULT_GRID)
+    return congruence_to_lagrangean(points, eval_points(sd, points, 1),
+                                    **options)
 
 
 def test_forms_are_antisymmetric_and_nondegenerate():
@@ -50,7 +62,7 @@ def test_example1_residual_values():
 
 class TestCongruence:
     def test_example1(self):
-        rep = congruence_to_lagrangean(EX1)
+        rep = congruence_of(EX1)
         assert rep["circleFactor"] == "gamma2"
         np.testing.assert_allclose(rep["alpha"],
                                    np.array([0, 2, 1]) / np.sqrt(5),
@@ -87,13 +99,13 @@ class TestCongruence:
         assert worst < 1e-12
 
     def test_already_lagrangean(self):
-        rep = congruence_to_lagrangean(GRADIENT)
+        rep = congruence_of(GRADIENT)
         assert rep["circleFactor"] != "none"
         assert rep["fitResidual"] < 1e-10
         assert rep["symplecticResidual"] < 1e-10
 
     def test_z2_uses_constant_gamma1(self):
-        rep = congruence_to_lagrangean(Z2)
+        rep = congruence_of(Z2)
         assert rep["circleFactor"] == "gamma1"
         assert rep["symplecticResidual"] < 1e-10
 
@@ -102,7 +114,7 @@ class TestCongruence:
         for _ in range(5):
             sd = random_gradient_surface(rng)
             for pt in grid_points(sd.domain, 4, 4):
-                _, klein = gauss_map_at(sd, pt)
+                _, klein = gauss_at(sd, pt)
                 assert abs(klein.b_vec[1]) < 1e-10  # b2 = 0 great circle
 
     def test_sufficiency_after_rotation(self):
@@ -112,14 +124,14 @@ class TestCongruence:
             q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]
-            rep = congruence_to_lagrangean(sd, pre_rotation=q)
+            rep = congruence_of(sd, pre_rotation=q)
             assert rep["matchedForm"] != "none"
             assert rep["symplecticResidual"] < 1e-8
 
     def test_not_congruent_is_a_report(self):
         # a surface whose both sphere images are 2-dimensional
         sd = parse_surface("phi = x^2 + y^3\npsi = x*y + x^3")
-        rep = congruence_to_lagrangean(sd)
+        rep = congruence_of(sd)
         assert rep["circleFactor"] == "none"
         assert rep["matchedForm"] == "none"
         assert rep["rotation"].tolist() == np.eye(4).tolist()
@@ -128,4 +140,4 @@ class TestCongruence:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="3x3"):
-            congruence_to_lagrangean(EX1, grid=(2, 5))
+            congruence_grid(EX1.domain, (2, 5))
