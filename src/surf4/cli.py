@@ -28,8 +28,8 @@ from .expr import (SurfaceEvalError, SurfaceSyntaxError, eval_surface,
 from .frames import TOLERANCES, InternalInconsistencyError, curvature_report
 from .grassmann import gauss_map_at, great_circle_fit
 from .lagrangian import (DEFAULT_GRID, TOL_CIRCLE, TOL_SYMP,
-                         congruence_grid, congruence_to_lagrangean,
-                         grid_points)
+                         _check_congruence_grid, congruence_grid,
+                         congruence_to_lagrangean, grid_points)
 
 CSV_HEADER = ("x,y,K,kappa,K1,K2,Delta,class,inflection,singular,"
               "g1x,g1y,g1z,g2x,g2y,g2z")
@@ -207,9 +207,10 @@ def _parse_analyze_grid(text):
 
 def _parse_congruence_grid(text):
     nx, ny = _parse_grid(text)
-    if nx < 3 or ny < 3:
-        raise argparse.ArgumentTypeError(
-            "congruence grid must be at least 3x3")
+    try:
+        _check_congruence_grid(nx, ny)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return nx, ny
 
 

@@ -477,7 +477,7 @@ def eval_expr(node, x, y, params, powers):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_surface(sd, point, order=2):
+def eval_surface(sd, point, order):
     """Jets of phi and psi at ``point``.
 
     phi and psi share one dict of variable powers (see :func:`eval_expr`),

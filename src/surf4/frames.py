@@ -6,9 +6,9 @@ Conventions fixed here and relied on throughout:
   normal basis N1 = (-phi_x, -phi_y, 1, 0), N2 = (-psi_x, -psi_y, 0, 1).
 * The adapted frame comes from Gram-Schmidt of (T1, T2) and (N1, N2) in
   that order.  Second-fundamental-form coefficients a..g are frame
-  dependent; every reported invariant (K, kappa, Delta, direction sets)
-  is corrected by the frame-orientation signs so that it is frame
-  independent and matches the Monge-chart determinant formulas.
+  dependent; every reported invariant (K, kappa, Delta, the isoclinic
+  directions) is corrected by the frame-orientation signs so that it is
+  frame independent and matches the Monge-chart determinant formulas.
 * Direction vectors in reports are chart components (d/dx, d/dy),
   normalized with the first component of magnitude > 1e-12 positive.
 """
@@ -91,15 +91,9 @@ class CurvatureReport:
     delta: float
     point_class: str            # hyperbolic | parabolic | elliptic
     inflection: str             # none | real | flat | imaginary
-    asymptotic_dirs: list
-    asymptotic_all: bool
     isoclinic_dirs: list        # [(unit 2-vector, '+'|'-'), ...]
     isoclinic_all: bool
     gauss_singular: bool
-    # at a singular point the second-derivative matrix has normal form
-    # [[C, 0, 0, 0], [0, 0, 0, 0]]; its top singular value reports |C|
-    # (nonzero C marks a cross-cap); None when not singular
-    singular_coefficient: float | None = None
 
 
 def form_overflow(point):
@@ -352,9 +346,6 @@ def curvature_report(phi, psi, point):
         else:
             inflection = "flat"
 
-    asym, asym_all = _asymptotic_directions(A, B, C, frame, point_class,
-                                            bands)
-
     iso = []
     iso_all = False
     band = wong_band(K, kappa)
@@ -377,56 +368,9 @@ def curvature_report(phi, psi, point):
         mean_h=(0.5 * (a + c), 0.5 * (e + g)),
         K1=k1, K2=k2, delta=delta,
         point_class=point_class, inflection=inflection,
-        asymptotic_dirs=asym, asymptotic_all=asym_all,
         isoclinic_dirs=iso, isoclinic_all=iso_all,
         gauss_singular=gauss_singular,
-        singular_coefficient=float(singular_values[0]) if gauss_singular
-        else None,
     )
-
-
-def _asymptotic_directions(A, B, C, frame, point_class, bands):
-    """Solve A u1^2 + B u1 u2 + C u2^2 = 0 for the asymptotic directions.
-
-    Coefficients live at second-derivative-squared scale, so the
-    degenerate test uses the kappa band.
-    """
-    band = bands["kappa"]
-    if max(abs(A), abs(B), abs(C)) <= band:
-        return [], True
-    if point_class == "elliptic":
-        return [], False
-
-    def from_roots(swap):
-        # roots of A u^2 + B u + C with (u, 1) directions; swap solves in
-        # the other slot for stability when |A| < |C|
-        aa, cc = (C, A) if swap else (A, C)
-        dirs = []
-        if abs(aa) <= band:
-            dirs.append((1.0, 0.0))
-            if abs(B) > band:
-                dirs.append((-cc / B, 1.0))
-        else:
-            disc = B * B - 4.0 * aa * cc
-            if point_class == "parabolic":
-                dirs.append((-B / (2.0 * aa), 1.0))
-            else:
-                root = np.sqrt(max(disc, 0.0))
-                dirs.append(((-B + root) / (2.0 * aa), 1.0))
-                dirs.append(((-B - root) / (2.0 * aa), 1.0))
-        if swap:
-            dirs = [(v, u) for (u, v) in dirs]
-        return dirs
-
-    dirs = from_roots(swap=abs(A) < abs(C))
-    out = []
-    for u in dirs:
-        vec = _chart_direction(frame, np.asarray(u))
-        if vec is not None and not any(
-            abs(abs(vec @ w) - 1.0) < 1e-9 for w in out
-        ):
-            out.append(vec)
-    return out, False
 
 
 def _adapted_chart_jets(sd, point, chart, rot, base, target_uv):

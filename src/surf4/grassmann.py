@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import eval_points, eval_surface
+from .expr import eval_points
 from .frames import (InternalInconsistencyError, _first_positive, _slopes,
                      _tangents, form_overflow, monge_curvatures, monge_frame)
 
@@ -94,7 +94,8 @@ def klein_from_plucker(p):
 
 
 def tangent_pair(phi, psi, point):
-    """(T1, T2) of the order-1 jets ``phi``, ``psi`` at ``point``."""
+    """(T1, T2) of the jets ``phi``, ``psi`` at ``point``; it reads only
+    their slopes, so the jets may be of any order >= 1."""
     px, py, qx, qy = _slopes(phi, psi)
     # |T1 ^ T2|^2 = W is 1 plus these squares; plucker_from_pair divides
     # by its root
@@ -106,8 +107,8 @@ def tangent_pair(phi, psi, point):
 
 
 def gauss_map_at(phi, psi, point):
-    """Tangent plane of the order-1 jets ``phi``, ``psi`` at ``point``, as
-    (Pluecker point, KleinPoint)."""
+    """Tangent plane of the jets ``phi``, ``psi`` (any order >= 1) at
+    ``point``, as (Pluecker point, KleinPoint)."""
     t1, t2 = tangent_pair(phi, psi, point)
     plucker = plucker_from_pair(t1, t2)
     return plucker, klein_from_plucker(plucker)
@@ -135,7 +136,8 @@ def blaschke_check(sd, point):
     t_i is the triple product (d_x Gamma_i x d_y Gamma_i) . Gamma_i; the
     identities fix |t_1| = |K + kappa| sqrt(W) and
     |t_2| = |K - kappa| sqrt(W).  Signs are reported for calibration, not
-    asserted.
+    asserted.  One order-2 evaluation covers the stencil and ``point``;
+    the Gauss map reads only the slopes, the curvatures the centre's jets.
     """
     h = BLASCHKE_STEP
     x, y = point
@@ -144,8 +146,9 @@ def blaschke_check(sd, point):
         if not sd.domain.contains(pt):
             raise ValueError(f"Blaschke stencil point {pt} leaves the domain")
     stencil.append((x, y))
-    kleins = [gauss_map_at(phi, psi, pt)[1] for pt, (phi, psi)
-              in zip(stencil, eval_points(sd, stencil, 1))]
+    jets = eval_points(sd, stencil, 2)
+    kleins = [gauss_map_at(phi, psi, pt)[1]
+              for pt, (phi, psi) in zip(stencil, jets)]
 
     def triple(vectors):
         plus_x, minus_x, plus_y, minus_y, center = vectors
@@ -156,7 +159,7 @@ def blaschke_check(sd, point):
     t1 = triple([klein.a_vec for klein in kleins])
     t2 = triple([klein.b_vec for klein in kleins])
 
-    mf = monge_frame(*eval_surface(sd, point, order=2), point)
+    mf = monge_frame(*jets[-1], point)
     K, kappa = monge_curvatures(mf)
     sqrt_w = np.sqrt(mf.W)
     rhs1 = abs(K + kappa) * sqrt_w

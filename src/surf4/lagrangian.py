@@ -53,13 +53,17 @@ def grid_points(domain, nx, ny, shrink=0.1):
     return [(float(x), float(y)) for x in xs for y in ys]
 
 
+def _check_congruence_grid(nx, ny):
+    """Raise ValueError unless NX and NY are both at least 3."""
+    if nx < 3 or ny < 3:
+        raise ValueError("congruence grid must be at least 3x3")
+
+
 def congruence_grid(domain, grid):
     """The sample points of the ``grid`` = (NX, NY) congruence grid over
     ``domain``; NX and NY must be at least 3."""
-    nx, ny = grid
-    if nx < 3 or ny < 3:
-        raise ValueError("congruence grid must be at least 3x3")
-    return grid_points(domain, nx, ny)
+    _check_congruence_grid(*grid)
+    return grid_points(domain, *grid)
 
 
 def _tangent_pairs(points, jets):

@@ -245,8 +245,6 @@ def suite_lift():
     for _ in range(n_alphas):
         alpha = rng.normal(size=3)
         alpha /= np.linalg.norm(alpha)
-        if alpha[0]**2 + alpha[1]**2 < 1e-12:
-            continue
         rot = rotation_from_alpha(alpha)
         image = lift_so4(rot) @ BETA_TARGET
         worst_post = max(worst_post, float(np.max(np.abs(
@@ -277,11 +275,10 @@ def suite_lagrangean():
     for _ in range(n_surfaces):
         sd = random_gradient_surface(rng)
         points = lagrangian.grid_points(sd.domain, 5, 5)
-        for pt, order1, order2 in zip(points, expr.eval_points(sd, points, 1),
-                                      expr.eval_points(sd, points, 2)):
-            _, klein = grassmann.gauss_map_at(*order1, pt)
+        for pt, (phi, psi) in zip(points, expr.eval_points(sd, points, 2)):
+            _, klein = grassmann.gauss_map_at(phi, psi, pt)
             worst_b2 = max(worst_b2, abs(float(klein.b_vec[1])))
-            report = frames.curvature_report(*order2, pt)
+            report = frames.curvature_report(phi, psi, pt)
             worst_kk = max(worst_kk, abs(report.K - report.kappa))
         rotation = _random_so4(rng)
         grid = lagrangian.congruence_grid(sd.domain, lagrangian.DEFAULT_GRID)

@@ -561,3 +561,38 @@ def test_cli_defaults_are_the_library_defaults():
         library["tol_circle"].hex()
     assert args.tol_symp.hex() == lagrangian.TOL_SYMP.hex() == \
         library["tol_symp"].hex()
+
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def readme_examples():
+    """The commands of the README "Examples" block, without ``surf4``."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        lines = handle.read().split("Examples:\n\n```\n", 1)[1]
+    block = lines.split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line]
+
+
+def workflow_examples():
+    """The CLI commands of the workflow's "README examples" step, read as
+    plain text (the CI install list has no YAML parser), without
+    ``python -m surf4.cli``."""
+    path = os.path.join(ROOT, ".github", "workflows", "tier1.yml")
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    start = lines.index("      - name: README examples")
+    assert lines[start + 1].strip() == "run: |"
+    commands = []
+    for line in lines[start + 2:]:
+        if not line.startswith(" " * 10):  # the end of the run block
+            break
+        words = line.split()
+        if words[:3] == ["python", "-m", "surf4.cli"]:
+            commands.append(words[3:])
+    return commands
+
+
+def test_readme_examples_match_the_workflow_step():
+    readme = readme_examples()
+    assert readme and readme == workflow_examples()

@@ -174,7 +174,9 @@ def test_order1_agrees_with_truncated_order3():
 
 
 # isoclinic_form_closedness takes the base position of its adapted chart
-# from the order-2 jets, so their values must be the order-1 values
+# from the order-2 jets, and blaschke_check and suite_lagrangean feed
+# order-2 jets to the Gauss map, so their values and slopes must be the
+# order-1 values and slopes
 VALUE_SURFACES = [
     EXAMPLE1,
     "phi = x^3 - 3*x*y^2\npsi = 3*x^2*y - y^3\n",
@@ -188,8 +190,10 @@ def assert_order2_values_equal_order1_values(sd, points):
     for point in points:
         low = eval_surface(sd, point, 1)
         high = eval_surface(sd, point, 2)
-        assert [float(jet.value) for jet in low] == \
-            [float(jet.value) for jet in high], point
+        for k in ((0, 0), (1, 0), (0, 1)):
+            # repr keeps the sign of a zero, which == would not compare
+            assert [repr(float(jet.derivative(*k))) for jet in low] == \
+                [repr(float(jet.derivative(*k))) for jet in high], (point, k)
 
 
 @pytest.mark.parametrize("text", VALUE_SURFACES)
@@ -359,7 +363,7 @@ def count_evaluations(monkeypatch):
         orders.append(order)
         return real(sd, point, order)
 
-    for module in (expr, frames, grassmann):
+    for module in (expr, frames):
         monkeypatch.setattr(module, "eval_surface", counting)
     return orders
 
@@ -367,13 +371,13 @@ def count_evaluations(monkeypatch):
 def test_suite_lagrangean_evaluates_each_grid_once(monkeypatch):
     orders = count_evaluations(monkeypatch)
     assert all(row.passed for row in suites.suite_lagrangean())
-    # per surface: the 25 Gauss samples, the same points at order 2 for
-    # the curvature reports, and the 225-point congruence grid
-    assert orders == [1, 2, 1] * 20
+    # per surface: the 25 samples at order 2, read by both the Gauss map
+    # and the curvature reports, and the 225-point congruence grid
+    assert orders == [2, 1] * 20
 
 
-def test_blaschke_check_evaluates_twice(monkeypatch):
+def test_blaschke_check_evaluates_once(monkeypatch):
     orders = count_evaluations(monkeypatch)
     grassmann.blaschke_check(parse_surface(suites.EXAMPLE1_TEXT), (0.3, 0.2))
-    # the stencil and its centre at order 1, the centre at order 2
-    assert orders == [1, 2]
+    # the stencil and its centre in one order-2 call
+    assert orders == [2]

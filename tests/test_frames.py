@@ -138,7 +138,7 @@ class TestCurvatureReport:
         assert rep.point_class == "parabolic"
         assert rep.inflection == "flat"
         assert rep.gauss_singular
-        assert rep.isoclinic_all and rep.asymptotic_all
+        assert rep.isoclinic_all
 
     def test_k_equals_k1_plus_k2(self):
         rng = np.random.default_rng(11)
@@ -153,8 +153,6 @@ class TestCurvatureReport:
         hyper = report_at(parse_surface("phi = x^2\npsi = y^2"),
                           (0.0, 0.0))
         assert hyper.point_class == "hyperbolic"
-        dirs = sorted(tuple(np.round(v, 12)) for v in hyper.asymptotic_dirs)
-        assert dirs == [(0.0, 1.0), (1.0, 0.0)]
 
         real = report_at(parse_surface("phi = x^2 - y^2\npsi = 0"),
                          (0.0, 0.0))
@@ -264,12 +262,6 @@ class TestFrameInvariance:
         assert r1.kappa == pytest.approx(r2.kappa, rel=1e-10, abs=1e-12)
         assert r1.delta == pytest.approx(r2.delta, rel=1e-9, abs=1e-12)
         assert r1.point_class == r2.point_class
-        # direction SETS are the geometric invariant; ordering is not
-        set1 = sorted(tuple(v) for v in r1.asymptotic_dirs)
-        set2 = sorted(tuple(v) for v in r2.asymptotic_dirs)
-        assert len(set1) == len(set2)
-        for v1, v2 in zip(set1, set2):
-            np.testing.assert_allclose(v1, v2, atol=1e-9)
         iso1 = {tag: vec for vec, tag in r1.isoclinic_dirs}
         iso2 = {tag: vec for vec, tag in r2.isoclinic_dirs}
         assert iso1.keys() == iso2.keys()
@@ -313,14 +305,6 @@ def test_gauss_singularity_flag_on_z3():
         for y in np.linspace(-0.5, 0.5, 11):
             rep = report_at(z3, (float(x), float(y)))
             assert rep.gauss_singular == (x == 0.0 and y == 0.0)
-            assert (rep.singular_coefficient is None) != rep.gauss_singular
-
-
-def test_singular_coefficient_matches_normal_form():
-    # phi = x^2, psi = 0 has normal-form coefficient C = 2 at the origin
-    rep = report_at(parse_surface("phi = x^2\npsi = 0"), (0.0, 0.0))
-    assert rep.gauss_singular
-    assert rep.singular_coefficient == pytest.approx(2.0)
 
 
 def test_seven_conditions_agree_on_isoclinic_surface():

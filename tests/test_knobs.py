@@ -7,7 +7,7 @@ import surf4
 
 # defaulted parameters (def and lambda, positional and keyword-only) in
 # src/surf4; a change that adds one raises this pin and says why
-MAX_DEFAULTED = 16
+MAX_DEFAULTED = 15
 
 
 def defaulted_parameters():
