@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import SurfaceEvalError, eval_surface
+from .expr import SurfaceEvalError, eval_points
 from .jets import Jet
 
 
@@ -160,21 +160,30 @@ def _check_hatted_identity(W, eg, eg_hat, ff_hat, point):
         )
 
 
+def _norm(v):
+    """The Euclidean norm of the vector ``v``, bit for bit
+    ``np.linalg.norm(v)``: numpy's own 1-D path (a BLAS dot and a square
+    root) without its argument handling."""
+    x = np.asarray(v, float).ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def _gram_schmidt_pair(v1, v2):
-    e1 = v1 / np.linalg.norm(v1)
+    e1 = v1 / _norm(v1)
     w = v2 - (v2 @ e1) * e1
-    e2 = w / np.linalg.norm(w)
+    e2 = w / _norm(w)
     return e1, e2
 
 
 def _coords_in(basis1, basis2, vectors):
     """Rows: components of each vector in the (basis1, basis2) span, from
-    one Gram matrix and one solve per vector (a single solve with both
-    right-hand sides rounds differently)."""
+    one Gram matrix and one stacked solve that keeps one right-hand side
+    per system (one system with both right-hand sides rounds
+    differently)."""
     g = np.array([[basis1 @ basis1, basis1 @ basis2],
                   [basis1 @ basis2, basis2 @ basis2]])
-    return np.array([np.linalg.solve(g, np.array([v @ basis1, v @ basis2]))
-                     for v in vectors])
+    rhs = np.array([[[v @ basis1], [v @ basis2]] for v in vectors])
+    return np.linalg.solve(np.array([g] * len(rhs)), rhs)[:, :, 0]
 
 
 def adapted_frame(mf):
@@ -183,10 +192,9 @@ def adapted_frame(mf):
     e3, e4 = _gram_schmidt_pair(mf.n1, mf.n2)
     chart = _coords_in(mf.t1, mf.t2, (e1, e2))
     normal_coords = _coords_in(mf.n1, mf.n2, (e3, e4))
-    return AdaptedFrame(
-        e1, e2, e3, e4, chart,
-        float(np.sign(np.linalg.det(chart)))
-        * float(np.sign(np.linalg.det(normal_coords))))
+    signs = np.sign(np.linalg.det(np.array([chart, normal_coords])))
+    return AdaptedFrame(e1, e2, e3, e4, chart,
+                        float(signs[0]) * float(signs[1]))
 
 
 def _second_derivatives(phi_jet, psi_jet):
@@ -261,7 +269,7 @@ def _chart_direction(frame, u):
     """The unit chart vector of the frame direction ``u``, signed by
     :func:`_first_positive`; None when it is zero."""
     v = u[0] * frame.chart[0] + u[1] * frame.chart[1]
-    n = np.linalg.norm(v)
+    n = _norm(v)
     if n == 0.0:
         return None
     return _first_positive(v / n)
@@ -354,7 +362,7 @@ def curvature_report(phi, psi, point):
             continue
         tag = "+" if sign_raw * sigma > 0 else "-"
         u = np.array([-(b + sign_raw * g), a + sign_raw * f])
-        if np.linalg.norm(u) <= bands["rank"]:
+        if _norm(u) <= bands["rank"]:
             iso_all = True
             continue
         iso.append((_chart_direction(frame, u), tag))
@@ -373,34 +381,64 @@ def curvature_report(phi, psi, point):
     )
 
 
-def _adapted_chart_jets(sd, point, chart, rot, base, target_uv):
-    """Order-2 jets of the surface re-graphed in the chart adapted at
-    ``point``, evaluated at chart coordinates ``target_uv``.
+def _adapted_chart_jets(sd, targets):
+    """Order-2 jets of the surface re-graphed in an adapted chart, one
+    ``(phi, psi)`` pair per target.
 
-    The adapted chart translates the surface point ``base`` to the origin
-    and rotates R^4 by ``rot``, whose rows are the adapted frame at
-    ``point``, making the tangent plane the new (x, y)-plane; ``chart``
-    holds that frame's tangent rows in (dx, dy) components.  The preimage
-    of the chart stencil point is found by Newton iteration; first and
+    A target is ``(point, chart, rot, base, target_uv)``.  Its adapted
+    chart translates the surface point ``base`` to the origin and rotates
+    R^4 by ``rot``, whose rows are the adapted frame at ``point``, making
+    the tangent plane the new (x, y)-plane; ``chart`` holds that frame's
+    tangent rows in (dx, dy) components.  The preimage of the chart point
+    ``target_uv`` is found by Newton iteration, each target from its own
+    start and with its own stop and step; every iteration evaluates the
+    targets not yet converged in one call, so each target takes the steps
+    it would take alone.  Errors follow target order: a Newton iteration
+    that does not converge, then a preimage outside the domain.  First and
     second derivatives of the re-graphed surface follow from the exact
     change-of-variables formulas.
     """
-    # initial guess from the tangent chart
-    xy = np.asarray(point, dtype=float) + chart.T @ target_uv
+    # initial guesses from the tangent charts
+    xys = [np.asarray(point, dtype=float) + chart.T @ target_uv
+           for point, chart, _, _, target_uv in targets]
+    found = [None] * len(targets)
+    active = list(range(len(targets)))
     for _ in range(40):
-        phj, psj = eval_surface(sd, xy, order=2)
-        pos = np.array([xy[0], xy[1], float(phj.value), float(psj.value)])
-        t1, t2 = _tangents(*_slopes(phj, psj))
-        res = rot[:2] @ (pos - base) - target_uv
-        if np.hypot(res[0], res[1]) < 1e-14:
+        if not active:
             break
-        xy = xy - np.linalg.solve(rot[:2] @ np.column_stack([t1, t2]), res)
-    else:
-        raise ValueError(f"chart inversion did not converge near {point}")
-    if not sd.domain.contains(xy):
-        raise ValueError(
-            f"closedness stencil point {tuple(xy)} leaves the domain"
-        )
+        pending = []
+        for i, (phj, psj) in zip(active, eval_points(
+                sd, [xys[i] for i in active], 2)):
+            _, _, rot, base, target_uv = targets[i]
+            xy = xys[i]
+            pos = np.array([xy[0], xy[1], float(phj.value), float(psj.value)])
+            t1, t2 = _tangents(*_slopes(phj, psj))
+            res = rot[:2] @ (pos - base) - target_uv
+            if np.hypot(res[0], res[1]) < 1e-14:
+                found[i] = (xy, phj, psj, pos, t1, t2)
+                continue
+            xys[i] = xy - np.linalg.solve(
+                rot[:2] @ np.column_stack([t1, t2]), res)
+            pending.append(i)
+        active = pending
+    out = []
+    for (point, _, rot, base, _), inverse in zip(targets, found):
+        if inverse is None:
+            raise ValueError(f"chart inversion did not converge near {point}")
+        xy, phj, psj, pos, t1, t2 = inverse
+        if not sd.domain.contains(xy):
+            raise ValueError(
+                f"closedness stencil point {tuple(map(float, xy))} leaves "
+                "the domain"
+            )
+        out.append(_regraphed_jets(rot, base, phj, psj, pos, t1, t2))
+    return out
+
+
+def _regraphed_jets(rot, base, phj, psj, pos, t1, t2):
+    """Order-2 jets of the rotated coordinates 3 and 4 as functions of
+    the rotated coordinates 1 and 2, from the jets ``phj``, ``psj`` at the
+    preimage, its position ``pos`` and its tangents ``t1``, ``t2``."""
     pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(phj, psj)
     hess_phi = np.array([[pxx, pxy], [pxy, pyy]])
     hess_psi = np.array([[qxx, qxy], [qxy, qyy]])
@@ -437,36 +475,47 @@ def _adapted_chart_jets(sd, point, chart, rot, base, target_uv):
 CLOSEDNESS_STEP = 1e-3
 
 
-def isoclinic_form_closedness(sd, point):
-    """|d theta| for theta = (a+f) omega_1 + (b+g) omega_2, by central FD.
+def _theta_components(phi, psi, target_uv):
+    """Chart (dx, dy) components of theta from the re-graphed jets at the
+    adapted-chart point ``target_uv``, through the coframe, the inverse of
+    the transposed chart matrix."""
+    mf = monge_frame(phi, psi, target_uv)
+    frame = adapted_frame(mf)
+    a, b, _, _, f, g = _second_form_from(mf, frame)
+    coframe = np.linalg.inv(frame.chart.T)
+    return coframe.T @ np.array([a + f, b + g])
 
-    The form is evaluated in the chart adapted at ``point`` (surface
+
+def isoclinic_form_closedness(sd, points):
+    """|d theta| for theta = (a+f) omega_1 + (b+g) omega_2, by central FD,
+    one residual per point of ``points``.
+
+    The form is evaluated in the chart adapted at each point (surface
     re-graphed over its own tangent plane, the chart in which the paper's
     frame quantities are defined); at the four stencil points it is
-    converted to chart (dx, dy) components through the coframe, the
-    inverse of the transposed chart matrix, and the exterior-derivative
-    coefficient is the central difference of those components.
-    Evaluating instead in a fixed ambient Monge chart makes the residual
-    frame-dependent and O(1) even on K = kappa surfaces.
+    converted to chart (dx, dy) components through the coframe, and the
+    exterior-derivative coefficient is the central difference of those
+    components.  Evaluating instead in a fixed ambient Monge chart makes
+    the residual frame-dependent and O(1) even on K = kappa surfaces.
+    The points are evaluated in one call and the stencil preimages of all
+    of them solved together (see :func:`_adapted_chart_jets`).
     """
     h = CLOSEDNESS_STEP
-    phi0, psi0 = eval_surface(sd, point, order=2)
-    frame0 = adapted_frame(monge_frame(phi0, psi0, point))
-    rot = np.vstack([frame0.e1, frame0.e2, frame0.e3, frame0.e4])
-    base = np.array([point[0], point[1],
-                     float(phi0.value), float(psi0.value)])
-
-    def theta_components(target_uv):
-        phi, psi = _adapted_chart_jets(sd, point, frame0.chart, rot, base,
-                                       np.asarray(target_uv, float))
-        mf = monge_frame(phi, psi, target_uv)
-        frame = adapted_frame(mf)
-        a, b, _, _, f, g = _second_form_from(mf, frame)
-        coframe = np.linalg.inv(frame.chart.T)
-        return coframe.T @ np.array([a + f, b + g])
-
-    q_plus = theta_components((h, 0.0))[1]
-    q_minus = theta_components((-h, 0.0))[1]
-    p_plus = theta_components((0.0, h))[0]
-    p_minus = theta_components((0.0, -h))[0]
-    return abs((q_plus - q_minus) / (2 * h) - (p_plus - p_minus) / (2 * h))
+    stencil = [np.array(uv) for uv in ((h, 0.0), (-h, 0.0), (0.0, h),
+                                       (0.0, -h))]
+    targets = []
+    for point, (phi0, psi0) in zip(points, eval_points(sd, points, 2)):
+        frame0 = adapted_frame(monge_frame(phi0, psi0, point))
+        rot = np.vstack([frame0.e1, frame0.e2, frame0.e3, frame0.e4])
+        base = np.array([point[0], point[1],
+                         float(phi0.value), float(psi0.value)])
+        targets += [(point, frame0.chart, rot, base, uv) for uv in stencil]
+    theta = [_theta_components(phi, psi, target[4]) for target, (phi, psi)
+             in zip(targets, _adapted_chart_jets(sd, targets))]
+    residuals = []
+    for k in range(0, len(theta), 4):
+        q_plus, q_minus = theta[k][1], theta[k + 1][1]
+        p_plus, p_minus = theta[k + 2][0], theta[k + 3][0]
+        residuals.append(
+            abs((q_plus - q_minus) / (2 * h) - (p_plus - p_minus) / (2 * h)))
+    return residuals

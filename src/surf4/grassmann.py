@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import eval_points
-from .frames import (InternalInconsistencyError, _first_positive, _slopes,
-                     _tangents, form_overflow, monge_curvatures, monge_frame)
+from .frames import (InternalInconsistencyError, _first_positive, _norm,
+                     _slopes, _tangents, form_overflow, monge_curvatures,
+                     monge_frame)
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -68,7 +69,7 @@ def plucker_from_pair(v1, v2):
     """Normalized wedge of two independent 4-vectors: the Pluecker point
     of their plane, a unit 6-array."""
     w = wedge6(v1, v2)
-    norm = np.linalg.norm(w)
+    norm = _norm(w)
     if norm <= 1e-12:
         raise ValueError("vectors are linearly dependent (wedge norm <= 1e-12)")
     return w / norm
@@ -83,8 +84,8 @@ def klein_from_plucker(p):
     """
     a = np.array([p[0] + p[3], p[1] + p[4], p[2] + p[5]])
     b = np.array([p[0] - p[3], p[1] - p[4], p[2] - p[5]])
-    a_norm = float(np.linalg.norm(a))
-    b_norm = float(np.linalg.norm(b))
+    a_norm = _norm(a)
+    b_norm = _norm(b)
     if not (abs(a_norm - 1.0) <= 1e-10 and abs(b_norm - 1.0) <= 1e-10):
         raise ValueError(
             f"Klein vectors are not unit (|a| = {a_norm}, |b| = {b_norm}); "
@@ -130,23 +131,36 @@ class BlaschkeResult:
 BLASCHKE_STEP = 1e-4
 
 
-def blaschke_check(sd, point):
-    """Pullback-of-area-form identities, checked by central differences.
+def blaschke_check(sd, points):
+    """Pullback-of-area-form identities, checked by central differences,
+    one :class:`BlaschkeResult` per point of ``points``.
 
     t_i is the triple product (d_x Gamma_i x d_y Gamma_i) . Gamma_i; the
     identities fix |t_1| = |K + kappa| sqrt(W) and
     |t_2| = |K - kappa| sqrt(W).  Signs are reported for calibration, not
-    asserted.  One order-2 evaluation covers the stencil and ``point``;
-    the Gauss map reads only the slopes, the curvatures the centre's jets.
+    asserted.  Every stencil point is checked against the domain, in point
+    order, before anything is evaluated; then one order-2 evaluation
+    covers the four stencil points and the centre of every point.  The
+    Gauss map reads only the slopes, the curvatures the centre's jets.
     """
     h = BLASCHKE_STEP
-    x, y = point
-    stencil = [(x + h, y), (x - h, y), (x, y + h), (x, y - h)]
-    for pt in stencil:
-        if not sd.domain.contains(pt):
-            raise ValueError(f"Blaschke stencil point {pt} leaves the domain")
-    stencil.append((x, y))
-    jets = eval_points(sd, stencil, 2)
+    stencils = []
+    for x, y in points:
+        stencil = [(x + h, y), (x - h, y), (x, y + h), (x, y - h)]
+        for pt in stencil:
+            if not sd.domain.contains(pt):
+                raise ValueError(
+                    f"Blaschke stencil point {pt} leaves the domain")
+        stencils += stencil + [(x, y)]
+    jets = eval_points(sd, stencils, 2)
+    return [_blaschke_at(stencils[k:k + 5], jets[k:k + 5])
+            for k in range(0, len(stencils), 5)]
+
+
+def _blaschke_at(stencil, jets):
+    """The :class:`BlaschkeResult` of one point from the jets at its four
+    stencil points and its centre, in :func:`blaschke_check` order."""
+    h = BLASCHKE_STEP
     kleins = [gauss_map_at(phi, psi, pt)[1]
               for pt, (phi, psi) in zip(stencil, jets)]
 
@@ -159,7 +173,7 @@ def blaschke_check(sd, point):
     t1 = triple([klein.a_vec for klein in kleins])
     t2 = triple([klein.b_vec for klein in kleins])
 
-    mf = monge_frame(*jets[-1], point)
+    mf = monge_frame(*jets[-1], stencil[-1])
     K, kappa = monge_curvatures(mf)
     sqrt_w = np.sqrt(mf.W)
     rhs1 = abs(K + kappa) * sqrt_w
@@ -281,14 +295,14 @@ def rotation_from_alpha(alpha):
     postcondition are verified on every call.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if abs(np.linalg.norm(alpha) - 1.0) > 1e-10:
+    if abs(_norm(alpha) - 1.0) > 1e-10:
         raise ValueError("alpha must be a unit 3-vector")
     a1, a2, a3 = alpha
     if a1 * a1 + a2 * a2 < 1e-12:
         swapped = np.array([a1, a3, a2])
         cross = np.cross(swapped, alpha)
-        angle = np.arctan2(np.linalg.norm(cross), float(swapped @ alpha))
-        axis = cross / np.linalg.norm(cross)
+        angle = np.arctan2(_norm(cross), float(swapped @ alpha))
+        axis = cross / _norm(cross)
         m = _so4_rotating_a_factor(axis, angle) @ _alpha_matrix(swapped)
     else:
         m = _alpha_matrix(alpha)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import eval_points
+from .frames import _norm
 from .grassmann import (
     C_AXES,
     C_SWAP,
@@ -86,7 +87,7 @@ def _residuals_on_pairs(tangent_pairs, forms, rotation):
     for t1, t2 in tangent_pairs:
         if rotation is not None:
             t1, t2 = rotation @ t1, rotation @ t2
-        scale = np.linalg.norm(t1) * np.linalg.norm(t2)
+        scale = _norm(t1) * _norm(t2)
         for k, form in enumerate(forms):
             worst[k] = max(worst[k], abs(float(t1 @ form @ t2)) / scale)
     return worst

@@ -124,8 +124,7 @@ def suite_blaschke():
     signs1, signs2 = set(), set()
     for _ in range(n_surfaces):
         sd = random_polynomial_surface(rng)
-        for pt in grid:
-            result = blaschke_check(sd, pt)
+        for result in blaschke_check(sd, grid):
             worst = max(worst, result.residual1, result.residual2)
             if result.sign1:
                 signs1.add(result.sign1)
@@ -145,8 +144,8 @@ def suite_blaschke():
     eps1 = signs1.pop() if len(signs1) == 1 else 1.0
     eps2 = signs2.pop() if len(signs2) == 1 else 1.0
     worst_cor = 0.0
-    for pt, (phi, psi) in zip(grid, expr.eval_points(sd, grid, 2)):
-        result = blaschke_check(sd, pt)
+    for pt, (phi, psi), result in zip(grid, expr.eval_points(sd, grid, 2),
+                                      blaschke_check(sd, grid)):
         report = frames.curvature_report(phi, psi, pt)
         mf = frames.monge_frame(phi, psi, pt)
         sqw = np.sqrt(mf.W)
@@ -189,9 +188,8 @@ def suite_wong():
     k_eq_kappa = [parse_surface(EXAMPLE1_TEXT),
                   random_gradient_surface(np.random.default_rng(SEED + 3))]
     for sd in k_eq_kappa:
-        for pt in lagrangian.grid_points(sd.domain, 5, 5, shrink=0.4):
-            worst_closed = max(
-                worst_closed, frames.isoclinic_form_closedness(sd, pt))
+        worst_closed = max(worst_closed, *frames.isoclinic_form_closedness(
+            sd, lagrangian.grid_points(sd.domain, 5, 5, shrink=0.4)))
     rows.append(_row("wong", "isoclinic 1-form closedness residual at 25 "
                      "points per K = kappa surface", worst_closed, 1e-4))
 
@@ -244,7 +242,7 @@ def suite_lift():
     worst_post = 0.0
     for _ in range(n_alphas):
         alpha = rng.normal(size=3)
-        alpha /= np.linalg.norm(alpha)
+        alpha /= frames._norm(alpha)
         rot = rotation_from_alpha(alpha)
         image = lift_so4(rot) @ BETA_TARGET
         worst_post = max(worst_post, float(np.max(np.abs(

@@ -354,30 +354,63 @@ def test_eval_points_matches_single_points_in_the_series_powers(order):
     assert_points_match_single_evaluations(sd, points, order)
 
 
-def count_evaluations(monkeypatch):
-    """The order of each eval_surface call, through every module alias."""
-    orders = []
+def spy_evaluations(monkeypatch):
+    """(order, number of points) of each eval_surface call; every caller
+    reaches it through the expr module."""
+    calls = []
     real = expr.eval_surface
 
     def counting(sd, point, order):
-        orders.append(order)
+        calls.append((order, np.size(point[0])))
         return real(sd, point, order)
 
-    for module in (expr, frames):
-        monkeypatch.setattr(module, "eval_surface", counting)
-    return orders
+    monkeypatch.setattr(expr, "eval_surface", counting)
+    return calls
 
 
 def test_suite_lagrangean_evaluates_each_grid_once(monkeypatch):
-    orders = count_evaluations(monkeypatch)
+    calls = spy_evaluations(monkeypatch)
     assert all(row.passed for row in suites.suite_lagrangean())
     # per surface: the 25 samples at order 2, read by both the Gauss map
     # and the curvature reports, and the 225-point congruence grid
-    assert orders == [2, 1] * 20
+    assert [order for order, _ in calls] == [2, 1] * 20
 
 
 def test_blaschke_check_evaluates_once(monkeypatch):
-    orders = count_evaluations(monkeypatch)
-    grassmann.blaschke_check(parse_surface(suites.EXAMPLE1_TEXT), (0.3, 0.2))
+    calls = spy_evaluations(monkeypatch)
+    grassmann.blaschke_check(parse_surface(suites.EXAMPLE1_TEXT),
+                             [(0.3, 0.2)])
     # the stencil and its centre in one order-2 call
-    assert orders == [2]
+    assert [order for order, _ in calls] == [2]
+
+
+def test_suite_blaschke_evaluates_each_surface_once(monkeypatch):
+    calls = spy_evaluations(monkeypatch)
+    assert all(row.passed for row in suites.suite_blaschke())
+    # per surface: its 9 points and their 36 stencil points in one
+    # order-2 call; the corollary evaluates its 9 points, then checks them
+    assert calls == [(2, 45)] * 50 + [(2, 9), (2, 45)]
+
+
+@pytest.mark.parametrize("sd", [
+    parse_surface(suites.EXAMPLE1_TEXT),
+    random_gradient_surface(np.random.default_rng(suites.SEED + 3)),
+], ids=["example1", "gradient"])
+def test_closedness_evaluates_once_per_newton_step(monkeypatch, sd):
+    points = grid_points(sd.domain, 5, 5, shrink=0.4)
+    calls = spy_evaluations(monkeypatch)
+    alone = []
+    for point in points:
+        frames.isoclinic_form_closedness(sd, [point])
+        assert calls[0] == (2, 1)
+        alone.append([n for _, n in calls[1:]])
+        calls.clear()
+    frames.isoclinic_form_closedness(sd, points)
+    # the 25 base points in one call, then one call per Newton step over
+    # the stencil targets not yet converged, each target taking the steps
+    # it takes alone
+    steps = max(map(len, alone))
+    assert steps >= 2
+    assert calls == [(2, len(points))] + [
+        (2, sum(sizes[k] for sizes in alone if k < len(sizes)))
+        for k in range(steps)]

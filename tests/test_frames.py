@@ -1,14 +1,19 @@
 """Frames, fundamental forms, curvature and classification."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surf4 import frames
 from surf4.expr import SurfaceEvalError, eval_surface, parse_surface
 from surf4.frames import (
     _bands,
+    _coords_in,
+    _norm,
     _second_form_from,
     adapted_frame,
     curvature_report,
@@ -16,11 +21,27 @@ from surf4.frames import (
     isoclinic_form_closedness,
     monge_frame,
 )
-from surf4.suites import EXAMPLE1_TEXT, random_polynomial_surface
+from surf4.lagrangian import grid_points
+from surf4.suites import (
+    EXAMPLE1_TEXT,
+    RSURF_Z2_TEXT,
+    SEED,
+    random_gradient_surface,
+    random_polynomial_surface,
+)
 
 EX1 = parse_surface(EXAMPLE1_TEXT)
 Z2 = parse_surface("phi = x^2 - y^2\npsi = 2*x*y")
 FLAT = parse_surface("phi = 0\npsi = 0")
+# suite surfaces, and one that takes the sqrt and reciprocal series
+BATCH_SURFACES = [
+    EX1,
+    parse_surface(RSURF_Z2_TEXT),
+    random_polynomial_surface(np.random.default_rng(SEED + 1)),
+    random_gradient_surface(np.random.default_rng(SEED + 3)),
+    parse_surface("phi = sqrt(2 + x) * cos(y)^3 - y/(3 + x)\n"
+                  "psi = (1 + x^2)^-2 + exp(x*y)\n"),
+]
 
 
 def mf_at(sd, point):
@@ -288,13 +309,24 @@ class TestNormalFormIdentities:
 
 class TestClosedness:
     def test_spec_examples(self):
-        assert isoclinic_form_closedness(Z2, (0.0, 0.0)) < 1e-4
-        assert isoclinic_form_closedness(FLAT, (0.1, 0.1)) == 0.0
-        assert isoclinic_form_closedness(EX1, (0.1, -0.1)) < 1e-4
+        assert isoclinic_form_closedness(Z2, [(0.0, 0.0)])[0] < 1e-4
+        assert isoclinic_form_closedness(FLAT, [(0.1, 0.1)])[0] == 0.0
+        assert isoclinic_form_closedness(EX1, [(0.1, -0.1)])[0] < 1e-4
 
     def test_stencil_outside_domain(self):
         with pytest.raises(ValueError, match="domain"):
-            isoclinic_form_closedness(EX1, (1.0, 0.0))
+            isoclinic_form_closedness(EX1, [(1.0, 0.0)])
+
+    def test_stencil_outside_domain_after_a_good_point(self):
+        with pytest.raises(ValueError, match="closedness stencil point "
+                           r"\(1\.0\d*, .*\) leaves the domain"):
+            isoclinic_form_closedness(EX1, [(0.1, -0.1), (1.0, 0.0)])
+
+    @pytest.mark.parametrize("sd", BATCH_SURFACES)
+    def test_batch_equals_single_points(self, sd):
+        points = grid_points(sd.domain, 5, 5, shrink=0.4)
+        assert [repr(r) for r in isoclinic_form_closedness(sd, points)] == [
+            repr(isoclinic_form_closedness(sd, [pt])[0]) for pt in points]
 
 
 def test_gauss_singularity_flag_on_z3():
@@ -339,3 +371,61 @@ def test_seven_conditions_agree_on_isoclinic_surface():
 
 def test_internal_inconsistency_is_distinguishable():
     assert issubclass(frames.InternalInconsistencyError, RuntimeError)
+
+
+# signed zeros, subnormals, and values whose squares overflow to inf
+NORM_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              -1e-160, 1e154, 1e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(1, 3), st.data())
+def test_norm_is_numpy_norm_bit_for_bit(length, stride, data):
+    values = data.draw(st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from(NORM_EDGES)),
+        min_size=length * stride, max_size=length * stride))
+    v = np.array(values)[::stride]  # a strided view when stride > 1
+    assert len(v) == length
+    assert norm_outcome(_norm, v) == norm_outcome(np.linalg.norm, v)
+
+
+def norm_outcome(norm, v):
+    """repr of the norm and the warnings it gave (the dot warns when a
+    square overflows)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = norm(v)
+    return repr(float(value)), [str(w.message) for w in caught]
+
+
+def coords_one_solve_per_vector(basis1, basis2, vectors):
+    """The reference: one np.linalg.solve per vector."""
+    g = np.array([[basis1 @ basis1, basis1 @ basis2],
+                  [basis1 @ basis2, basis2 @ basis2]])
+    return np.array([np.linalg.solve(g, np.array([v @ basis1, v @ basis2]))
+                     for v in vectors])
+
+
+def outcome(fn, *args):
+    try:
+        return repr(fn(*args).tolist())
+    except np.linalg.LinAlgError as exc:
+        return f"LinAlgError: {exc}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-6, 1e-12, 0.0]))
+def test_stacked_solve_and_det_match_one_call_per_matrix(seed, gap):
+    # Gram matrices of random and of nearly (gap -> 0: exactly) parallel
+    # bases, and the determinant signs adapted_frame takes from them
+    rng = np.random.default_rng(seed)
+    basis1 = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4)
+    basis2 = rng.normal() * basis1 + gap * rng.normal(size=4)
+    vectors = tuple(rng.normal(size=(2, 4)))
+    assert outcome(_coords_in, basis1, basis2, vectors) == \
+        outcome(coords_one_solve_per_vector, basis1, basis2, vectors)
+    matrices = rng.normal(size=(2, 2, 2))
+    matrices[1, 1] = matrices[1, 0] * (1.0 + gap)
+    assert repr(np.linalg.det(matrices).tolist()) == \
+        repr([float(np.linalg.det(m)) for m in matrices])

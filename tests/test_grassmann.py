@@ -1,5 +1,7 @@
 """Pluecker/Klein coordinates, the SO(4) lift and circle fitting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from surf4.grassmann import (
     rotation_from_alpha,
 )
 from surf4.suites import EXAMPLE1_TEXT
+from test_frames import BATCH_SURFACES
 
 EX1 = parse_surface(EXAMPLE1_TEXT)
 Z2 = parse_surface("phi = x^2 - y^2\npsi = 2*x*y")
@@ -119,7 +122,7 @@ class TestGaussMap:
 
 class TestBlaschke:
     def test_z2_origin(self):
-        result = blaschke_check(Z2, (0.0, 0.0))
+        result = blaschke_check(Z2, [(0.0, 0.0)])[0]
         assert result.t1 == pytest.approx(0.0, abs=1e-10)
         assert abs(result.t2) == pytest.approx(16.0, abs=1e-5)
         assert result.rhs2 == pytest.approx(16.0)
@@ -127,14 +130,25 @@ class TestBlaschke:
 
     def test_flat_plane(self):
         flat = parse_surface("phi = 0\npsi = 0")
-        result = blaschke_check(flat, (0.0, 0.0))
+        result = blaschke_check(flat, [(0.0, 0.0)])[0]
         assert result.t1 == result.t2 == 0.0
         assert result.residual1 == result.residual2 == 0.0
 
     def test_example1_b_factor_degenerates(self):
-        result = blaschke_check(EX1, (0.0, 0.0))
+        result = blaschke_check(EX1, [(0.0, 0.0)])[0]
         assert abs(result.t2) < 1e-6  # K = kappa kills the b-factor identity
         assert result.residual1 < 1e-5
+
+    def test_stencil_outside_domain_after_a_good_point(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "Blaschke stencil point (1.0001, 0.0) leaves the domain")):
+            blaschke_check(EX1, [(0.0, 0.0), (1.0, 0.0)])
+
+    @pytest.mark.parametrize("sd", BATCH_SURFACES)
+    def test_batch_equals_single_points(self, sd):
+        points = [(x, y) for x in (-0.3, 0.0, 0.3) for y in (-0.3, 0.0, 0.3)]
+        assert [repr(r) for r in blaschke_check(sd, points)] == [
+            repr(blaschke_check(sd, [pt])[0]) for pt in points]
 
 
 class TestIsoclinicPlanes:
