@@ -358,7 +358,7 @@ def main(argv=None):
             SurfaceEvalError, characteristics.IntegrationError,
             characteristics.BranchError,
             characteristics.CharacteristicPointError,
-            characteristics.SamplingError) as exc:
+            characteristics.SamplingError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -362,8 +362,9 @@ def parse_surface(text):
         raise SurfaceSyntaxError("missing 'phi = ...' line", 1, 1)
     if psi is None:
         raise SurfaceSyntaxError("missing 'psi = ...' line", 1, 1)
-    sd = SurfaceDef(phi=phi, psi=psi, params=params,
-                    domain=domain or Rect(-1.0, 1.0, -1.0, 1.0))
+    sd = SurfaceDef(phi=phi, psi=psi, params=params)
+    if domain is not None:
+        sd.domain = domain
     for name in sorted(_param_refs(phi) | _param_refs(psi)):
         if name not in params:
             raise SurfaceSyntaxError(f"undeclared parameter {name!r}", 1, 1)

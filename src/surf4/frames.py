@@ -6,11 +6,10 @@ Conventions fixed here and relied on throughout:
   normal basis N1 = (-phi_x, -phi_y, 1, 0), N2 = (-psi_x, -psi_y, 0, 1).
 * The adapted frame comes from Gram-Schmidt of (T1, T2) and (N1, N2) in
   that order.  Second-fundamental-form coefficients a..g are frame
-  dependent; every reported invariant (K, kappa, Delta, the isoclinic
-  directions) is corrected by the frame-orientation signs so that it is
-  frame independent and matches the Monge-chart determinant formulas.
-* Direction vectors in reports are chart components (d/dx, d/dy),
-  normalized with the first component of magnitude > 1e-12 positive.
+  dependent; every reported invariant (K, kappa, Delta, whether an
+  isoclinic direction exists) is corrected by the frame-orientation signs
+  so that it is frame independent and matches the Monge-chart
+  determinant formulas.
 """
 
 from __future__ import annotations
@@ -91,8 +90,7 @@ class CurvatureReport:
     delta: float
     point_class: str            # hyperbolic | parabolic | elliptic
     inflection: str             # none | real | flat | imaginary
-    isoclinic_dirs: list        # [(unit 2-vector, '+'|'-'), ...]
-    isoclinic_all: bool
+    isoclinic: bool             # |K -+ kappa| within wong_band
     gauss_singular: bool
 
 
@@ -256,25 +254,6 @@ def _require_close(name, u, v, scale):
         )
 
 
-def _first_positive(v):
-    """``v`` or ``-v``, whichever has its first component of magnitude
-    > 1e-12 positive (``v`` when there is none)."""
-    for comp in v:
-        if abs(comp) > 1e-12:
-            return -v if comp < 0 else v
-    return v
-
-
-def _chart_direction(frame, u):
-    """The unit chart vector of the frame direction ``u``, signed by
-    :func:`_first_positive`; None when it is zero."""
-    v = u[0] * frame.chart[0] + u[1] * frame.chart[1]
-    n = _norm(v)
-    if n == 0.0:
-        return None
-    return _first_positive(v / n)
-
-
 def resultant_determinant(a, b, c, e, f, g):
     """Delta as one quarter of the 4x4 resultant determinant."""
     m = np.array([
@@ -354,18 +333,9 @@ def curvature_report(phi, psi, point):
         else:
             inflection = "flat"
 
-    iso = []
-    iso_all = False
+    # a NaN difference counts as within the band
     band = wong_band(K, kappa)
-    for sign_raw in (1.0, -1.0):
-        if abs(K - sign_raw * kappa_raw) > band:
-            continue
-        tag = "+" if sign_raw * sigma > 0 else "-"
-        u = np.array([-(b + sign_raw * g), a + sign_raw * f])
-        if _norm(u) <= bands["rank"]:
-            iso_all = True
-            continue
-        iso.append((_chart_direction(frame, u), tag))
+    isoclinic = not (abs(K - kappa_raw) > band and abs(K + kappa_raw) > band)
 
     d2 = np.array([[pxx, qxx, pxy, qxy], [pxy, qxy, pyy, qyy]])
     singular_values = np.linalg.svd(d2, compute_uv=False)
@@ -376,7 +346,7 @@ def curvature_report(phi, psi, point):
         mean_h=(0.5 * (a + c), 0.5 * (e + g)),
         K1=k1, K2=k2, delta=delta,
         point_class=point_class, inflection=inflection,
-        isoclinic_dirs=iso, isoclinic_all=iso_all,
+        isoclinic=isoclinic,
         gauss_singular=gauss_singular,
     )
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import eval_points
-from .frames import (InternalInconsistencyError, _first_positive, _norm,
-                     _slopes, _tangents, form_overflow, monge_curvatures,
-                     monge_frame)
+from .frames import (InternalInconsistencyError, _norm, _slopes, _tangents,
+                     form_overflow, monge_curvatures, monge_frame)
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -62,7 +61,7 @@ class KleinPoint:
 class GreatCircleFit:
     alpha: np.ndarray
     residual: float
-    degenerate: bool = False
+    degenerate: bool
 
 
 def plucker_from_pair(v1, v2):
@@ -121,8 +120,6 @@ class BlaschkeResult:
     residual2: float
     t1: float
     t2: float
-    rhs1: float  # |K + kappa| sqrt(W)
-    rhs2: float  # |K - kappa| sqrt(W)
     sign1: float  # sign of t1 / ((K + kappa) sqrt(W)), 0 if tiny
     sign2: float
 
@@ -157,6 +154,14 @@ def blaschke_check(sd, points):
             for k in range(0, len(stencils), 5)]
 
 
+def _cross(u, v):
+    """The cross product of the 3-vectors ``u``, ``v``, bit for bit
+    ``np.cross(u, v)`` without its argument handling."""
+    return np.array([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
 def _blaschke_at(stencil, jets):
     """The :class:`BlaschkeResult` of one point from the jets at its four
     stencil points and its centre, in :func:`blaschke_check` order."""
@@ -168,7 +173,7 @@ def _blaschke_at(stencil, jets):
         plus_x, minus_x, plus_y, minus_y, center = vectors
         dx = (plus_x - minus_x) / (2 * h)
         dy = (plus_y - minus_y) / (2 * h)
-        return float(np.cross(dx, dy) @ center)
+        return float(_cross(dx, dy) @ center)
 
     t1 = triple([klein.a_vec for klein in kleins])
     t2 = triple([klein.b_vec for klein in kleins])
@@ -187,7 +192,7 @@ def _blaschke_at(stencil, jets):
     return BlaschkeResult(
         residual1=abs(abs(t1) - rhs1),
         residual2=abs(abs(t2) - rhs2),
-        t1=t1, t2=t2, rhs1=rhs1, rhs2=rhs2,
+        t1=t1, t2=t2,
         sign1=sign_of(t1, (K + kappa) * sqrt_w),
         sign2=sign_of(t2, (K - kappa) * sqrt_w),
     )
@@ -313,6 +318,15 @@ def rotation_from_alpha(alpha):
             "lift postcondition failed: lift(A) beta != (alpha, alpha)"
         )
     return m
+
+
+def _first_positive(v):
+    """``v`` or ``-v``, whichever has its first component of magnitude
+    > 1e-12 positive (``v`` when there is none)."""
+    for comp in v:
+        if abs(comp) > 1e-12:
+            return -v if comp < 0 else v
+    return v
 
 
 def great_circle_fit(samples):

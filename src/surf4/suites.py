@@ -177,8 +177,7 @@ def suite_wong():
             band = frames.wong_band(report.K, report.kappa)
             predicted = min(abs(report.K - report.kappa),
                             abs(report.K + report.kappa)) <= band
-            exists = bool(report.isoclinic_dirs) or report.isoclinic_all
-            mismatches += int(predicted != exists)
+            mismatches += int(predicted != report.isoclinic)
             total += 1
     rows.append(_row("wong", f"direction exists iff min|K -+ kappa| within "
                      f"band ({total} points)", float(mismatches), 0.5))

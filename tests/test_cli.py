@@ -235,6 +235,10 @@ PARAM_MESSAGE = ("error: line 3, column 11: parameter 'a' is not a finite "
      "start byte\n"),
     *[(argv, None if argv[0] == "reconstruct" else "phi = x\npsi = y\n",
        message) for argv, message in OVERSIZE.values()],
+    # a trajectory that fits an array but no address space, so numpy's
+    # allocation fails at once
+    (["reconstruct", "--dt", "1e-16", "--n-curves", "3", "--out", OUT], None,
+     "error: Unable to allocate 2.50 EiB for an array"),
     (["analyze", "--grid", "3,3"], PARAM_OVERFLOW, PARAM_MESSAGE),
     (["gaussmap", "--grid", "3,3", "--out", OUT], PARAM_OVERFLOW,
      PARAM_MESSAGE),
@@ -254,8 +258,8 @@ PARAM_MESSAGE = ("error: line 3, column 11: parameter 'a' is not a finite "
         *[f"analyze-{kind}" for kind in BAD_SURFACES],
         *[f"analyze-steep-{kind}" for kind in STEEP],
         "analyze-sqrt-underflow", *FILESYSTEM_ERRORS, "analyze-undecodable",
-        *OVERSIZE, "analyze-param-overflow", "gaussmap-param-overflow",
-        "analyze-literal-overflow"])
+        *OVERSIZE, "reconstruct-out-of-memory", "analyze-param-overflow",
+        "gaussmap-param-overflow", "analyze-literal-overflow"])
 def test_input_errors_exit_2(capsys, recwarn, tmp_path, argv, text, message):
     out_file = tmp_path / "out.txt"
     argv = [str(out_file) if arg is OUT else arg for arg in argv]

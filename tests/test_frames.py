@@ -159,7 +159,7 @@ class TestCurvatureReport:
         assert rep.point_class == "parabolic"
         assert rep.inflection == "flat"
         assert rep.gauss_singular
-        assert rep.isoclinic_all
+        assert rep.isoclinic
 
     def test_k_equals_k1_plus_k2(self):
         rng = np.random.default_rng(11)
@@ -205,20 +205,26 @@ class TestCurvatureReport:
         assert found >= 1
 
     def test_wong_direction_emission(self):
-        rep = report_at(EX1, (0.0, 0.0))
-        assert len(rep.isoclinic_dirs) == 1
-        vec, tag = rep.isoclinic_dirs[0]
-        assert tag == "+"
-        np.testing.assert_allclose(vec, np.array([1, -2]) / np.sqrt(5),
-                                   atol=1e-12)
+        # example 1 has K = kappa at the origin
+        assert report_at(EX1, (0.0, 0.0)).isoclinic
         # z^2 has K = -kappa with every direction isoclinic
-        rep2 = report_at(Z2, (0.0, 0.0))
-        assert rep2.isoclinic_all
-        # |K| != |kappa| emits nothing (K = 4, kappa = 0 at this origin)
+        assert report_at(Z2, (0.0, 0.0)).isoclinic
+        # |K| != |kappa| has none (K = 4, kappa = 0 at this origin)
         rep3 = report_at(parse_surface("phi = x^2 + y^2\npsi = 0"),
                          (0.0, 0.0))
         assert abs(abs(rep3.K) - abs(rep3.kappa)) > 1.0
-        assert not rep3.isoclinic_dirs and not rep3.isoclinic_all
+        assert not rep3.isoclinic
+
+    # phi = x^2 + e y^2, psi = 0 has K = 4e and kappa = 0 at the origin,
+    # where the band is 1e-8 * max(|K|, |kappa|, 1) = 1e-8
+    @pytest.mark.parametrize("e, isoclinic", [(2.4e-9, True),
+                                              (2.6e-9, False)])
+    def test_wong_band_boundary(self, e, isoclinic):
+        rep = report_at(parse_surface(f"phi = x^2 + {e!r}*y^2\npsi = 0"),
+                        (0.0, 0.0))
+        assert rep.K == pytest.approx(4 * e, rel=1e-12)
+        assert rep.kappa == 0.0
+        assert rep.isoclinic is isoclinic
 
 
 class TestDualRoutes:
@@ -283,11 +289,7 @@ class TestFrameInvariance:
         assert r1.kappa == pytest.approx(r2.kappa, rel=1e-10, abs=1e-12)
         assert r1.delta == pytest.approx(r2.delta, rel=1e-9, abs=1e-12)
         assert r1.point_class == r2.point_class
-        iso1 = {tag: vec for vec, tag in r1.isoclinic_dirs}
-        iso2 = {tag: vec for vec, tag in r2.isoclinic_dirs}
-        assert iso1.keys() == iso2.keys()
-        for tag, vec in iso1.items():
-            np.testing.assert_allclose(vec, iso2[tag], atol=1e-9)
+        assert r1.isoclinic == r2.isoclinic
 
 
 class TestNormalFormIdentities:

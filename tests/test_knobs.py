@@ -1,27 +1,50 @@
-"""The number of defaulted parameters in the package, pinned."""
+"""The number of defaulted parameters and fields in the package, pinned."""
 
 import ast
 import pathlib
 
 import surf4
 
-# defaulted parameters (def and lambda, positional and keyword-only) in
-# src/surf4; a change that adds one raises this pin and says why
+# defaulted parameters (def and lambda, positional and keyword-only) and
+# defaulted dataclass fields in src/surf4; a change that adds one raises
+# its pin and says why
 MAX_DEFAULTED = 15
+MAX_FIELD_DEFAULTS = 4
+
+
+def package_nodes():
+    paths = sorted(pathlib.Path(surf4.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
 
 
 def defaulted_parameters():
-    paths = sorted(pathlib.Path(surf4.__file__).parent.glob("*.py"))
-    assert paths
     count = 0
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                count += len(node.args.defaults) + sum(
-                    d is not None for d in node.args.kw_defaults)
+    for node in package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            count += len(node.args.defaults) + sum(
+                d is not None for d in node.args.kw_defaults)
+    return count
+
+
+def dataclass_field_defaults():
+    """Annotated fields with a default (a value or a ``field(...)``) in the
+    classes decorated with ``dataclass`` or ``dataclass(...)``."""
+    count = 0
+    for node in package_nodes():
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass")
+                for d in node.decorator_list):
+            count += sum(isinstance(stmt, ast.AnnAssign)
+                         and stmt.value is not None for stmt in node.body)
     return count
 
 
 def test_defaulted_parameter_count_is_pinned():
     assert defaulted_parameters() <= MAX_DEFAULTED
+
+
+def test_dataclass_field_default_count_is_pinned():
+    assert dataclass_field_defaults() <= MAX_FIELD_DEFAULTS
