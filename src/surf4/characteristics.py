@@ -409,12 +409,13 @@ def _fit_second_derivatives(samples, at, radius):
 
 
 def _curvatures_from_values(x, y, p, q, pxx, pxy, pyy):
-    """K and kappa from raw derivative data (psi = (x^2 + y^2)/2)."""
-    phi = Jet.from_derivatives(2, {(0, 0): 0.0, (1, 0): p, (0, 1): q,
-                                   (2, 0): pxx, (1, 1): pxy, (0, 2): pyy})
-    psi = Jet.from_derivatives(2, {(0, 0): 0.0, (1, 0): x, (0, 1): y,
-                                   (2, 0): 1.0, (1, 1): 0.0, (0, 2): 1.0})
-    return monge_curvatures(monge_frame(phi, psi, (x, y)))
+    """K and kappa from raw derivative data (psi = (x^2 + y^2)/2), each
+    argument an array over the points."""
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    # slots in jet order: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2)
+    phi = Jet(2, np.array([zero, p, q, pxx, pxy, pyy]))
+    psi = Jet(2, np.array([zero, x, y, one, zero, one]))
+    return monge_curvatures(monge_frame(phi, psi, np.column_stack([x, y])))
 
 
 def verify_reconstruction(samples):
@@ -455,14 +456,13 @@ def verify_reconstruction(samples):
         (np.abs(samples.x) <= 0.15) & (np.abs(samples.y) <= 0.15))
     picks = rng.choice(interior, size=min(N_CURVATURE_POINTS, len(interior)),
                        replace=False)
-    worst_kk = 0.0
-    for idx in picks:
-        K, kappa = _curvatures_from_values(
-            float(samples.x[idx]), float(samples.y[idx]),
-            float(samples.phi_x[idx]), float(samples.phi_y[idx]),
-            float(samples.phi_xx[idx]), float(samples.phi_xy[idx]),
-            float(samples.phi_yy[idx]))
-        worst_kk = max(worst_kk, abs(K - kappa))
+    K, kappa = _curvatures_from_values(
+        samples.x[picks], samples.y[picks], samples.phi_x[picks],
+        samples.phi_y[picks], samples.phi_xx[picks], samples.phi_xy[picks],
+        samples.phi_yy[picks])
+    with np.errstate(all="ignore"):
+        # a NaN difference is passed over, as a running max passes it over
+        worst_kk = float(np.fmax.reduce(np.abs(K - kappa), initial=0.0))
 
     expected_gamma1 = np.array([math.sqrt(0.5), 0.0, -math.sqrt(0.5)])
 

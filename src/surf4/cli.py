@@ -25,8 +25,10 @@ import numpy as np
 from . import characteristics, suites
 from .expr import (SurfaceEvalError, SurfaceSyntaxError, eval_surface,
                    parse_surface)
-from .frames import TOLERANCES, InternalInconsistencyError, curvature_report
-from .grassmann import gauss_map_at, great_circle_fit
+from .frames import (TOLERANCES, InternalInconsistencyError, _first_error,
+                     curvature_report)
+from .grassmann import gauss_map_at, great_circle_fit, tangent_pair
+from .jets import Jet
 from .lagrangian import (DEFAULT_GRID, TOL_CIRCLE, TOL_SYMP,
                          _check_congruence_grid, congruence_grid,
                          congruence_to_lagrangean, grid_points)
@@ -109,37 +111,69 @@ def _write_output(text, out_path):
 # -- analyze ------------------------------------------------------------------
 #
 # analyze, gaussmap and congruence evaluate the surface one point at a
-# time, in the order the points are checked, so the first failing point
-# is the one reported.  The benchmark's tests pin that shape
-# (eval_surface calls per grid point in
+# time, each point's coefficients into one array per jet order, and then
+# run each geometry function once on the whole grid.  The benchmark's
+# tests pin the evaluation shape (eval_surface calls per grid point in
 # perfbench/tests/test_perfbench.py); a grid evaluated in one
 # expr.eval_points call, as the suites do, waits until that pin becomes
 # a ceiling.
 
 
+def _grid_geometry(sd, points, steps):
+    """``fn(phi, psi, points)`` for each ``(order, fn, check)`` of
+    ``steps``, on the order-``order`` jets of all ``points``.
+
+    Each point is evaluated at each step's order in turn, into one
+    preallocated (2, slots, n) coefficient array per step; then each fn
+    runs once.  When anything raises, the points are rerun one at a time,
+    each through every step's evaluation and ``check`` (fn, or the part
+    of fn that checks points one by one) in turn, so the first failing
+    point reports its first failing check, as a point-by-point run would.
+    """
+    def batch():
+        coeffs = [None] * len(steps)
+        for i, pt in enumerate(points):
+            for k, (order, _, _) in enumerate(steps):
+                jets = eval_surface(sd, pt, order)
+                if coeffs[k] is None:
+                    coeffs[k] = np.empty((2, len(jets[0].c), len(points)))
+                coeffs[k][0, :, i] = jets[0].c
+                coeffs[k][1, :, i] = jets[1].c
+        return [fn(Jet(order, c[0]), Jet(order, c[1]), points)
+                for (order, fn, _), c in zip(steps, coeffs)]
+
+    def one(i):
+        for order, _, check in steps:
+            phi, psi = eval_surface(sd, points[i], order)
+            check(Jet(order, phi.c.reshape(-1, 1)),
+                  Jet(order, psi.c.reshape(-1, 1)), points[i:i + 1])
+
+    return _first_error(len(points), batch, one)
+
+
 def analysis_report(sd, nx, ny, source):
     points = grid_points(sd.domain, nx, ny, shrink=0.0)
-    records = []
-    counts = {"hyperbolic": 0, "parabolic": 0, "elliptic": 0}
-    for pt in points:
-        report = curvature_report(*eval_surface(sd, pt, order=2), pt)
-        _, klein = gauss_map_at(*eval_surface(sd, pt, order=1), pt)
-        counts[report.point_class] += 1
-        records.append({
-            "x": pt[0], "y": pt[1],
-            "K": report.K, "kappa": report.kappa,
-            "K1": report.K1, "K2": report.K2,
-            "Delta": report.delta,
-            "pointClass": report.point_class,
-            "inflection": report.inflection,
-            "gaussSingular": report.gauss_singular,
-            "Gamma1": list(klein.a_vec),
-            "Gamma2": list(klein.b_vec),
-        })
-    diffs = [abs(rec["K"] - rec["kappa"]) for rec in records]
-    sums = [abs(rec["K"] + rec["kappa"]) for rec in records]
-    fit1 = great_circle_fit([rec["Gamma1"] for rec in records])
-    fit2 = great_circle_fit([rec["Gamma2"] for rec in records])
+    report, (_, klein) = _grid_geometry(
+        sd, points, ((2, curvature_report, curvature_report),
+                     (1, gauss_map_at, gauss_map_at)))
+    point_class = report.point_class.tolist()
+    records = [{
+        "x": x, "y": y, "K": K, "kappa": kappa, "K1": k1, "K2": k2,
+        "Delta": delta, "pointClass": cls, "inflection": inflection,
+        "gaussSingular": singular, "Gamma1": gamma1, "Gamma2": gamma2,
+    } for (x, y), K, kappa, k1, k2, delta, cls, inflection, singular,
+        gamma1, gamma2 in zip(
+            points, report.K.tolist(), report.kappa.tolist(),
+            report.K1.tolist(), report.K2.tolist(), report.delta.tolist(),
+            point_class, report.inflection.tolist(),
+            report.gauss_singular.tolist(), klein.a_vec.tolist(),
+            klein.b_vec.tolist())]
+    counts = {name: point_class.count(name)
+              for name in ("hyperbolic", "parabolic", "elliptic")}
+    diffs = np.abs(report.K - report.kappa).tolist()
+    sums = np.abs(report.K + report.kappa).tolist()
+    fit1 = great_circle_fit(klein.a_vec)
+    fit2 = great_circle_fit(klein.b_vec)
     return {
         "surface": {
             "file": source,
@@ -245,21 +279,25 @@ def cmd_analyze(args):
 def cmd_gaussmap(args):
     sd = _load_surface(args.surface)
     points = grid_points(sd.domain, args.grid[0], args.grid[1], shrink=0.0)
-    table = np.empty((len(points), 8))
-    for row, pt in zip(table, points):
-        _, klein = gauss_map_at(*eval_surface(sd, pt, order=1), pt)
-        row[:2], row[2:5], row[5:] = pt, klein.a_vec, klein.b_vec
-    _write_table("x,y,g1x,g1y,g1z,g2x,g2y,g2z", table, args.out)
+    (_, klein), = _grid_geometry(sd, points,
+                                 ((1, gauss_map_at, gauss_map_at),))
+    _write_table("x,y,g1x,g1y,g1z,g2x,g2y,g2z",
+                 np.column_stack([points, klein.a_vec, klein.b_vec]),
+                 args.out)
     return 0
 
 
 def cmd_congruence(args):
     sd = _load_surface(args.surface)
     points = congruence_grid(sd.domain, args.grid)
-    # a generator: each point is evaluated just before its tangent pair
-    jets = (eval_surface(sd, pt, order=1) for pt in points)
-    report = congruence_to_lagrangean(
-        points, jets, tol_circle=args.tol_circle, tol_symp=args.tol_symp)
+
+    def congruence(phi, psi, pts):
+        return congruence_to_lagrangean(pts, (phi, psi),
+                                        tol_circle=args.tol_circle,
+                                        tol_symp=args.tol_symp)
+
+    # each point's own check is its tangent pair's
+    report, = _grid_geometry(sd, points, ((1, congruence, tangent_pair),))
     sys.stdout.write(to_json(report) + "\n")
     return 0
 

@@ -522,18 +522,17 @@ def eval_points(sd, points, order):
     """Jets of phi and psi at each of ``points``, from one
     :func:`eval_surface` call on the arrays of their x and y.
 
-    Returns one ``(phi, psi)`` pair per point.  Each jet views its column
-    of the batch coefficients (a jet that does not depend on x or y is
-    the same for every point) and equals ``eval_surface(sd, point,
-    order)`` bit for bit.  A point that fails fails the whole batch.
+    Returns the ``(phi, psi)`` pair with a coefficient column per point (a
+    jet that does not depend on x or y is broadcast to every point).  Each
+    column equals ``eval_surface(sd, point, order)`` bit for bit.  A point
+    that fails fails the whole batch.
     """
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
-    columns = []
+    out = []
     for jet in eval_surface(sd, (x, y), order):
         c = jet.c if jet.c.ndim == 2 else jet.c[:, np.newaxis]
-        c = np.broadcast_to(c, (len(c), len(x)))
-        columns.append([Jet(order, c[:, i]) for i in range(len(x))])
-    return list(zip(*columns))
+        out.append(Jet(order, np.broadcast_to(c, (len(c), len(x)))))
+    return tuple(out)
 
 
 def polynomial(coeffs):

@@ -1,4 +1,5 @@
-"""Per-point metric and curvature machinery for Monge surfaces in R^4.
+"""Metric and curvature machinery for Monge surfaces in R^4, over batches
+of points.
 
 Conventions fixed here and relied on throughout:
 
@@ -10,11 +11,17 @@ Conventions fixed here and relied on throughout:
   isoclinic direction exists) is corrected by the frame-orientation signs
   so that it is frame independent and matches the Monge-chart
   determinant formulas.
+* Every function takes a batch: jets whose coefficients carry a trailing
+  axis of n points with the sequence of the points, or vectors as the
+  rows of an (n, k) array; one point is the batch with n = 1.  A point's
+  numbers do not depend on its batch (reductions run per row: ``_norm``,
+  ``np.vecdot``, stacked ``solve``, ``det`` and ``svd``), and errors come
+  in the order of a point-by-point run (:func:`_first_error`).
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,20 +42,29 @@ TOLERANCES = {"delta": 1e-9, "kappa": 1e-8, "k": 1e-8, "rank": 1e-8,
               "wong": 1e-8}
 
 
+def _powers(scale, k):
+    """``s ** k`` for each element s of ``scale`` as a Python float, which
+    raises ``OverflowError`` past the largest float (numpy would round
+    differently and give inf)."""
+    return np.array([s ** k for s in scale.tolist()])
+
+
 def _bands(scale):
-    """Absolute bands at the largest second-derivative magnitude ``scale``;
-    its fourth power raises ``OverflowError`` past the largest float."""
+    """Absolute bands at the largest second-derivative magnitudes
+    ``scale``; their fourth power raises ``OverflowError`` past the
+    largest float."""
     return {
-        "delta": TOLERANCES["delta"] * scale**4,
-        "kappa": TOLERANCES["kappa"] * scale**2,
-        "k": TOLERANCES["k"] * scale**2,
+        "delta": TOLERANCES["delta"] * _powers(scale, 4),
+        "kappa": TOLERANCES["kappa"] * _powers(scale, 2),
+        "k": TOLERANCES["k"] * _powers(scale, 2),
         "rank": TOLERANCES["rank"] * scale,
     }
 
 
 def wong_band(K, kappa):
     """The band within which |K -+ kappa| = 0 counts as isoclinic."""
-    return TOLERANCES["wong"] * max(abs(K), abs(kappa), 1.0)
+    return TOLERANCES["wong"] * np.maximum(np.maximum(np.abs(K),
+                                                      np.abs(kappa)), 1.0)
 
 
 @dataclass
@@ -57,13 +73,13 @@ class MongeFrame:
     t2: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
-    E: float
-    F: float
-    G: float
-    W: float
-    Ehat: float
-    Fhat: float
-    Ghat: float
+    E: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    W: np.ndarray
+    Ehat: np.ndarray
+    Fhat: np.ndarray
+    Ghat: np.ndarray
     phi_jet: object
     psi_jet: object
 
@@ -74,24 +90,24 @@ class AdaptedFrame:
     e2: np.ndarray
     e3: np.ndarray
     e4: np.ndarray
-    chart: np.ndarray  # rows: (dx, dy) components of e1, e2
+    chart: np.ndarray  # per point, rows: (dx, dy) components of e1, e2
     # product of the signs of det of (e1,e2) in the (T1,T2) basis and of
     # det of (e3,e4) in the (N1,N2) basis
-    orientation: float
+    orientation: np.ndarray
 
 
 @dataclass
 class CurvatureReport:
-    K: float
-    kappa: float
+    K: np.ndarray
+    kappa: np.ndarray
     mean_h: tuple
-    K1: float
-    K2: float
-    delta: float
-    point_class: str            # hyperbolic | parabolic | elliptic
-    inflection: str             # none | real | flat | imaginary
-    isoclinic: bool             # |K -+ kappa| within wong_band
-    gauss_singular: bool
+    K1: np.ndarray
+    K2: np.ndarray
+    delta: np.ndarray
+    point_class: np.ndarray     # hyperbolic | parabolic | elliptic
+    inflection: np.ndarray      # none | real | flat | imaginary
+    isoclinic: np.ndarray       # |K -+ kappa| within wong_band
+    gauss_singular: np.ndarray
 
 
 def form_overflow(point):
@@ -100,104 +116,168 @@ def form_overflow(point):
                             f"{tuple(map(float, point))}")
 
 
+def _raise_first(points, checks):
+    """Raise, for the first of ``points`` that fails one of ``checks``,
+    the error of the first check it fails; ``checks`` holds (failed over
+    the points, error(point)) pairs in the order a point meets them."""
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        i = int(np.argmax(failed))
+        for mask, error in checks:
+            if mask[i]:
+                raise error(points[i])
+
+
+def _first_error(n, batch, one):
+    """``batch()`` over n points; when it raises, ``one(i)`` for each
+    point i in order, so that the first point that fails alone raises
+    its own error, as a point-by-point run would.  The batch error is
+    raised if no point fails alone.  The errors rerun are those a check
+    raises: ``SurfaceEvalError`` and ``OverflowError`` (arithmetic),
+    ``ValueError`` and ``LinAlgError``, and internal inconsistencies."""
+    try:
+        return batch()
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        if n == 1:
+            raise
+        error = exc
+    for i in range(n):
+        one(i)
+    raise error
+
+
+def _pointwise_errors(batch):
+    """``batch(phi, psi, points)`` whose error, when it raises, is the
+    one the first failing point raises alone (see :func:`_first_error`)."""
+    @functools.wraps(batch)
+    def run(phi, psi, points):
+        return _first_error(
+            len(points), lambda: batch(phi, psi, points),
+            lambda i: batch(Jet(phi.order, phi.c[:, i:i + 1]),
+                            Jet(psi.order, psi.c[:, i:i + 1]),
+                            points[i:i + 1]))
+    return run
+
+
 def _slopes(phi, psi):
-    """(phi_x, phi_y, psi_x, psi_y) as Python floats, which do not warn
-    when a product overflows."""
-    return tuple(float(jet.derivative(*k)) for jet in (phi, psi)
+    """(phi_x, phi_y, psi_x, psi_y), each an array over the points.
+
+    Products of them may overflow: the arithmetic on them runs under
+    ``np.errstate(all="ignore")``, and the checks that read it test
+    finiteness explicitly.
+    """
+    return tuple(jet.derivative(*k) for jet in (phi, psi)
                  for k in ((1, 0), (0, 1)))
 
 
+def _rows(*columns):
+    """The rows of the columns ``columns`` (arrays over the points, or
+    numbers) as a C-contiguous array; numbers alone give one row."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
 def _tangents(px, py, qx, qy):
-    """T1 = (1, 0, phi_x, psi_x) and T2 = (0, 1, phi_y, psi_y)."""
-    return np.array([1.0, 0.0, px, qx]), np.array([0.0, 1.0, py, qy])
+    """T1 = (1, 0, phi_x, psi_x) and T2 = (0, 1, phi_y, psi_y), as rows."""
+    return _rows(1.0, 0.0, px, qx), _rows(0.0, 1.0, py, qy)
 
 
-def monge_frame(phi, psi, point):
+def monge_frame(phi, psi, points):
     """First-order frame data and fundamental-form coefficients of the
-    order-2 jets ``phi``, ``psi`` at ``point``."""
+    order-2 jets ``phi``, ``psi`` at ``points``."""
     px, py, qx, qy = _slopes(phi, psi)
     t1, t2 = _tangents(px, py, qx, qy)
-    n1 = np.array([-px, -py, 1.0, 0.0])
-    n2 = np.array([-qx, -qy, 0.0, 1.0])
-    # scalar sums rather than dot products of t1, t2, n1, n2: numpy's dot
-    # may sum the four terms in another order and round differently
-    E = 1.0 + px * px + qx * qx
-    F = px * py + qx * qy
-    G = 1.0 + py * py + qy * qy
-    eg = E * G
-    W = eg - F * F
-    if not math.isfinite(W):  # an inf or NaN in E, F or G reaches W
-        raise form_overflow(point)
-    if W <= 0.0:
-        # W >= 1 in exact arithmetic; E*G - F^2 is not positive only when
-        # it cancels an E*G of 1e16 or more down to its rounding error
-        raise SurfaceEvalError("first fundamental form is numerically "
-                               f"singular at point {tuple(map(float, point))}")
-    Ehat = px * px + py * py + 1.0
-    Fhat = px * qx + py * qy
-    Ghat = qx * qx + qy * qy + 1.0
-    _check_hatted_identity(W, eg, Ehat * Ghat, Fhat * Fhat, point)
+    n1 = _rows(-px, -py, 1.0, 0.0)
+    n2 = _rows(-qx, -qy, 0.0, 1.0)
+    with np.errstate(all="ignore"):
+        # elementwise sums rather than dot products of t1, t2, n1, n2: a
+        # dot may sum the four terms in another order and round otherwise
+        E = 1.0 + px * px + qx * qx
+        F = px * py + qx * qy
+        G = 1.0 + py * py + qy * qy
+        eg = E * G
+        W = eg - F * F
+        Ehat = px * px + py * py + 1.0
+        Fhat = px * qx + py * qy
+        Ghat = qx * qx + qy * qy + 1.0
+        _check_hatted_identity(W, eg, Ehat * Ghat, Fhat * Fhat, points)
     return MongeFrame(t1, t2, n1, n2, E, F, G, W, Ehat, Fhat, Ghat, phi, psi)
 
 
-def _check_hatted_identity(W, eg, eg_hat, ff_hat, point):
-    """Check Ehat*Ghat - Fhat^2 = W = E*G - F^2, given the products.
+def _check_hatted_identity(W, eg, eg_hat, ff_hat, points):
+    """Check W = E*G - F^2 and Ehat*Ghat - Fhat^2 = W, given the products,
+    at each of ``points``.
 
-    Each side cancels when its products are large against W, as on a
-    steep surface, and keeps only about 1e-16 of the larger product; so
-    the bound is 1e-10 times the largest of 1, E*G and Ehat*Ghat (W is at
+    W >= 1 in exact arithmetic: an inf or NaN W is the form overflow
+    error, and a W that is not positive (an E*G of 1e16 or more cancelled
+    down to its rounding error) the singular-form error.  Each side of the
+    identity cancels when its products are large against W, as on a steep
+    surface, and keeps only about 1e-16 of the larger product; so the
+    bound is 1e-10 times the largest of 1, E*G and Ehat*Ghat (W is at
     most E*G).  For a surface of moderate slope both products are close
     to W, and the bound is 1e-10 relative to W.  Products that overflow
     are the form overflow error, not an inconsistency.
     """
-    if not (math.isfinite(eg_hat) and math.isfinite(ff_hat)):
-        raise form_overflow(point)
-    if abs(eg_hat - ff_hat - W) > 1e-10 * max(1.0, eg, eg_hat):
-        raise InternalInconsistencyError(
-            "Ehat*Ghat - Fhat^2 differs from W beyond tolerance"
-        )
+    with np.errstate(all="ignore"):
+        # a point that reaches this check has finite products
+        bound = 1e-10 * np.maximum(np.maximum(eg, eg_hat), 1.0)
+        _raise_first(points, [
+            (~np.isfinite(W), form_overflow),
+            (W <= 0.0, lambda point: SurfaceEvalError(
+                "first fundamental form is numerically singular at point "
+                f"{tuple(map(float, point))}")),
+            (~(np.isfinite(eg_hat) & np.isfinite(ff_hat)), form_overflow),
+            (np.abs(eg_hat - ff_hat - W) > bound,
+             lambda point: InternalInconsistencyError(
+                 "Ehat*Ghat - Fhat^2 differs from W beyond tolerance")),
+        ])
 
 
-def _norm(v):
-    """The Euclidean norm of the vector ``v``, bit for bit
-    ``np.linalg.norm(v)``: numpy's own 1-D path (a BLAS dot and a square
-    root) without its argument handling."""
-    x = np.asarray(v, float).ravel(order="K")
-    return math.sqrt(x.dot(x))
+def _norm(rows):
+    """The Euclidean norm of each row (the last axis) of ``rows``, bit for
+    bit ``np.linalg.norm`` of that row alone: a BLAS dot per C-contiguous
+    row and a square root.  A square that overflows gives inf, without a
+    warning."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.sqrt(np.vecdot(rows, rows))
 
 
 def _gram_schmidt_pair(v1, v2):
-    e1 = v1 / _norm(v1)
-    w = v2 - (v2 @ e1) * e1
-    e2 = w / _norm(w)
+    e1 = v1 / _norm(v1)[:, None]
+    w = v2 - np.vecdot(v2, e1)[:, None] * e1
+    e2 = w / _norm(w)[:, None]
     return e1, e2
 
 
 def _coords_in(basis1, basis2, vectors):
-    """Rows: components of each vector in the (basis1, basis2) span, from
-    one Gram matrix and one stacked solve that keeps one right-hand side
-    per system (one system with both right-hand sides rounds
-    differently)."""
-    g = np.array([[basis1 @ basis1, basis1 @ basis2],
-                  [basis1 @ basis2, basis2 @ basis2]])
-    rhs = np.array([[[v @ basis1], [v @ basis2]] for v in vectors])
-    return np.linalg.solve(np.array([g] * len(rhs)), rhs)[:, :, 0]
+    """Per point, the components of each of ``vectors`` in the (basis1,
+    basis2) span, as rows: one Gram matrix per point and one stacked
+    solve that keeps one right-hand side per system (one system with
+    both right-hand sides rounds differently)."""
+    g = _rows(np.vecdot(basis1, basis1), np.vecdot(basis1, basis2),
+              np.vecdot(basis1, basis2), np.vecdot(basis2, basis2))
+    rhs = _rows(*[np.vecdot(v, basis) for v in vectors
+                  for basis in (basis1, basis2)])
+    return np.linalg.solve(g.reshape(-1, 1, 2, 2),
+                           rhs.reshape(-1, len(vectors), 2, 1))[..., 0]
 
 
 def adapted_frame(mf):
     """Orthonormal adapted frame by Gram-Schmidt of (T1, T2) and (N1, N2)."""
-    e1, e2 = _gram_schmidt_pair(mf.t1, mf.t2)
-    e3, e4 = _gram_schmidt_pair(mf.n1, mf.n2)
-    chart = _coords_in(mf.t1, mf.t2, (e1, e2))
-    normal_coords = _coords_in(mf.n1, mf.n2, (e3, e4))
-    signs = np.sign(np.linalg.det(np.array([chart, normal_coords])))
-    return AdaptedFrame(e1, e2, e3, e4, chart,
-                        float(signs[0]) * float(signs[1]))
+    with np.errstate(all="ignore"):
+        e1, e2 = _gram_schmidt_pair(mf.t1, mf.t2)
+        e3, e4 = _gram_schmidt_pair(mf.n1, mf.n2)
+        chart = _coords_in(mf.t1, mf.t2, (e1, e2))
+        normal_coords = _coords_in(mf.n1, mf.n2, (e3, e4))
+        signs = np.sign(np.linalg.det(np.stack([chart, normal_coords],
+                                               axis=1)))
+    return AdaptedFrame(e1, e2, e3, e4, chart, signs[:, 0] * signs[:, 1])
 
 
 def _second_derivatives(phi_jet, psi_jet):
-    """(phi_xx, phi_xy, phi_yy, psi_xx, psi_xy, psi_yy) as floats."""
-    return tuple(float(jet.derivative(*k)) for jet in (phi_jet, psi_jet)
+    """(phi_xx, phi_xy, phi_yy, psi_xx, psi_xy, psi_yy), each an array
+    over the points."""
+    return tuple(jet.derivative(*k) for jet in (phi_jet, psi_jet)
                  for k in ((2, 0), (1, 1), (0, 2)))
 
 
@@ -205,29 +285,33 @@ def _second_form_from(mf, frame):
     """Coefficients (a, b, c) toward e3 and (e, f, g) toward e4 of II."""
     pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(mf.phi_jet,
                                                        mf.psi_jet)
-    dxx = np.array([0.0, 0.0, pxx, qxx])
-    dxy = np.array([0.0, 0.0, pxy, qxy])
-    dyy = np.array([0.0, 0.0, pyy, qyy])
+    dxx = _rows(0.0, 0.0, pxx, qxx)
+    dxy = _rows(0.0, 0.0, pxy, qxy)
+    dyy = _rows(0.0, 0.0, pyy, qyy)
 
     def second(u, v):
-        return u[0] * v[0] * dxx + (u[0] * v[1] + u[1] * v[0]) * dxy \
-            + u[1] * v[1] * dyy
+        return (u[:, 0] * v[:, 0])[:, None] * dxx \
+            + (u[:, 0] * v[:, 1] + u[:, 1] * v[:, 0])[:, None] * dxy \
+            + (u[:, 1] * v[:, 1])[:, None] * dyy
 
-    p, q = frame.chart
-    pp, pq, qq = second(p, p), second(p, q), second(q, q)
-    return (pp @ frame.e3, pq @ frame.e3, qq @ frame.e3,
-            pp @ frame.e4, pq @ frame.e4, qq @ frame.e4)
+    p, q = frame.chart[:, 0], frame.chart[:, 1]
+    with np.errstate(all="ignore"):
+        pp, pq, qq = second(p, p), second(p, q), second(q, q)
+    return (np.vecdot(pp, frame.e3), np.vecdot(pq, frame.e3),
+            np.vecdot(qq, frame.e3), np.vecdot(pp, frame.e4),
+            np.vecdot(pq, frame.e4), np.vecdot(qq, frame.e4))
 
 
 def hessian_quantities(phi_jet, psi_jet):
     """The six Monge-chart determinants H_phi, H_psi, Q, L, M, N."""
     pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(phi_jet, psi_jet)
-    h_phi = pxx * pyy - pxy * pxy
-    h_psi = qxx * qyy - qxy * qxy
-    q_det = (pxx * qyy - pxy * qxy) - (pxy * qxy - pyy * qxx)
-    l_det = pxy * qyy - pyy * qxy
-    m_det = pxx * qyy - pyy * qxx
-    n_det = pxx * qxy - pxy * qxx
+    with np.errstate(all="ignore"):
+        h_phi = pxx * pyy - pxy * pxy
+        h_psi = qxx * qyy - qxy * qxy
+        q_det = (pxx * qyy - pxy * qxy) - (pxy * qxy - pyy * qxx)
+        l_det = pxy * qyy - pyy * qxy
+        m_det = pxx * qyy - pyy * qxx
+        n_det = pxx * qxy - pxy * qxx
     return {"H_phi": h_phi, "H_psi": h_psi, "Q": q_det,
             "L": l_det, "M": m_det, "N": n_det}
 
@@ -240,34 +324,42 @@ def monge_curvatures(mf):
     :func:`hessian_quantities`.
     """
     hq = hessian_quantities(mf.phi_jet, mf.psi_jet)
-    w2 = mf.W * mf.W
-    K = (mf.Ehat * hq["H_psi"] - mf.Fhat * hq["Q"]
-         + mf.Ghat * hq["H_phi"]) / w2
-    kappa = (mf.E * hq["L"] - mf.F * hq["M"] + mf.G * hq["N"]) / w2
+    with np.errstate(all="ignore"):
+        w2 = mf.W * mf.W
+        K = (mf.Ehat * hq["H_psi"] - mf.Fhat * hq["Q"]
+             + mf.Ghat * hq["H_phi"]) / w2
+        kappa = (mf.E * hq["L"] - mf.F * hq["M"] + mf.G * hq["N"]) / w2
     return K, kappa
 
 
 def _require_close(name, u, v, scale):
-    if abs(u - v) > 1e-9 * max(1.0, scale, abs(u), abs(v)):
+    """Raise at the first point where the routes ``u`` and ``v`` of
+    ``name`` differ by more than 1e-9 relative."""
+    with np.errstate(all="ignore"):
+        # a NaN route fails no comparison, whatever the bound
+        failed = np.abs(u - v) > 1e-9 * np.maximum.reduce(
+            [np.ones_like(u), scale, np.abs(u), np.abs(v)])
+    if failed.any():
+        i = int(np.argmax(failed))
         raise InternalInconsistencyError(
-            f"{name} routes disagree: {u!r} vs {v!r}"
-        )
+            f"{name} routes disagree: {float(u[i])!r} vs {float(v[i])!r}")
 
 
 def resultant_determinant(a, b, c, e, f, g):
     """Delta as one quarter of the 4x4 resultant determinant."""
-    m = np.array([
-        [a, 2 * b, c, 0.0],
-        [e, 2 * f, g, 0.0],
-        [0.0, a, 2 * b, c],
-        [0.0, e, 2 * f, g],
-    ])
-    return 0.25 * np.linalg.det(m)
+    m = np.zeros((len(a), 4, 4))
+    m[:, 0, :3] = _rows(a, 2 * b, c)
+    m[:, 1, :3] = _rows(e, 2 * f, g)
+    m[:, 2, 1:] = _rows(a, 2 * b, c)
+    m[:, 3, 1:] = _rows(e, 2 * f, g)
+    with np.errstate(all="ignore"):
+        return 0.25 * np.linalg.det(m)
 
 
-def curvature_report(phi, psi, point):
+@_pointwise_errors
+def curvature_report(phi, psi, points):
     """Full curvature/classification record of the order-2 jets ``phi``,
-    ``psi`` at ``point``.
+    ``psi`` at ``points``, one array entry per point.
 
     K, kappa and Delta are each computed along two independent routes
     (Monge-chart determinants vs adapted-frame coefficients, expanded
@@ -275,85 +367,85 @@ def curvature_report(phi, psi, point):
     relative; disagreement raises :class:`InternalInconsistencyError`.
     Classification uses the bands of :data:`TOLERANCES`.
     """
-    mf = monge_frame(phi, psi, point)
+    mf = monge_frame(phi, psi, points)
     try:
         frame = adapted_frame(mf)
     except np.linalg.LinAlgError:
         # the tangent or normal Gram matrix is singular in floating point,
-        # as for a plane so steep that 1 + slope^2 rounds to slope^2
+        # as for a plane so steep that 1 + slope^2 rounds to slope^2; the
+        # point named is the batch's first, and a batch of one names it
         raise SurfaceEvalError(
             "adapted frame is numerically singular at point "
-            f"{tuple(map(float, point))}") from None
+            f"{tuple(map(float, points[0]))}") from None
     a, b, c, e, f, g = _second_form_from(mf, frame)
     sigma = frame.orientation
 
     k_hessian, kappa_det = monge_curvatures(mf)
-    k1, k2 = a * c - b * b, e * g - f * f
-    k_frame = k1 + k2
-    kappa_raw = (a - c) * f - (e - g) * b
-    kappa_frame = sigma * kappa_raw
-
     pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(mf.phi_jet,
                                                        mf.psi_jet)
-    scale = max(abs(pxx), abs(pxy), abs(pyy), abs(qxx), abs(qxy), abs(qyy))
-    try:
-        bands = _bands(scale)
-    except OverflowError:
-        # Delta and its bounds live at scale^4, past the largest float
-        raise SurfaceEvalError(
-            "second derivatives overflow the Delta bound at point "
-            f"{tuple(map(float, point))}") from None
-    _require_close("K", k_hessian, k_frame, scale**2)
-    _require_close("kappa", kappa_det, kappa_frame, scale**2)
+    with np.errstate(all="ignore"):
+        k1, k2 = a * c - b * b, e * g - f * f
+        k_frame = k1 + k2
+        kappa_raw = (a - c) * f - (e - g) * b
+        kappa_frame = sigma * kappa_raw
+        scale = np.abs(pxx)
+        for d in (pxy, pyy, qxx, qxy, qyy):
+            scale = np.maximum(scale, np.abs(d))
+        try:
+            bands = _bands(scale)
+        except OverflowError:
+            # Delta and its bounds live at scale^4, past the largest float
+            raise SurfaceEvalError(
+                "second derivatives overflow the Delta bound at point "
+                f"{tuple(map(float, points[0]))}") from None
+        _require_close("K", k_hessian, k_frame, _powers(scale, 2))
+        _require_close("kappa", kappa_det, kappa_frame, _powers(scale, 2))
 
-    A = a * f - b * e
-    B = a * g - c * e
-    C = b * g - c * f
-    delta_expanded = A * C - 0.25 * B ** 2
-    delta_resultant = resultant_determinant(a, b, c, e, f, g)
-    _require_close("Delta", delta_expanded, delta_resultant, scale**4)
+        A = a * f - b * e
+        B = a * g - c * e
+        C = b * g - c * f
+        # B ** 2 of one float64 each, as numpy computes it for a number
+        delta_expanded = A * C - 0.25 * np.array([v ** 2 for v in B])
+        delta_resultant = resultant_determinant(a, b, c, e, f, g)
+        _require_close("Delta", delta_expanded, delta_resultant,
+                       _powers(scale, 4))
 
-    K = k_frame
-    kappa = kappa_frame
-    delta = delta_expanded
+        K = k_frame
+        kappa = kappa_frame
+        delta = delta_expanded
 
-    if delta < -bands["delta"]:
-        point_class = "hyperbolic"
-    elif delta > bands["delta"]:
-        point_class = "elliptic"
-    else:
-        point_class = "parabolic"
+        point_class = np.where(
+            delta < -bands["delta"], "hyperbolic",
+            np.where(delta > bands["delta"], "elliptic", "parabolic"))
+        inflection = np.where(
+            (point_class == "parabolic") & (np.abs(kappa) <= bands["kappa"]),
+            np.where(K < -bands["k"], "real",
+                     np.where(K > bands["k"], "imaginary", "flat")),
+            "none")
 
-    inflection = "none"
-    if point_class == "parabolic" and abs(kappa) <= bands["kappa"]:
-        if K < -bands["k"]:
-            inflection = "real"
-        elif K > bands["k"]:
-            inflection = "imaginary"
-        else:
-            inflection = "flat"
+        # a NaN difference counts as within the band
+        band = wong_band(K, kappa)
+        isoclinic = ~((np.abs(K - kappa_raw) > band)
+                      & (np.abs(K + kappa_raw) > band))
 
-    # a NaN difference counts as within the band
-    band = wong_band(K, kappa)
-    isoclinic = not (abs(K - kappa_raw) > band and abs(K + kappa_raw) > band)
+        d2 = np.stack([_rows(pxx, qxx, pxy, qxy), _rows(pxy, qxy, pyy, qyy)],
+                      axis=1)
+        singular_values = np.linalg.svd(d2, compute_uv=False)
+        gauss_singular = singular_values[:, 1] <= bands["rank"]
 
-    d2 = np.array([[pxx, qxx, pxy, qxy], [pxy, qxy, pyy, qyy]])
-    singular_values = np.linalg.svd(d2, compute_uv=False)
-    gauss_singular = bool(singular_values[1] <= bands["rank"])
-
-    return CurvatureReport(
-        K=K, kappa=kappa,
-        mean_h=(0.5 * (a + c), 0.5 * (e + g)),
-        K1=k1, K2=k2, delta=delta,
-        point_class=point_class, inflection=inflection,
-        isoclinic=isoclinic,
-        gauss_singular=gauss_singular,
-    )
+        return CurvatureReport(
+            K=K, kappa=kappa,
+            mean_h=(0.5 * (a + c), 0.5 * (e + g)),
+            K1=k1, K2=k2, delta=delta,
+            point_class=point_class, inflection=inflection,
+            isoclinic=isoclinic,
+            gauss_singular=gauss_singular,
+        )
 
 
 def _adapted_chart_jets(sd, targets):
-    """Order-2 jets of the surface re-graphed in an adapted chart, one
-    ``(phi, psi)`` pair per target.
+    """Order-2 jets of the surface re-graphed in an adapted chart, as one
+    ``(phi, psi)`` batch with a column per target.
 
     A target is ``(point, chart, rot, base, target_uv)``.  Its adapted
     chart translates the surface point ``base`` to the origin and rotates
@@ -376,40 +468,45 @@ def _adapted_chart_jets(sd, targets):
     for _ in range(40):
         if not active:
             break
+        phi, psi = eval_points(sd, [xys[i] for i in active], 2)
+        t1s, t2s = _tangents(*_slopes(phi, psi))
+        second = _rows(*_second_derivatives(phi, psi))
         pending = []
-        for i, (phj, psj) in zip(active, eval_points(
-                sd, [xys[i] for i in active], 2)):
+        for j, i in enumerate(active):
             _, _, rot, base, target_uv = targets[i]
             xy = xys[i]
-            pos = np.array([xy[0], xy[1], float(phj.value), float(psj.value)])
-            t1, t2 = _tangents(*_slopes(phj, psj))
+            pos = np.array([xy[0], xy[1], phi.value[j], psi.value[j]])
+            t1, t2 = t1s[j], t2s[j]
             res = rot[:2] @ (pos - base) - target_uv
             if np.hypot(res[0], res[1]) < 1e-14:
-                found[i] = (xy, phj, psj, pos, t1, t2)
+                found[i] = (xy, second[j], pos, t1, t2)
                 continue
             xys[i] = xy - np.linalg.solve(
                 rot[:2] @ np.column_stack([t1, t2]), res)
             pending.append(i)
         active = pending
-    out = []
+    columns = []
     for (point, _, rot, base, _), inverse in zip(targets, found):
         if inverse is None:
             raise ValueError(f"chart inversion did not converge near {point}")
-        xy, phj, psj, pos, t1, t2 = inverse
+        xy, second, pos, t1, t2 = inverse
         if not sd.domain.contains(xy):
             raise ValueError(
                 f"closedness stencil point {tuple(map(float, xy))} leaves "
                 "the domain"
             )
-        out.append(_regraphed_jets(rot, base, phj, psj, pos, t1, t2))
-    return out
+        columns.append(_regraphed_coefficients(rot, base, second, pos, t1,
+                                               t2))
+    phi_c, psi_c = np.stack(columns, axis=-1)
+    return Jet(2, phi_c), Jet(2, psi_c)
 
 
-def _regraphed_jets(rot, base, phj, psj, pos, t1, t2):
-    """Order-2 jets of the rotated coordinates 3 and 4 as functions of
-    the rotated coordinates 1 and 2, from the jets ``phj``, ``psj`` at the
-    preimage, its position ``pos`` and its tangents ``t1``, ``t2``."""
-    pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(phj, psj)
+def _regraphed_coefficients(rot, base, second, pos, t1, t2):
+    """Order-2 jet coefficients of the rotated coordinates 3 and 4 as
+    functions of the rotated coordinates 1 and 2, from the second
+    derivatives ``second`` of phi and psi at the preimage, its position
+    ``pos`` and its tangents ``t1``, ``t2``."""
+    pxx, pxy, pyy, qxx, qxy, qyy = second
     hess_phi = np.array([[pxx, pxy], [pxy, pyy]])
     hess_psi = np.array([[qxx, qxy], [qxy, qyy]])
 
@@ -432,28 +529,34 @@ def _regraphed_jets(rot, base, phj, psj, pos, t1, t2):
         grad_uv = grad @ jac_inv
         hess_uv = jac_inv.T @ (
             hess - grad_uv[0] * hess_u - grad_uv[1] * hess_v) @ jac_inv
-        out.append(Jet.from_derivatives(2, {
-            (0, 0): val,
-            (1, 0): grad_uv[0], (0, 1): grad_uv[1],
-            (2, 0): hess_uv[0, 0], (1, 1): hess_uv[0, 1],
-            (0, 2): hess_uv[1, 1],
-        }))
-    return out[0], out[1]
+        # slots in jet order: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2)
+        out.append([val, grad_uv[0], grad_uv[1], hess_uv[0, 0],
+                    hess_uv[0, 1], hess_uv[1, 1]])
+    return np.array(out)
+
+
+@_pointwise_errors
+def _frames_at(phi, psi, points):
+    """The adapted frames of the order-2 jets at ``points``."""
+    return adapted_frame(monge_frame(phi, psi, points))
 
 
 # central-difference step of the closedness check, in adapted-chart units
 CLOSEDNESS_STEP = 1e-3
 
 
-def _theta_components(phi, psi, target_uv):
+@_pointwise_errors
+def _theta_components(phi, psi, target_uvs):
     """Chart (dx, dy) components of theta from the re-graphed jets at the
-    adapted-chart point ``target_uv``, through the coframe, the inverse of
-    the transposed chart matrix."""
-    mf = monge_frame(phi, psi, target_uv)
+    adapted-chart points ``target_uvs``, one row per point, through the
+    coframe, the inverse of the transposed chart matrix."""
+    mf = monge_frame(phi, psi, target_uvs)
     frame = adapted_frame(mf)
     a, b, _, _, f, g = _second_form_from(mf, frame)
-    coframe = np.linalg.inv(frame.chart.T)
-    return coframe.T @ np.array([a + f, b + g])
+    with np.errstate(all="ignore"):
+        coframe = np.linalg.inv(frame.chart.transpose(0, 2, 1))
+        return np.matmul(coframe.transpose(0, 2, 1),
+                         _rows(a + f, b + g)[:, :, None])[:, :, 0]
 
 
 def isoclinic_form_closedness(sd, points):
@@ -467,25 +570,23 @@ def isoclinic_form_closedness(sd, points):
     exterior-derivative coefficient is the central difference of those
     components.  Evaluating instead in a fixed ambient Monge chart makes
     the residual frame-dependent and O(1) even on K = kappa surfaces.
-    The points are evaluated in one call and the stencil preimages of all
-    of them solved together (see :func:`_adapted_chart_jets`).
+    The points are evaluated in one call, their frames formed in one
+    batch, the stencil preimages of all of them solved together (see
+    :func:`_adapted_chart_jets`) and theta formed in one batch.
     """
     h = CLOSEDNESS_STEP
     stencil = [np.array(uv) for uv in ((h, 0.0), (-h, 0.0), (0.0, h),
                                        (0.0, -h))]
-    targets = []
-    for point, (phi0, psi0) in zip(points, eval_points(sd, points, 2)):
-        frame0 = adapted_frame(monge_frame(phi0, psi0, point))
-        rot = np.vstack([frame0.e1, frame0.e2, frame0.e3, frame0.e4])
-        base = np.array([point[0], point[1],
-                         float(phi0.value), float(psi0.value)])
-        targets += [(point, frame0.chart, rot, base, uv) for uv in stencil]
-    theta = [_theta_components(phi, psi, target[4]) for target, (phi, psi)
-             in zip(targets, _adapted_chart_jets(sd, targets))]
-    residuals = []
-    for k in range(0, len(theta), 4):
-        q_plus, q_minus = theta[k][1], theta[k + 1][1]
-        p_plus, p_minus = theta[k + 2][0], theta[k + 3][0]
-        residuals.append(
-            abs((q_plus - q_minus) / (2 * h) - (p_plus - p_minus) / (2 * h)))
-    return residuals
+    phi0, psi0 = eval_points(sd, points, 2)
+    frame0 = _frames_at(phi0, psi0, points)
+    rot = np.stack([frame0.e1, frame0.e2, frame0.e3, frame0.e4], axis=1)
+    base = _rows(*np.array(points, dtype=float).reshape(-1, 2).T,
+                 phi0.value, psi0.value)
+    targets = [(point, frame0.chart[i], rot[i], base[i], uv)
+               for i, point in enumerate(points) for uv in stencil]
+    phi, psi = _adapted_chart_jets(sd, targets)
+    theta = _theta_components(phi, psi, [target[4] for target in targets])
+    theta = theta.reshape(-1, 4, 2)
+    q_plus, q_minus = theta[:, 0, 1], theta[:, 1, 1]
+    p_plus, p_minus = theta[:, 2, 0], theta[:, 3, 0]
+    return np.abs((q_plus - q_minus) / (2 * h) - (p_plus - p_minus) / (2 * h))

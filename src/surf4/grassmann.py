@@ -15,14 +15,15 @@ relabelings, under which every invariant assertion is unchanged).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import eval_points
-from .frames import (InternalInconsistencyError, _norm, _slopes, _tangents,
-                     form_overflow, monge_curvatures, monge_frame)
+from .frames import (InternalInconsistencyError, _first_error, _norm,
+                     _pointwise_errors, _raise_first, _rows, _slopes,
+                     _tangents, form_overflow, monge_curvatures, monge_frame)
+from .jets import Jet
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
@@ -39,10 +40,12 @@ C_AXES = [0, 2, 1]
 
 
 def wedge6(v1, v2):
-    """The six 2x2 minors of (v1, v2), in Pluecker order."""
+    """The six 2x2 minors of each row pair of (v1, v2), in Pluecker
+    order, as rows."""
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    return np.array([v1[i] * v2[j] - v1[j] * v2[i] for i, j in PLUCKER_PAIRS])
+    return _rows(*[v1[..., i] * v2[..., j] - v1[..., j] * v2[..., i]
+                   for i, j in PLUCKER_PAIRS])
 
 
 # the (x, y)-plane as a Pluecker point
@@ -53,8 +56,8 @@ XY_PLANE = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 class KleinPoint:
     a_vec: np.ndarray
     b_vec: np.ndarray
-    a_norm: float
-    b_norm: float
+    a_norm: np.ndarray
+    b_norm: np.ndarray
 
 
 @dataclass
@@ -64,52 +67,68 @@ class GreatCircleFit:
     degenerate: bool
 
 
+# Vector functions act on the last axis: an (n, k) array is n rows, and
+# a k-vector is one.
+
+
 def plucker_from_pair(v1, v2):
-    """Normalized wedge of two independent 4-vectors: the Pluecker point
-    of their plane, a unit 6-array."""
-    w = wedge6(v1, v2)
-    norm = _norm(w)
-    if norm <= 1e-12:
-        raise ValueError("vectors are linearly dependent (wedge norm <= 1e-12)")
-    return w / norm
+    """Normalized wedge of each row pair of independent 4-vectors: the
+    Pluecker point of their plane, a unit 6-row."""
+    with np.errstate(all="ignore"):
+        w = wedge6(v1, v2)
+        norm = _norm(w)
+        if np.any(norm <= 1e-12):
+            raise ValueError(
+                "vectors are linearly dependent (wedge norm <= 1e-12)")
+        return w / norm[..., None]
 
 
 def klein_from_plucker(p):
-    """Sphere-pair coordinates of the Pluecker point ``p``; checks that
-    both norms are 1 to 1e-10, then divides each vector by its norm.
+    """Sphere-pair coordinates of the Pluecker points ``p`` (rows);
+    checks that both norms are 1 to 1e-10, then divides each vector by
+    its norm.
 
     For a valid Pluecker point |a| = |b| = 1 holds identically (the sphere
     and quadric relations combine); a violation signals an invalid input.
     """
-    a = np.array([p[0] + p[3], p[1] + p[4], p[2] + p[5]])
-    b = np.array([p[0] - p[3], p[1] - p[4], p[2] - p[5]])
-    a_norm = _norm(a)
-    b_norm = _norm(b)
-    if not (abs(a_norm - 1.0) <= 1e-10 and abs(b_norm - 1.0) <= 1e-10):
-        raise ValueError(
-            f"Klein vectors are not unit (|a| = {a_norm}, |b| = {b_norm}); "
-            "input is not a valid Pluecker point"
-        )
-    return KleinPoint(a / a_norm, b / b_norm, a_norm, b_norm)
+    p = np.asarray(p, dtype=float)
+    with np.errstate(all="ignore"):
+        a = _rows(p[..., 0] + p[..., 3], p[..., 1] + p[..., 4],
+                  p[..., 2] + p[..., 5])
+        b = _rows(p[..., 0] - p[..., 3], p[..., 1] - p[..., 4],
+                  p[..., 2] - p[..., 5])
+        a_norm = _norm(a)
+        b_norm = _norm(b)
+        unit = (np.abs(a_norm - 1.0) <= 1e-10) & (np.abs(b_norm - 1.0) <= 1e-10)
+        if not unit.all():
+            i = int(np.argmax(~unit.ravel()))
+            raise ValueError(
+                f"Klein vectors are not unit (|a| = {float(a_norm.flat[i])}, "
+                f"|b| = {float(b_norm.flat[i])}); input is not a valid "
+                "Pluecker point"
+            )
+        return KleinPoint(a / a_norm[..., None], b / b_norm[..., None],
+                          a_norm, b_norm)
 
 
-def tangent_pair(phi, psi, point):
-    """(T1, T2) of the jets ``phi``, ``psi`` at ``point``; it reads only
-    their slopes, so the jets may be of any order >= 1."""
+def tangent_pair(phi, psi, points):
+    """(T1, T2) rows of the jets ``phi``, ``psi`` at ``points``; it reads
+    only their slopes, so the jets may be of any order >= 1."""
     px, py, qx, qy = _slopes(phi, psi)
-    # |T1 ^ T2|^2 = W is 1 plus these squares; plucker_from_pair divides
-    # by its root
-    minor = px * qy - qx * py
-    if not math.isfinite(px * px + py * py + qx * qx + qy * qy
-                         + minor * minor):
-        raise form_overflow(point)
+    with np.errstate(all="ignore"):
+        # |T1 ^ T2|^2 = W is 1 plus these squares; plucker_from_pair
+        # divides by its root
+        minor = px * qy - qx * py
+        total = px * px + py * py + qx * qx + qy * qy + minor * minor
+    _raise_first(points, [(~np.isfinite(total), form_overflow)])
     return _tangents(px, py, qx, qy)
 
 
-def gauss_map_at(phi, psi, point):
-    """Tangent plane of the jets ``phi``, ``psi`` (any order >= 1) at
-    ``point``, as (Pluecker point, KleinPoint)."""
-    t1, t2 = tangent_pair(phi, psi, point)
+@_pointwise_errors
+def gauss_map_at(phi, psi, points):
+    """Tangent planes of the jets ``phi``, ``psi`` (any order >= 1) at
+    ``points``, as (Pluecker rows, KleinPoint)."""
+    t1, t2 = tangent_pair(phi, psi, points)
     plucker = plucker_from_pair(t1, t2)
     return plucker, klein_from_plucker(plucker)
 
@@ -149,53 +168,63 @@ def blaschke_check(sd, points):
                 raise ValueError(
                     f"Blaschke stencil point {pt} leaves the domain")
         stencils += stencil + [(x, y)]
-    jets = eval_points(sd, stencils, 2)
-    return [_blaschke_at(stencils[k:k + 5], jets[k:k + 5])
-            for k in range(0, len(stencils), 5)]
+    phi, psi = eval_points(sd, stencils, 2)
+
+    def at(block):
+        # the points of ``block``, a slice of whole 5-point groups
+        return _blaschke_at(stencils[block], Jet(2, phi.c[:, block]),
+                            Jet(2, psi.c[:, block]))
+
+    t1, t2, residual1, residual2, sign1, sign2 = _first_error(
+        len(points), lambda: at(slice(None)),
+        lambda i: at(slice(5 * i, 5 * i + 5)))
+    return [BlaschkeResult(*values) for values in zip(
+        residual1.tolist(), residual2.tolist(), t1.tolist(), t2.tolist(),
+        sign1.tolist(), sign2.tolist())]
 
 
 def _cross(u, v):
-    """The cross product of the 3-vectors ``u``, ``v``, bit for bit
-    ``np.cross(u, v)`` without its argument handling."""
-    return np.array([u[1] * v[2] - u[2] * v[1],
-                     u[2] * v[0] - u[0] * v[2],
-                     u[0] * v[1] - u[1] * v[0]])
+    """The cross product of each row pair of the 3-vector rows ``u``,
+    ``v``, bit for bit ``np.cross(u, v)`` without its argument handling."""
+    return _rows(u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
+                 u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+                 u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
 
-def _blaschke_at(stencil, jets):
-    """The :class:`BlaschkeResult` of one point from the jets at its four
-    stencil points and its centre, in :func:`blaschke_check` order."""
+def _blaschke_at(stencils, phi, psi):
+    """(t1, t2, residual1, residual2, sign1, sign2), arrays over the
+    points, from the jets ``phi``, ``psi`` at their ``stencils``: per
+    point its four stencil points and its centre, in
+    :func:`blaschke_check` order."""
     h = BLASCHKE_STEP
-    kleins = [gauss_map_at(phi, psi, pt)[1]
-              for pt, (phi, psi) in zip(stencil, jets)]
+    _, klein = gauss_map_at(phi, psi, stencils)
 
     def triple(vectors):
-        plus_x, minus_x, plus_y, minus_y, center = vectors
+        groups = vectors.reshape(-1, 5, 3)
+        plus_x, minus_x, plus_y, minus_y, center = groups.transpose(1, 0, 2)
         dx = (plus_x - minus_x) / (2 * h)
         dy = (plus_y - minus_y) / (2 * h)
-        return float(_cross(dx, dy) @ center)
+        return np.vecdot(_cross(dx, dy), np.ascontiguousarray(center))
 
-    t1 = triple([klein.a_vec for klein in kleins])
-    t2 = triple([klein.b_vec for klein in kleins])
+    with np.errstate(all="ignore"):
+        t1 = triple(klein.a_vec)
+        t2 = triple(klein.b_vec)
 
-    mf = monge_frame(*jets[-1], stencil[-1])
-    K, kappa = monge_curvatures(mf)
-    sqrt_w = np.sqrt(mf.W)
-    rhs1 = abs(K + kappa) * sqrt_w
-    rhs2 = abs(K - kappa) * sqrt_w
+        centre = slice(4, None, 5)
+        mf = monge_frame(Jet(2, phi.c[:, centre]), Jet(2, psi.c[:, centre]),
+                         stencils[centre])
+        K, kappa = monge_curvatures(mf)
+        sqrt_w = np.sqrt(mf.W)
+        rhs1 = np.abs(K + kappa) * sqrt_w
+        rhs2 = np.abs(K - kappa) * sqrt_w
 
-    def sign_of(t, rhs_signed):
-        if abs(rhs_signed) < 1e-7 or abs(t) < 1e-7:
-            return 0.0
-        return float(np.sign(t / rhs_signed))
+        def sign_of(t, rhs_signed):
+            tiny = (np.abs(rhs_signed) < 1e-7) | (np.abs(t) < 1e-7)
+            return np.where(tiny, 0.0, np.sign(t / rhs_signed))
 
-    return BlaschkeResult(
-        residual1=abs(abs(t1) - rhs1),
-        residual2=abs(abs(t2) - rhs2),
-        t1=t1, t2=t2,
-        sign1=sign_of(t1, (K + kappa) * sqrt_w),
-        sign2=sign_of(t2, (K - kappa) * sqrt_w),
-    )
+        return (t1, t2, np.abs(np.abs(t1) - rhs1), np.abs(np.abs(t2) - rhs2),
+                sign_of(t1, (K + kappa) * sqrt_w),
+                sign_of(t2, (K - kappa) * sqrt_w))
 
 
 # largest difference of the principal-angle cosines of isoclinic planes

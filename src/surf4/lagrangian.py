@@ -67,34 +67,37 @@ def congruence_grid(domain, grid):
     return grid_points(domain, *grid)
 
 
-def _tangent_pairs(points, jets):
-    """(T1, T2) at each point from its order-1 jets, taken in step."""
-    return [tangent_pair(phi, psi, pt) for pt, (phi, psi) in zip(points, jets)]
+def _matvecs(m, rows):
+    """``m @ v`` for each row v of ``rows``, bit for bit one product per
+    row."""
+    return np.matmul(m[None], rows[:, :, None])[:, :, 0]
 
 
 def symplectic_residual(sd, form, grid=None, rotation=None):
     """max |form(R T1, R T2)| / (|T1| |T2|) over the grid."""
     if grid is None:
         grid = grid_points(sd.domain, *DEFAULT_GRID)
-    pairs = _tangent_pairs(grid, eval_points(sd, grid, 1))
+    pairs = tangent_pair(*eval_points(sd, grid, 1), grid)
     return _residuals_on_pairs(pairs, (form,), rotation)[0]
 
 
 def _residuals_on_pairs(tangent_pairs, forms, rotation):
-    """max |form(R T1, R T2)| / (|R T1| |R T2|) over the pairs, for each
-    of ``forms``; each pair is rotated and normed once."""
-    worst = [0.0] * len(forms)
-    for t1, t2 in tangent_pairs:
-        if rotation is not None:
-            t1, t2 = rotation @ t1, rotation @ t2
+    """max |form(R T1, R T2)| / (|R T1| |R T2|) over the (T1, T2) rows of
+    ``tangent_pairs``, for each of ``forms``; a residual that is NaN is
+    passed over, as ``max`` passes it over."""
+    t1, t2 = tangent_pairs
+    if rotation is not None:
+        t1, t2 = _matvecs(rotation, t1), _matvecs(rotation, t2)
+    with np.errstate(all="ignore"):
         scale = _norm(t1) * _norm(t2)
-        for k, form in enumerate(forms):
-            worst[k] = max(worst[k], abs(float(t1 @ form @ t2)) / scale)
-    return worst
+        return [float(np.fmax.reduce(np.abs(np.vecdot(
+            np.matmul(t1[:, None, :], form[None])[:, 0, :], t2)) / scale,
+            initial=0.0)) for form in forms]
 
 
 def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):
-    """Congruence pipeline on precomputed tangent pairs.
+    """Congruence pipeline on precomputed tangent pairs, the (T1, T2)
+    pair of (n, 4) row arrays.
 
     Fits great circles to both Gauss sphere components; on a match builds
     the candidate rotation from the fitted circle normal and reports the
@@ -104,10 +107,9 @@ def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):
     Returns the report as the ``congruence`` command prints it, keys in
     printed order.
     """
-    kleins = [klein_from_plucker(plucker_from_pair(t1, t2))
-              for t1, t2 in tangent_pairs]
-    fit_a = great_circle_fit([k.a_vec for k in kleins])
-    fit_b = great_circle_fit([k.b_vec for k in kleins])
+    klein = klein_from_plucker(plucker_from_pair(*tangent_pairs))
+    fit_a = great_circle_fit(klein.a_vec)
+    fit_b = great_circle_fit(klein.b_vec)
 
     fit_residual = min(fit_a.residual, fit_b.residual)
     if fit_residual > tol_circle:
@@ -147,14 +149,14 @@ def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):
 def congruence_to_lagrangean(points, jets, tol_circle=TOL_CIRCLE,
                              tol_symp=TOL_SYMP, pre_rotation=None):
     """Run the congruence pipeline on sample ``points`` of a surface and
-    their order-1 ``jets``, an iterable of (phi, psi) pairs read in step
-    with the points.
+    their ``jets``, the (phi, psi) pair of order >= 1 with a coefficient
+    column per point.
 
     ``pre_rotation`` applies an ambient rotation to the surface first
     (tangent pairs are rotated; the surface is never re-graphed).
     """
-    pairs = _tangent_pairs(points, jets)
+    pairs = tangent_pair(*jets, points)
     if pre_rotation is not None:
         r = np.asarray(pre_rotation, dtype=float)
-        pairs = [(r @ t1, r @ t2) for t1, t2 in pairs]
+        pairs = tuple(_matvecs(r, t) for t in pairs)
     return congruence_from_tangent_samples(pairs, tol_circle, tol_symp)

@@ -45,6 +45,13 @@ def _row(suite, name, value, threshold):
     return CheckRow(suite, name, value, threshold, value < threshold)
 
 
+def _worst(*values):
+    """The largest of 0.0 and every number in ``values`` (numbers or
+    arrays), passing over NaN as a running ``max`` from 0.0 does."""
+    return float(np.fmax.reduce(np.concatenate(
+        [np.ravel(v) for v in values]), initial=0.0))
+
+
 def _random_so4(rng):
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     if np.linalg.det(q) < 0:
@@ -96,15 +103,13 @@ def suite_plucker():
     """Both quadric relations and unit Klein vectors on random planes."""
     n_planes = 1000
     rng = np.random.default_rng(SEED)
-    worst_sphere = worst_quadric = worst_unit = 0.0
-    for _ in range(n_planes):
-        p = plucker_from_pair(rng.normal(size=4), rng.normal(size=4))
-        worst_sphere = max(worst_sphere, abs(float(p @ p) - 1.0))
-        worst_quadric = max(worst_quadric, abs(float(
-            p[0] * p[3] + p[1] * p[4] + p[2] * p[5])))
-        klein = klein_from_plucker(p)
-        worst_unit = max(worst_unit, abs(klein.a_norm - 1.0),
-                         abs(klein.b_norm - 1.0))
+    pairs = rng.normal(size=(n_planes, 2, 4))
+    p = plucker_from_pair(pairs[:, 0], pairs[:, 1])
+    klein = klein_from_plucker(p)
+    worst_sphere = _worst(np.abs(np.vecdot(p, p) - 1.0))
+    worst_quadric = _worst(np.abs(p[:, 0] * p[:, 3] + p[:, 1] * p[:, 4]
+                                  + p[:, 2] * p[:, 5]))
+    worst_unit = _worst(np.abs(klein.a_norm - 1.0), np.abs(klein.b_norm - 1.0))
     return [
         _row("plucker", f"sphere relation on {n_planes} planes",
              worst_sphere, 1e-12),
@@ -143,16 +148,16 @@ def suite_blaschke():
     sd = parse_surface(EXAMPLE1_TEXT)
     eps1 = signs1.pop() if len(signs1) == 1 else 1.0
     eps2 = signs2.pop() if len(signs2) == 1 else 1.0
-    worst_cor = 0.0
-    for pt, (phi, psi), result in zip(grid, expr.eval_points(sd, grid, 2),
-                                      blaschke_check(sd, grid)):
-        report = frames.curvature_report(phi, psi, pt)
-        mf = frames.monge_frame(phi, psi, pt)
-        sqw = np.sqrt(mf.W)
-        k_est = 0.5 * (eps1 * result.t1 + eps2 * result.t2) / sqw
-        kappa_est = 0.5 * (eps1 * result.t1 - eps2 * result.t2) / sqw
-        worst_cor = max(worst_cor, abs(k_est - report.K),
-                        abs(kappa_est - report.kappa))
+    phi, psi = expr.eval_points(sd, grid, 2)
+    report = frames.curvature_report(phi, psi, grid)
+    sqw = np.sqrt(frames.monge_frame(phi, psi, grid).W)
+    results = blaschke_check(sd, grid)
+    t1 = np.array([result.t1 for result in results])
+    t2 = np.array([result.t2 for result in results])
+    k_est = 0.5 * (eps1 * t1 + eps2 * t2) / sqw
+    kappa_est = 0.5 * (eps1 * t1 - eps2 * t2) / sqw
+    worst_cor = _worst(np.abs(k_est - report.K),
+                       np.abs(kappa_est - report.kappa))
     rows.append(_row(
         "blaschke", "corollary half-sum/half-difference gives K and kappa",
         worst_cor, 1e-5))
@@ -172,13 +177,13 @@ def suite_wong():
     surfaces += [random_polynomial_surface(rng) for _ in range(10)]
     for sd in surfaces:
         points = lagrangian.grid_points(sd.domain, 5, 5)
-        for pt, (phi, psi) in zip(points, expr.eval_points(sd, points, 2)):
-            report = frames.curvature_report(phi, psi, pt)
-            band = frames.wong_band(report.K, report.kappa)
-            predicted = min(abs(report.K - report.kappa),
-                            abs(report.K + report.kappa)) <= band
-            mismatches += int(predicted != report.isoclinic)
-            total += 1
+        report = frames.curvature_report(*expr.eval_points(sd, points, 2),
+                                         points)
+        band = frames.wong_band(report.K, report.kappa)
+        predicted = np.minimum(np.abs(report.K - report.kappa),
+                               np.abs(report.K + report.kappa)) <= band
+        mismatches += int(np.count_nonzero(predicted != report.isoclinic))
+        total += len(points)
     rows.append(_row("wong", f"direction exists iff min|K -+ kappa| within "
                      f"band ({total} points)", float(mismatches), 0.5))
 
@@ -272,11 +277,11 @@ def suite_lagrangean():
     for _ in range(n_surfaces):
         sd = random_gradient_surface(rng)
         points = lagrangian.grid_points(sd.domain, 5, 5)
-        for pt, (phi, psi) in zip(points, expr.eval_points(sd, points, 2)):
-            _, klein = grassmann.gauss_map_at(phi, psi, pt)
-            worst_b2 = max(worst_b2, abs(float(klein.b_vec[1])))
-            report = frames.curvature_report(phi, psi, pt)
-            worst_kk = max(worst_kk, abs(report.K - report.kappa))
+        phi, psi = expr.eval_points(sd, points, 2)
+        _, klein = grassmann.gauss_map_at(phi, psi, points)
+        worst_b2 = _worst(worst_b2, np.abs(klein.b_vec[:, 1]))
+        report = frames.curvature_report(phi, psi, points)
+        worst_kk = _worst(worst_kk, np.abs(report.K - report.kappa))
         rotation = _random_so4(rng)
         grid = lagrangian.congruence_grid(sd.domain, lagrangian.DEFAULT_GRID)
         rep = lagrangian.congruence_to_lagrangean(

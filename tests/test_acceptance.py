@@ -22,6 +22,7 @@ from surf4.lagrangian import (
     grid_points,
     symplectic_residual,
 )
+from test_frames import first_point
 
 EX1 = parse_surface(suites.EXAMPLE1_TEXT)
 Z2 = parse_surface(suites.RSURF_Z2_TEXT)
@@ -29,11 +30,12 @@ Z3 = parse_surface(suites.RSURF_Z3_TEXT)
 
 
 def report_at(sd, point):
-    return curvature_report(*eval_surface(sd, point, order=2), point)
+    return first_point(curvature_report(*eval_points(sd, [point], 2),
+                                        [point]))
 
 
 def gauss_at(sd, point):
-    return gauss_map_at(*eval_surface(sd, point, order=1), point)
+    return first_point(gauss_map_at(*eval_points(sd, [point], 1), [point]))
 
 
 def congruence_of(sd):
@@ -53,7 +55,7 @@ def test_criterion_1_example1_pipeline():
     # (a) the six Monge determinants, exactly
     worst_const = 0.0
     for pt in grid:
-        hq = hessian_quantities(*eval_surface(EX1, pt, 2))
+        hq = first_point(hessian_quantities(*eval_points(EX1, [pt], 2)))
         worst_const = max(
             worst_const,
             abs(hq["H_phi"] + 4), abs(hq["H_psi"] + 4), abs(hq["L"] + 4),

@@ -80,13 +80,16 @@ OUT = object()  # stands for an output file in the test's directory
 # constants that overflow a float, on the math.exp and the float ** paths,
 # and finite derivatives whose squares overflow the first fundamental form
 # (the first grid point is (-1, -1) for analyze and gaussmap, and
-# (-0.9, -0.9) for congruence)
+# (-0.9, -0.9) for congruence); in "form-then-sqrt" a later point also
+# fails, in its evaluation, and the first point's error must still win
 OVERFLOWS = {
     "exp": ("phi = exp(1000)\npsi = x*y\n",
             "error: math range error in subexpression 'exp(1000.0)'\n"),
     "pow": ("phi = 2.0^2000\npsi = x*y\n", "in subexpression '2.0^2000'\n"),
     "form": ("phi = 1e200*x^2\npsi = x*y\n",
              "error: first fundamental form overflows at point (-"),
+    "form-then-sqrt": ("phi = 1e200*x\npsi = sqrt(0.5 - x)\n",
+                       "error: first fundamental form overflows at point (-"),
 }
 SURFACE_COMMANDS = {"analyze": ["analyze", "--grid", "3,3", "--out", OUT],
                     "gaussmap": ["gaussmap", "--grid", "3,3", "--out", OUT],
@@ -195,6 +198,12 @@ PARAM_MESSAGE = ("error: line 3, column 11: parameter 'a' is not a finite "
     (["analyze", "--grid", "3,3", "--out", OUT], CUBIC.format("1e77"),
      "error: second derivatives overflow the Delta bound at point "
      "(-1.0, -1.0)\n"),
+    # the points at x = 1 fail their evaluation; the first point's
+    # curvature check fails before them
+    (["analyze", "--grid", "3,3", "--out", OUT],
+     "phi = 1e80*x^3\npsi = sqrt(0.5 - x)\n",
+     "error: second derivatives overflow the Delta bound at point "
+     "(-1.0, -1.0)\n"),
     *[(["congruence", "--grid", "3,3", flag, value], "phi = x^2\npsi = x*y\n",
        f"argument {flag}: must be a finite number > 0, got '{value}'")
       for flag, value in BAD_TOLERANCES],
@@ -245,7 +254,7 @@ PARAM_MESSAGE = ("error: line 3, column 11: parameter 'a' is not a finite "
     (["analyze", "--grid", "3,3"], "phi = 1e400*x\npsi = y\n",
      "error: line 1, column 7: number '1e400' is not finite\n"),
 ], ids=["eval-error", "congruence-grid", "analyze-grid",
-        "analyze-delta-overflow",
+        "analyze-delta-overflow", "analyze-delta-overflow-then-sqrt",
         *[f"congruence{flag}={value}" for flag, value in BAD_TOLERANCES],
         *[f"reconstruct{flag}={value}" for flag, value in BAD_RECONSTRUCT_ARGS],
         "reconstruct-branch", "reconstruct-newton",

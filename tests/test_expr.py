@@ -303,10 +303,10 @@ def assert_points_match_single_evaluations(sd, points, order):
             eval_points(sd, points, order)
         return
     batch = eval_points(sd, points, order)
-    assert len(batch) == len(points)
-    for got, want in zip(batch, single):
-        for g, w in zip(got, want):
-            assert (g.order, g.c.shape, g.c.tobytes()) == \
+    assert [g.c.shape[1:] for g in batch] == [(len(points),)] * 2
+    for i, want in enumerate(single):
+        for g, w in zip(batch, want):
+            assert (g.order, g.c[:, i].shape, g.c[:, i].tobytes()) == \
                 (w.order, w.c.shape, w.c.tobytes())
 
 

@@ -1,5 +1,6 @@
 """Frames, fundamental forms, curvature and classification."""
 
+import dataclasses
 import itertools
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surf4 import frames
-from surf4.expr import SurfaceEvalError, eval_surface, parse_surface
+from surf4.expr import SurfaceEvalError, eval_points, parse_surface
 from surf4.frames import (
     _bands,
     _coords_in,
@@ -44,17 +45,41 @@ BATCH_SURFACES = [
 ]
 
 
+def first_point(value):
+    """The one point's entry of a batch-of-one result: each array over
+    the points becomes its first row, or its first element as a Python
+    number; jets stay as they are."""
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{
+            f.name: first_point(getattr(value, f.name))
+            for f in dataclasses.fields(value)})
+    if isinstance(value, tuple):
+        return tuple(first_point(v) for v in value)
+    if isinstance(value, dict):
+        return {key: first_point(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value[0].item() if value.ndim == 1 else value[0]
+    return value
+
+
 def mf_at(sd, point):
-    return monge_frame(*eval_surface(sd, point, order=2), point)
+    return monge_frame(*eval_points(sd, [point], 2), [point])
 
 
 def report_at(sd, point):
-    return curvature_report(*eval_surface(sd, point, order=2), point)
+    return first_point(curvature_report(*eval_points(sd, [point], 2),
+                                        [point]))
+
+
+def check_hatted_identity(W, eg, eg_hat, ff_hat, point):
+    """frames._check_hatted_identity at one point."""
+    frames._check_hatted_identity(
+        *(np.array([v]) for v in (W, eg, eg_hat, ff_hat)), [point])
 
 
 class TestMongeFrame:
     def test_example1_origin(self):
-        mf = mf_at(EX1, (0.0, 0.0))
+        mf = first_point(mf_at(EX1, (0.0, 0.0)))
         np.testing.assert_allclose(mf.t1, [1, 0, 0, 1])
         np.testing.assert_allclose(mf.t2, [0, 1, 0, 2])
         assert (mf.E, mf.F, mf.G, mf.W) == (2.0, 2.0, 5.0, 6.0)
@@ -67,7 +92,7 @@ class TestMongeFrame:
         assert (mf.E, mf.F, mf.G, mf.W) == (1.0, 0.0, 1.0, 1.0)
 
     def test_hat_identity_bound_scales_with_the_products(self):
-        check = frames._check_hatted_identity
+        check = check_hatted_identity
         big = 2.0**40  # the bound is 1e-10 * 2^40 = 109.95...
         # W = 1 and Ehat*Ghat - Fhat^2 = 1 + 109 or 1 + 110, exactly
         check(1.0, 1.0, big, big - 110.0, (0.0, 0.0))
@@ -87,8 +112,7 @@ class TestMongeFrame:
     def test_overflowing_hat_products_are_form_overflow(self, products):
         with pytest.raises(SurfaceEvalError, match=r"form overflows at "
                            r"point \(0\.5, -0\.5\)$"):
-            frames._check_hatted_identity(2e200, 2e200, *products,
-                                          (0.5, -0.5))
+            check_hatted_identity(2e200, 2e200, *products, (0.5, -0.5))
 
     def test_z2_cauchy_riemann(self):
         for pt in [(0.1, 0.2), (-0.3, 0.25), (0.4, -0.4)]:
@@ -101,13 +125,13 @@ class TestMongeFrame:
 
 class TestAdaptedFrame:
     def test_flat_plane_is_standard_basis(self):
-        fr = adapted_frame(mf_at(FLAT, (0.0, 0.0)))
+        fr = first_point(adapted_frame(mf_at(FLAT, (0.0, 0.0))))
         np.testing.assert_allclose(
             np.vstack([fr.e1, fr.e2, fr.e3, fr.e4]), np.eye(4), atol=1e-15)
         np.testing.assert_allclose(fr.chart, np.eye(2), atol=1e-15)
 
     def test_example1_gram_schmidt(self):
-        fr = adapted_frame(mf_at(EX1, (0.0, 0.0)))
+        fr = first_point(adapted_frame(mf_at(EX1, (0.0, 0.0))))
         np.testing.assert_allclose(fr.e1, np.array([1, 0, 0, 1]) / np.sqrt(2),
                                    atol=1e-15)
         np.testing.assert_allclose(fr.e2, np.array([-1, 1, 0, 1]) / np.sqrt(3),
@@ -115,7 +139,7 @@ class TestAdaptedFrame:
 
     @pytest.mark.parametrize("point", [(0.0, 0.0), (0.4, -0.3), (0.72, 0.55)])
     def test_orthonormality_and_coframe_roundtrip(self, point):
-        fr = adapted_frame(mf_at(EX1, point))
+        fr = first_point(adapted_frame(mf_at(EX1, point)))
         basis = np.vstack([fr.e1, fr.e2, fr.e3, fr.e4])
         np.testing.assert_allclose(basis @ basis.T, np.eye(4), atol=1e-12)
 
@@ -143,9 +167,7 @@ class TestCurvatureReport:
         assert rep.K1 == rep.K2 == pytest.approx(-4.0)
 
     def test_example1_origin(self):
-        from surf4.expr import eval_surface
-
-        hq = hessian_quantities(*eval_surface(EX1, (0.0, 0.0), 2))
+        hq = hessian_quantities(*eval_points(EX1, [(0.0, 0.0)], 2))
         assert hq["H_phi"] == hq["H_psi"] == hq["L"] == hq["N"] == -4.0
         assert hq["M"] == hq["Q"] == 0.0
         rep = report_at(EX1, (0.0, 0.0))
@@ -255,7 +277,7 @@ class TestDualRoutes:
     @pytest.mark.parametrize("factor, ok", [(1.0 - 1e-3, True),
                                             (1.0 + 1e-3, False)])
     def test_route_bound_boundary(self, u, scale, factor, ok):
-        v = u + factor * 1e-6
+        u, v, scale = (np.array([w]) for w in (u, u + factor * 1e-6, scale))
         if ok:
             frames._require_close("K", u, v, scale)
         else:
@@ -354,9 +376,10 @@ def test_seven_conditions_agree_on_isoclinic_surface():
         for y in np.linspace(-0.4, 0.4, 9):
             rep = report_at(z3, (float(x), float(y)))
             mf = mf_at(z3, (float(x), float(y)))
-            a, b, c, e, f, g = _second_form_from(mf, adapted_frame(mf))
+            a, b, c, e, f, g = first_point(
+                _second_form_from(mf, adapted_frame(mf)))
             scale = max(abs(v) for v in (a, b, c, e, f, g)) or 0.0
-            bands = _bands(scale)
+            bands = first_point(_bands(np.array([scale])))
             cond2 = rep.point_class == "parabolic" and \
                 abs(rep.kappa) <= bands["kappa"]
             cond5 = rep.point_class == "parabolic" and \
@@ -389,12 +412,13 @@ def test_norm_is_numpy_norm_bit_for_bit(length, stride, data):
         min_size=length * stride, max_size=length * stride))
     v = np.array(values)[::stride]  # a strided view when stride > 1
     assert len(v) == length
-    assert norm_outcome(_norm, v) == norm_outcome(np.linalg.norm, v)
+    # numpy's dot warns when a square overflows; _norm gives the same inf
+    # without a warning, since the batch arithmetic checks finiteness itself
+    assert norm_outcome(_norm, v) == (norm_outcome(np.linalg.norm, v)[0], [])
 
 
 def norm_outcome(norm, v):
-    """repr of the norm and the warnings it gave (the dot warns when a
-    square overflows)."""
+    """repr of the norm and the warnings it gave."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = norm(v)
@@ -407,6 +431,12 @@ def coords_one_solve_per_vector(basis1, basis2, vectors):
                   [basis1 @ basis2, basis2 @ basis2]])
     return np.array([np.linalg.solve(g, np.array([v @ basis1, v @ basis2]))
                      for v in vectors])
+
+
+def coords_at_one_point(basis1, basis2, vectors):
+    """_coords_in on a batch of one point."""
+    return _coords_in(basis1[None], basis2[None],
+                      tuple(v[None] for v in vectors))[0]
 
 
 def outcome(fn, *args):
@@ -425,7 +455,7 @@ def test_stacked_solve_and_det_match_one_call_per_matrix(seed, gap):
     basis1 = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4)
     basis2 = rng.normal() * basis1 + gap * rng.normal(size=4)
     vectors = tuple(rng.normal(size=(2, 4)))
-    assert outcome(_coords_in, basis1, basis2, vectors) == \
+    assert outcome(coords_at_one_point, basis1, basis2, vectors) == \
         outcome(coords_one_solve_per_vector, basis1, basis2, vectors)
     matrices = rng.normal(size=(2, 2, 2))
     matrices[1, 1] = matrices[1, 0] * (1.0 + gap)

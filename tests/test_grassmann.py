@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from surf4.expr import eval_surface, parse_surface
+from surf4.expr import eval_points, parse_surface
 from surf4.grassmann import (
     BETA_TARGET,
     C_SWAP,
@@ -27,7 +27,7 @@ from surf4.grassmann import (
     rotation_from_alpha,
 )
 from surf4.suites import EXAMPLE1_TEXT
-from test_frames import BATCH_SURFACES
+from test_frames import BATCH_SURFACES, first_point
 
 EX1 = parse_surface(EXAMPLE1_TEXT)
 Z2 = parse_surface("phi = x^2 - y^2\npsi = 2*x*y")
@@ -35,7 +35,7 @@ E4 = np.eye(4)
 
 
 def gauss_at(sd, point):
-    return gauss_map_at(*eval_surface(sd, point, order=1), point)
+    return first_point(gauss_map_at(*eval_points(sd, [point], 1), [point]))
 
 
 class TestPlucker:

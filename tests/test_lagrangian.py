@@ -16,6 +16,7 @@ from surf4.lagrangian import (
     symplectic_residual,
 )
 from surf4.suites import EXAMPLE1_TEXT, random_gradient_surface
+from test_frames import first_point
 
 EX1 = parse_surface(EXAMPLE1_TEXT)
 Z2 = parse_surface("phi = x^2 - y^2\npsi = 2*x*y")
@@ -23,7 +24,7 @@ GRADIENT = parse_surface("phi = 2*x*y\npsi = x^2")  # gradient of F = x^2 y
 
 
 def gauss_at(sd, point):
-    return gauss_map_at(*eval_surface(sd, point, order=1), point)
+    return first_point(gauss_map_at(*eval_points(sd, [point], 1), [point]))
 
 
 def congruence_of(sd, **options):
