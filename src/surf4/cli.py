@@ -59,26 +59,72 @@ def _fmt(value):
 
 
 def to_json(obj, indent=0):
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{inner}"{key}": {to_json(val, indent + 1)}'
-                 for key, val in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _block("{", [f'"{key}": {to_json(val, indent + 1)}'
+                            for key, val in obj.items()], "}", indent)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        rendered = [to_json(val, indent + 1) for val in obj]
-        if sum(len(r) for r in rendered) < 60 and all(
-                "\n" not in r for r in rendered):
-            return "[" + ", ".join(rendered) + "]"
-        return ("[\n" + ",\n".join(inner + r for r in rendered)
-                + "\n" + pad + "]")
+        records = _record_rows(obj, to_json, lambda v: _json_list(
+            [NUMBER % u for u in v], indent + 2))
+        if records is None:
+            return _json_list([to_json(v, indent + 1) for v in obj], indent)
+        fields, rows = records
+        template = _block("{", [f'"{str(key).replace("%", "%%")}": {field}'
+                                for key, field in fields], "}", indent + 1)
+        return _block("[", [template % row for row in rows], "]", indent)
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     return _fmt(obj)
+
+
+def _block(open_, items, close, indent):
+    pad = "  " * indent
+    return (open_ + "\n" + ",\n".join([pad + "  " + item for item in items])
+            + "\n" + pad + close)
+
+
+def _json_list(rendered, indent):
+    if sum(map(len, rendered)) < 60 and "\n" not in "".join(rendered):
+        return "[" + ", ".join(rendered) + "]"
+    return _block("[", rendered, "]", indent)
+
+
+def _record_rows(rows, text, numbers):
+    """``(key, % field)`` pairs and value rows for dicts of one key order
+    holding finite floats (NUMBER), bools and strings (``text``) or lists
+    of finite floats (``numbers``); None for other lists.  A non-finite
+    float raises as :func:`_fmt` does, for the first one in row order."""
+    keys = list(rows[0]) if rows and isinstance(rows[0], dict) else None
+    if not keys or not all(isinstance(row, dict) and list(row) == keys
+                           for row in rows):
+        return None
+    fields, columns, floats = [], [], []
+    for key in keys:
+        values = [row[key] for row in rows]
+        field = "%s"
+        if all(isinstance(v, float) for v in values):
+            field = NUMBER
+            floats += values
+        elif all(isinstance(v, list) for v in values):
+            items = [u for v in values for u in v]
+            if not all(isinstance(u, float) for u in items):
+                return None
+            floats += items
+            values = [numbers(v) for v in values]
+        elif all(isinstance(v, (bool, np.bool_, str)) for v in values):
+            render = {v: text(v) for v in set(values)}
+            values = [render[v] for v in values]
+        else:
+            return None
+        fields.append((key, field))
+        columns.append(values)
+    if not all(map(math.isfinite, floats)):
+        for row in rows:
+            to_json(row)  # raises, naming the first non-finite number
+    return fields, zip(*columns)
 
 
 def _csv_blocks(table):
@@ -199,17 +245,11 @@ def analysis_report(sd, nx, ny, source):
 
 
 def _analysis_csv(report):
-    lines = [CSV_HEADER]
-    for rec in report["records"]:
-        lines.append(",".join([
-            _fmt(rec["x"]), _fmt(rec["y"]), _fmt(rec["K"]),
-            _fmt(rec["kappa"]), _fmt(rec["K1"]), _fmt(rec["K2"]),
-            _fmt(rec["Delta"]), rec["pointClass"], rec["inflection"],
-            _fmt(rec["gaussSingular"]),
-            *[_fmt(v) for v in rec["Gamma1"]],
-            *[_fmt(v) for v in rec["Gamma2"]],
-        ]))
-    return "\n".join(lines) + "\n"
+    fields, rows = _record_rows(
+        report["records"], lambda v: v if isinstance(v, str) else _fmt(v),
+        lambda v: ",".join([NUMBER % u for u in v]))
+    template = ",".join([field for _, field in fields]) + "\n"
+    return CSV_HEADER + "\n" + "".join([template % row for row in rows])
 
 
 def _load_surface(path):

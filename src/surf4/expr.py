@@ -22,6 +22,7 @@ extraction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,21 +61,39 @@ class SurfaceEvalError(ArithmeticError):
 class Const:
     value: float
 
+    def eval(self, x, y, params, powers):
+        return self.value
+
 
 @dataclass(frozen=True)
 class Var:
     name: str  # "x" or "y"
+
+    def eval(self, x, y, params, powers):
+        return x if self.name == "x" else y
 
 
 @dataclass(frozen=True)
 class Param:
     name: str
 
+    def eval(self, x, y, params, powers):
+        try:
+            return params[self.name]
+        except KeyError:
+            raise SurfaceEvalError("undeclared parameter", self.name) from None
+
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # neg, sin, cos, exp, sqrt
     arg: "Expr"
+
+    def eval(self, x, y, params, powers):
+        try:
+            return _UNARY[self.op](self.arg.eval(x, y, params, powers))
+        except _EVAL_ERRORS as e:
+            raise SurfaceEvalError(str(e), to_text(self)) from e
 
 
 @dataclass(frozen=True)
@@ -83,11 +102,32 @@ class Binary:
     lhs: "Expr"
     rhs: "Expr"
 
+    def eval(self, x, y, params, powers):
+        try:
+            return _BINARY[self.op](self.lhs.eval(x, y, params, powers),
+                                    self.rhs.eval(x, y, params, powers))
+        except _EVAL_ERRORS as e:
+            raise SurfaceEvalError(str(e), to_text(self)) from e
+
 
 @dataclass(frozen=True)
 class Pow:
     base: "Expr"
     exponent: int
+
+    def eval(self, x, y, params, powers):
+        # a power of a variable is computed once per powers dict; a key for
+        # another base would walk it, and Const(0.0) == Const(-0.0)
+        try:
+            base = self.base.eval(x, y, params, powers)
+            if not isinstance(self.base, Var):
+                return base ** self.exponent
+            key = (self.base.name, self.exponent)
+            if key not in powers:
+                powers[key] = base ** self.exponent
+            return powers[key]
+        except _EVAL_ERRORS as e:
+            raise SurfaceEvalError(str(e), to_text(self)) from e
 
 
 Expr = Const | Var | Param | Unary | Binary | Pow
@@ -430,58 +470,20 @@ def _render(node):
 # -- evaluation -----------------------------------------------------------------
 
 
-def eval_expr(node, x, y, params, powers):
-    """Evaluate an AST on float or Jet operands for x and y.
-
-    ``powers`` memoizes each power of a variable, keyed by (variable name,
-    exponent), so an ``x^2`` that several terms repeat is computed once;
-    pass one dict per pair (x, y).  Other bases are not memoized: a key
-    for them would walk the subtree, and ``Const(0.0) == Const(-0.0)``.
-    """
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x if node.name == "x" else y
-    if isinstance(node, Param):
-        try:
-            return params[node.name]
-        except KeyError:
-            raise SurfaceEvalError("undeclared parameter", node.name) from None
-    try:
-        if isinstance(node, Unary):
-            arg = eval_expr(node.arg, x, y, params, powers)
-            if node.op == "neg":
-                return -arg
-            return getattr(jets, node.op)(arg)
-        if isinstance(node, Binary):
-            lhs = eval_expr(node.lhs, x, y, params, powers)
-            rhs = eval_expr(node.rhs, x, y, params, powers)
-            if node.op == "+":
-                return lhs + rhs
-            if node.op == "-":
-                return lhs - rhs
-            if node.op == "*":
-                return lhs * rhs
-            return lhs / rhs
-        if isinstance(node, Pow):
-            base = eval_expr(node.base, x, y, params, powers)
-            if not isinstance(node.base, Var):
-                return base ** node.exponent
-            key = (node.base.name, node.exponent)
-            if key not in powers:
-                powers[key] = base ** node.exponent
-            return powers[key]
-    except (ZeroDivisionError, ValueError, OverflowError) as e:
-        # a failing subexpression raises SurfaceEvalError, which is not
-        # caught here, so the innermost failing node is the one reported
-        raise SurfaceEvalError(str(e), to_text(node)) from e
-    raise TypeError(f"not an expression node: {node!r}")
+# each Unary, Binary and Pow reports these at itself; an operand that
+# fails raises SurfaceEvalError, so the innermost failing node is named
+_EVAL_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+_UNARY = {"neg": operator.neg, "sin": jets.sin, "cos": jets.cos,
+          "exp": jets.exp, "sqrt": jets.sqrt}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
 
 
 def eval_surface(sd, point, order):
     """Jets of phi and psi at ``point``.
 
-    phi and psi share one dict of variable powers (see :func:`eval_expr`),
+    Each AST node evaluates itself on float or Jet operands for x and y.
+    phi and psi share one dict of variable powers (see :meth:`Pow.eval`),
     so each ``x^k`` or ``y^k`` is computed once per call.  The point is
     not checked against the declared domain; callers that can leave it
     check it themselves.  Evaluation errors (division by zero, sqrt
@@ -494,8 +496,8 @@ def eval_surface(sd, point, order):
     # inf or NaN coefficients, rejected just below
     with np.errstate(all="ignore"):
         powers = {}
-        phi = eval_expr(sd.phi, xj, yj, sd.params, powers)
-        psi = eval_expr(sd.psi, xj, yj, sd.params, powers)
+        phi = sd.phi.eval(xj, yj, sd.params, powers)
+        psi = sd.psi.eval(xj, yj, sd.params, powers)
     if not isinstance(phi, Jet):
         phi = Jet.constant(phi, order)
     if not isinstance(psi, Jet):

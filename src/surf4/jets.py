@@ -62,11 +62,10 @@ def _product(a, b, order):
     Each output is 0.0 + (w*a)*b + ... over its terms in table order, the
     rounding of a per-term loop, but gathered into one broadcast and
     summed by one reduction over the leading (term) axis.  numpy adds the
-    rows of that axis in order, so the reduction rounds like the loop; a
-    reduction that starts from the first row rather than from +0.0 could
-    differ only in the sign of an all-zero sum, which the trailing + 0.0
-    makes +0.0.  Tails of unequal rank line up on their last axes, and
-    the result takes numpy's broadcast shape of a and b.
+    rows of that axis in order, after its ``initial`` +0.0, so the
+    reduction rounds like the loop.  Tails of unequal rank line up on
+    their last axes, and the result takes numpy's broadcast shape of a
+    and b.
     """
     if a.shape == b.shape and a.ndim == 2 and a.shape[1] > _BLOCK:
         out = np.empty(a.shape)
@@ -80,8 +79,9 @@ def _product(a, b, order):
         shape = np.broadcast_shapes(a.shape, b.shape)
         a = a.reshape(a.shape[:1] + (1,) * (len(shape) - a.ndim) + a.shape[1:])
         b = b.reshape(b.shape[:1] + (1,) * (len(shape) - b.ndim) + b.shape[1:])
-    terms = w.reshape(w.shape + (1,) * (len(shape) - 1)) * a[s1] * b[s2]
-    acc = np.add.reduce(terms, axis=0) + 0.0
+    if len(shape) > 1:
+        w = w.reshape(w.shape + (1,) * (len(shape) - 1))
+    acc = np.add.reduce(w * a[s1] * b[s2], axis=0, initial=0.0)
     return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
 
 
@@ -116,8 +116,10 @@ class Jet:
     def constant(value, order, like=None):
         _check_order(order)
         n = len(_INDICES[order])
-        tail = np.shape(like)[1:] if like is not None else ()
-        c = np.zeros((n,) + np.broadcast_shapes(np.shape(value), tail))
+        shape = np.shape(value)
+        tail = np.shape(like)[1:] if like is not None else shape
+        c = np.zeros((n,) + (shape if shape == tail
+                             else np.broadcast_shapes(shape, tail)))
         c[0] = value
         return _jet(order, c)
 
@@ -283,7 +285,7 @@ class Jet:
     def _compose(self, series):
         """Evaluate sum_k series[k] * (self - value)^k by Horner."""
         w = _jet(self.order, self.c.copy())
-        w.c[0] = np.zeros(np.shape(w.c[0]))
+        w.c[0] = 0.0
         result = Jet.constant(series[-1], self.order, like=self.c)
         for k in range(len(series) - 2, -1, -1):
             result = result * w

@@ -3,6 +3,7 @@
 import errno
 import inspect
 import json
+import math
 import os
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from surf4 import characteristics, lagrangian
-from surf4.cli import (CSV_BLOCK, _csv_blocks, _fmt, _write_table,
-                       build_parser, main, to_json)
+from surf4.cli import (CSV_BLOCK, CSV_HEADER, _analysis_csv, _csv_blocks,
+                       _fmt, _write_table, build_parser, main, to_json)
 from surf4.frames import InternalInconsistencyError
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -444,6 +445,114 @@ def test_csv_blocks_cover_every_row(rows):
     assert len(blocks) == -(-rows // CSV_BLOCK)
     assert "".join(blocks).splitlines() == [
         ",".join(_fmt(v) for v in row) for row in table]
+
+
+def walk_to_json(obj, indent=0):
+    """to_json as one recursive walk, every number through _fmt: the
+    reference for the row template that writes lists of flat records."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{inner}"{key}": {walk_to_json(val, indent + 1)}'
+                 for key, val in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        rendered = [walk_to_json(val, indent + 1) for val in obj]
+        if sum(len(r) for r in rendered) < 60 and all(
+                "\n" not in r for r in rendered):
+            return "[" + ", ".join(rendered) + "]"
+        return ("[\n" + ",\n".join(inner + r for r in rendered)
+                + "\n" + pad + "]")
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    return _fmt(obj)
+
+
+def _outcome(write, obj):
+    try:
+        return write(obj)
+    except InternalInconsistencyError as exc:
+        return str(exc)
+
+
+# 17-digit numbers in (-1, 1) are 19 or 20 characters long, so three of
+# them straddle the 60-character rule for writing a list on one line
+RECORD_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(-1.0, 1.0), st.floats(allow_nan=False,
+                                                          allow_infinity=False))
+RECORD_FIELDS = {
+    float: RECORD_FLOATS,
+    bool: st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+    str: st.sampled_from(["elliptic", "none", 'q"%s\\', "%%", "é\t"]),
+    list: st.lists(RECORD_FLOATS, max_size=4),
+}
+
+
+@st.composite
+def flat_records(draw):
+    """Lists of dicts with one key order and one kind per key, sometimes
+    with a NaN or an infinity (of either number type) in one field."""
+    keys = draw(st.lists(st.sampled_from(["x", "K", "a%sb", "Gamma1", "g"]),
+                         min_size=1, max_size=5, unique=True))
+    kinds = [draw(st.sampled_from(sorted(RECORD_FIELDS, key=str)))
+             for _ in keys]
+    rows = [{key: draw(RECORD_FIELDS[kind]) for key, kind in zip(keys, kinds)}
+            for _ in range(draw(st.integers(1, 4)))]
+    numbers = [(row, key) for row in rows for key, kind in zip(keys, kinds)
+               if kind in (float, list) and (kind is float or row[key])]
+    if numbers and draw(st.booleans()):
+        row, key = draw(st.sampled_from(numbers))
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf,
+                                    np.float64(math.nan)]))
+        if isinstance(row[key], list):
+            row[key][draw(st.integers(0, len(row[key]) - 1))] = bad
+        else:
+            row[key] = bad
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_records(), st.integers(0, 2))
+def test_records_render_like_the_walk(rows, depth):
+    obj = rows
+    for _ in range(depth):
+        obj = {"records": obj}
+    assert _outcome(to_json, obj) == _outcome(walk_to_json, obj)
+
+
+def _walk_analysis_csv(records):
+    lines = [CSV_HEADER]
+    for rec in records:
+        lines.append(",".join([
+            *[_fmt(rec[key]) for key in ("x", "y", "K", "kappa", "K1", "K2",
+                                         "Delta")],
+            rec["pointClass"], rec["inflection"], _fmt(rec["gaussSingular"]),
+            *[_fmt(v) for v in rec["Gamma1"] + rec["Gamma2"]]]))
+    return "\n".join(lines) + "\n"
+
+
+# the fields of an analyze record, in its key order
+ANALYZE_RECORD = {
+    **{key: RECORD_FLOATS for key in ("x", "y", "K", "kappa", "K1", "K2",
+                                      "Delta")},
+    "pointClass": st.sampled_from(["hyperbolic", "parabolic", "elliptic"]),
+    "inflection": st.sampled_from(["none", "real", "imaginary", "flat"]),
+    "gaussSingular": st.booleans(),
+    **{key: st.lists(RECORD_FLOATS, min_size=3, max_size=3)
+       for key in ("Gamma1", "Gamma2")},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*ANALYZE_RECORD.values()).map(
+    lambda values: dict(zip(ANALYZE_RECORD, values))), min_size=1,
+    max_size=5))
+def test_analysis_csv_rows_format_each_number_like_fmt(records):
+    assert _analysis_csv({"records": records}) == _walk_analysis_csv(records)
 
 
 def test_table_with_a_non_finite_number_writes_no_file(tmp_path):

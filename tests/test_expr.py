@@ -225,7 +225,8 @@ REPEATED_POWERS = ("phi = x^2 + 3*x^2*y - x^3 + x^3*y^2 + y^2 - (x + y)^2\n"
 
 
 def plain_eval(node, x, y, params):
-    """eval_expr without the power memo: one Jet operation per node."""
+    """The nodes' evaluation without the power memo: one Jet operation per
+    node."""
     if isinstance(node, expr.Const):
         return node.value
     if isinstance(node, expr.Var):
@@ -265,6 +266,70 @@ def test_power_memo_matches_plain_walk(order, point, monkeypatch):
     # y^-2 once, which squares y inside its own call
     memo = [2, 3, 2] + ([-2, 2] if point[1] != 0.0 else [])
     assert sorted(powers) == sorted(memo + [2, 3])
+
+
+def walk_eval(node, x, y, params, powers):
+    """The nodes' evaluation as one recursive walk over the node types,
+    with the power memo and the error wrapping at the innermost failing
+    node: the reference the ``eval`` methods must equal."""
+    if isinstance(node, expr.Const):
+        return node.value
+    if isinstance(node, expr.Var):
+        return x if node.name == "x" else y
+    if isinstance(node, expr.Param):
+        try:
+            return params[node.name]
+        except KeyError:
+            raise SurfaceEvalError("undeclared parameter", node.name) from None
+    try:
+        if isinstance(node, expr.Unary):
+            arg = walk_eval(node.arg, x, y, params, powers)
+            return -arg if node.op == "neg" else getattr(jets, node.op)(arg)
+        if isinstance(node, expr.Binary):
+            lhs = walk_eval(node.lhs, x, y, params, powers)
+            rhs = walk_eval(node.rhs, x, y, params, powers)
+            return {"+": lambda: lhs + rhs, "-": lambda: lhs - rhs,
+                    "*": lambda: lhs * rhs, "/": lambda: lhs / rhs}[node.op]()
+        base = walk_eval(node.base, x, y, params, powers)
+        if not isinstance(node.base, expr.Var):
+            return base ** node.exponent
+        key = (node.base.name, node.exponent)
+        if key not in powers:
+            powers[key] = base ** node.exponent
+        return powers[key]
+    except (ZeroDivisionError, ValueError, OverflowError) as e:
+        raise SurfaceEvalError(str(e), to_text(node)) from e
+
+
+def _evaluation(evaluate, nodes, x, y, params):
+    """The repr of every coefficient of each node's value (phi and psi
+    share one power memo, as in eval_surface), or the error raised."""
+    powers = {}
+    try:
+        with np.errstate(all="ignore"):
+            values = [evaluate(node, x, y, params, powers) for node in nodes]
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [[repr(v) for v in value.c.ravel().tolist()]
+            if isinstance(value, Jet) else repr(value) for value in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SURFACES, st.tuples(st.sampled_from([0.0, -0.0, 0.5, -1.0]),
+                           st.floats(-1.0, 1.0)),
+       st.integers(1, 3), st.booleans())
+def test_node_eval_matches_the_recursive_walk(surface, point, order, drop):
+    params, phi, psi = surface
+    # parameter literals past the largest float evaluate as inf, and a
+    # dropped parameter meets the undeclared-parameter error
+    params = {name: float(literal) for name, literal in params.items()}
+    if drop and params:
+        params.pop(min(params))
+    x = Jet.variable("x", point, order)
+    y = Jet.variable("y", point, order)
+    assert _evaluation(lambda node, *args: node.eval(*args),
+                       (phi, psi), x, y, params) == \
+        _evaluation(walk_eval, (phi, psi), x, y, params)
 
 
 def test_failing_power_reports_the_innermost_subexpression():

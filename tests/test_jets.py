@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surf4.jets import _INDICES, _SLOT, Jet
+from surf4 import jets
+from surf4.jets import _INDICES, _LEIBNIZ, _SLOT, Jet
 
 
 def test_variable_x_order2():
@@ -459,3 +460,53 @@ def test_kernel_matches_reference_on_mixed_magnitudes(op, order, tail):
         lambda cls: _SPOT_OPS[op](cls(order, a.copy()), cls(order, b.copy())))
     assert isinstance(new, tuple)
     assert new == old
+
+
+# -- the product's reduction on non-finite coefficients ------------------------
+#
+# LoopJet draws only finite magnitudes in [1e-2, 1e2] and no zero-weight
+# padding, so it cannot tell how the reduction treats infinities, NaN and
+# overflow.  There the product must equal its earlier two-step form, a
+# reduction from the first term followed by + 0.0, bit for bit: the bytes
+# of a NaN or an infinity decide which error a later operation raises
+# (sqrt of NaN passes its sign check and fails as non-finite, sqrt of
+# -inf fails the sign check).
+
+
+def _two_step_product(a, b, order):
+    s1, s2, w = _LEIBNIZ[order]
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a = a.reshape(a.shape[:1] + (1,) * (len(shape) - a.ndim) + a.shape[1:])
+    b = b.reshape(b.shape[:1] + (1,) * (len(shape) - b.ndim) + b.shape[1:])
+    terms = w.reshape(w.shape + (1,) * (len(shape) - 1)) * a[s1] * b[s2]
+    acc = np.add.reduce(terms, axis=0) + 0.0
+    return np.broadcast_to(acc, shape).copy()
+
+
+# signed zeros, subnormals, both infinities, NaN of either sign, and
+# magnitudes whose products overflow
+_EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308,
+                     math.inf, -math.inf, math.nan, -math.nan, 1e308,
+                     -1.7976931348623157e308, 1e160, -1e155]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# tails of a and b: none, equal 1-D and 2-D tails, and tails that broadcast
+_TAIL_PAIRS = st.sampled_from([((), ()), ((3,), (3,)), ((2, 3), (2, 3)),
+                               ((1,), (4,)), ((4,), (1,)), ((2, 1), (1, 3)),
+                               ((1, 3), (2, 3))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_product_matches_two_step_reduction_on_non_finite_input(data):
+    order = data.draw(st.integers(1, 3), label="order")
+    tails = data.draw(_TAIL_PAIRS, label="tails")
+    a, b = (np.array(data.draw(st.lists(
+        _EDGE_VALUES, min_size=len(_INDICES[order]) * math.prod(tail),
+        max_size=len(_INDICES[order]) * math.prod(tail)))).reshape(
+            (len(_INDICES[order]),) + tail) for tail in tails)
+    with np.errstate(all="ignore"):
+        new = jets._product(a, b, order)
+        old = _two_step_product(a, b, order)
+    assert (new.shape, new.tobytes()) == (old.shape, old.tobytes())
