@@ -65,7 +65,7 @@ class PdeProblem:
     c: float
     initial_curve: callable     # phi(x, 0)
     initial_p: callable         # phi_x(x, 0)
-    initial_q_seed: float = -1.0
+    initial_q_seed: float       # Newton seed of q at x = 0
 
 
 def example2_problem(c=DEFAULT_C):

@@ -15,8 +15,8 @@ Conventions fixed here and relied on throughout:
   axis of n points with the sequence of the points, or vectors as the
   rows of an (n, k) array; one point is the batch with n = 1.  A point's
   numbers do not depend on its batch (reductions run per row: ``_norm``,
-  ``np.vecdot``, stacked ``solve``, ``det`` and ``svd``), and errors come
-  in the order of a point-by-point run (:func:`_first_error`).
+  ``np.vecdot``, stacked ``solve``, ``det`` and ``svd``), and a check
+  raises for the first point it fails at.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import SurfaceEvalError, eval_points
-from .jets import Jet
+from .jets import Jet, _power
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -49,14 +49,13 @@ def _powers(scale, k):
     return np.array([s ** k for s in scale.tolist()])
 
 
-def _bands(scale):
+def _bands(scale, scale2, scale4):
     """Absolute bands at the largest second-derivative magnitudes
-    ``scale``; their fourth power raises ``OverflowError`` past the
-    largest float."""
+    ``scale``, given their squares and fourth powers."""
     return {
-        "delta": TOLERANCES["delta"] * _powers(scale, 4),
-        "kappa": TOLERANCES["kappa"] * _powers(scale, 2),
-        "k": TOLERANCES["k"] * _powers(scale, 2),
+        "delta": TOLERANCES["delta"] * scale4,
+        "kappa": TOLERANCES["kappa"] * scale2,
+        "k": TOLERANCES["k"] * scale2,
         "rank": TOLERANCES["rank"] * scale,
     }
 
@@ -392,23 +391,28 @@ def curvature_report(phi, psi, points):
         for d in (pxy, pyy, qxx, qxy, qyy):
             scale = np.maximum(scale, np.abs(d))
         try:
-            bands = _bands(scale)
+            scale2, scale4 = _powers(scale, 2), _powers(scale, 4)
         except OverflowError:
             # Delta and its bounds live at scale^4, past the largest float
             raise SurfaceEvalError(
                 "second derivatives overflow the Delta bound at point "
                 f"{tuple(map(float, points[0]))}") from None
-        _require_close("K", k_hessian, k_frame, _powers(scale, 2))
-        _require_close("kappa", kappa_det, kappa_frame, _powers(scale, 2))
+        bands = _bands(scale, scale2, scale4)
+        try:
+            _require_close("K", k_hessian, k_frame, scale2)
+            _require_close("kappa", kappa_det, kappa_frame, scale2)
+        except InternalInconsistencyError:
+            # the determinant routes divide by W*W, inf past the largest
+            # float: a form overflow (the rerun names the failing point)
+            _raise_first(points, [(~np.isfinite(mf.W * mf.W), form_overflow)])
+            raise
 
         A = a * f - b * e
         B = a * g - c * e
         C = b * g - c * f
-        # B ** 2 of one float64 each, as numpy computes it for a number
-        delta_expanded = A * C - 0.25 * np.array([v ** 2 for v in B])
+        delta_expanded = A * C - 0.25 * _power(B, 2)
         delta_resultant = resultant_determinant(a, b, c, e, f, g)
-        _require_close("Delta", delta_expanded, delta_resultant,
-                       _powers(scale, 4))
+        _require_close("Delta", delta_expanded, delta_resultant, scale4)
 
         K = k_frame
         kappa = kappa_frame
@@ -535,28 +539,8 @@ def _regraphed_coefficients(rot, base, second, pos, t1, t2):
     return np.array(out)
 
 
-@_pointwise_errors
-def _frames_at(phi, psi, points):
-    """The adapted frames of the order-2 jets at ``points``."""
-    return adapted_frame(monge_frame(phi, psi, points))
-
-
 # central-difference step of the closedness check, in adapted-chart units
 CLOSEDNESS_STEP = 1e-3
-
-
-@_pointwise_errors
-def _theta_components(phi, psi, target_uvs):
-    """Chart (dx, dy) components of theta from the re-graphed jets at the
-    adapted-chart points ``target_uvs``, one row per point, through the
-    coframe, the inverse of the transposed chart matrix."""
-    mf = monge_frame(phi, psi, target_uvs)
-    frame = adapted_frame(mf)
-    a, b, _, _, f, g = _second_form_from(mf, frame)
-    with np.errstate(all="ignore"):
-        coframe = np.linalg.inv(frame.chart.transpose(0, 2, 1))
-        return np.matmul(coframe.transpose(0, 2, 1),
-                         _rows(a + f, b + g)[:, :, None])[:, :, 0]
 
 
 def isoclinic_form_closedness(sd, points):
@@ -566,26 +550,32 @@ def isoclinic_form_closedness(sd, points):
     The form is evaluated in the chart adapted at each point (surface
     re-graphed over its own tangent plane, the chart in which the paper's
     frame quantities are defined); at the four stencil points it is
-    converted to chart (dx, dy) components through the coframe, and the
-    exterior-derivative coefficient is the central difference of those
-    components.  Evaluating instead in a fixed ambient Monge chart makes
-    the residual frame-dependent and O(1) even on K = kappa surfaces.
-    The points are evaluated in one call, their frames formed in one
-    batch, the stencil preimages of all of them solved together (see
-    :func:`_adapted_chart_jets`) and theta formed in one batch.
+    converted to chart (dx, dy) components through the coframe,
+    ``inv(chart.T)``, and the exterior-derivative coefficient is the
+    central difference of those components.  Evaluating instead in a
+    fixed ambient Monge chart makes the residual frame-dependent and O(1)
+    even on K = kappa surfaces.  Stages run over all points, each raising
+    for its first failing point: one evaluation, the frames, the stencil
+    preimages (:func:`_adapted_chart_jets`) and theta.
     """
     h = CLOSEDNESS_STEP
     stencil = [np.array(uv) for uv in ((h, 0.0), (-h, 0.0), (0.0, h),
                                        (0.0, -h))]
     phi0, psi0 = eval_points(sd, points, 2)
-    frame0 = _frames_at(phi0, psi0, points)
+    frame0 = adapted_frame(monge_frame(phi0, psi0, points))
     rot = np.stack([frame0.e1, frame0.e2, frame0.e3, frame0.e4], axis=1)
     base = _rows(*np.array(points, dtype=float).reshape(-1, 2).T,
                  phi0.value, psi0.value)
     targets = [(point, frame0.chart[i], rot[i], base[i], uv)
                for i, point in enumerate(points) for uv in stencil]
     phi, psi = _adapted_chart_jets(sd, targets)
-    theta = _theta_components(phi, psi, [target[4] for target in targets])
+    mf = monge_frame(phi, psi, [target[4] for target in targets])
+    frame = adapted_frame(mf)
+    a, b, _, _, f, g = _second_form_from(mf, frame)
+    with np.errstate(all="ignore"):
+        coframe = np.linalg.inv(frame.chart.transpose(0, 2, 1))
+        theta = np.matmul(coframe.transpose(0, 2, 1),
+                          _rows(a + f, b + g)[:, :, None])[:, :, 0]
     theta = theta.reshape(-1, 4, 2)
     q_plus, q_minus = theta[:, 0, 1], theta[:, 1, 1]
     p_plus, p_minus = theta[:, 2, 0], theta[:, 3, 0]

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import eval_points
-from .frames import (InternalInconsistencyError, _first_error, _norm,
-                     _pointwise_errors, _raise_first, _rows, _slopes,
-                     _tangents, form_overflow, monge_curvatures, monge_frame)
+from .frames import (InternalInconsistencyError, _norm, _pointwise_errors,
+                     _raise_first, _rows, _slopes, _tangents, form_overflow,
+                     monge_curvatures, monge_frame)
 from .jets import Jet
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
@@ -135,12 +135,12 @@ def gauss_map_at(phi, psi, points):
 
 @dataclass
 class BlaschkeResult:
-    residual1: float
-    residual2: float
-    t1: float
-    t2: float
-    sign1: float  # sign of t1 / ((K + kappa) sqrt(W)), 0 if tiny
-    sign2: float
+    residual1: np.ndarray
+    residual2: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    sign1: np.ndarray  # sign of t1 / ((K + kappa) sqrt(W)), 0 if tiny
+    sign2: np.ndarray
 
 
 # central-difference step of the Blaschke check
@@ -149,15 +149,16 @@ BLASCHKE_STEP = 1e-4
 
 def blaschke_check(sd, points):
     """Pullback-of-area-form identities, checked by central differences,
-    one :class:`BlaschkeResult` per point of ``points``.
+    as one :class:`BlaschkeResult` over ``points``.
 
     t_i is the triple product (d_x Gamma_i x d_y Gamma_i) . Gamma_i; the
     identities fix |t_1| = |K + kappa| sqrt(W) and
     |t_2| = |K - kappa| sqrt(W).  Signs are reported for calibration, not
-    asserted.  Every stencil point is checked against the domain, in point
-    order, before anything is evaluated; then one order-2 evaluation
-    covers the four stencil points and the centre of every point.  The
-    Gauss map reads only the slopes, the curvatures the centre's jets.
+    asserted.  Stages run over all points, each raising for its first
+    failing point: every stencil point against the domain, one order-2
+    evaluation of the four stencil points and the centre of every point,
+    the Gauss map of all of them (it reads the slopes), and the
+    curvatures of the centres.
     """
     h = BLASCHKE_STEP
     stencils = []
@@ -169,34 +170,6 @@ def blaschke_check(sd, points):
                     f"Blaschke stencil point {pt} leaves the domain")
         stencils += stencil + [(x, y)]
     phi, psi = eval_points(sd, stencils, 2)
-
-    def at(block):
-        # the points of ``block``, a slice of whole 5-point groups
-        return _blaschke_at(stencils[block], Jet(2, phi.c[:, block]),
-                            Jet(2, psi.c[:, block]))
-
-    t1, t2, residual1, residual2, sign1, sign2 = _first_error(
-        len(points), lambda: at(slice(None)),
-        lambda i: at(slice(5 * i, 5 * i + 5)))
-    return [BlaschkeResult(*values) for values in zip(
-        residual1.tolist(), residual2.tolist(), t1.tolist(), t2.tolist(),
-        sign1.tolist(), sign2.tolist())]
-
-
-def _cross(u, v):
-    """The cross product of each row pair of the 3-vector rows ``u``,
-    ``v``, bit for bit ``np.cross(u, v)`` without its argument handling."""
-    return _rows(u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
-                 u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
-                 u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
-
-
-def _blaschke_at(stencils, phi, psi):
-    """(t1, t2, residual1, residual2, sign1, sign2), arrays over the
-    points, from the jets ``phi``, ``psi`` at their ``stencils``: per
-    point its four stencil points and its centre, in
-    :func:`blaschke_check` order."""
-    h = BLASCHKE_STEP
     _, klein = gauss_map_at(phi, psi, stencils)
 
     def triple(vectors):
@@ -222,9 +195,18 @@ def _blaschke_at(stencils, phi, psi):
             tiny = (np.abs(rhs_signed) < 1e-7) | (np.abs(t) < 1e-7)
             return np.where(tiny, 0.0, np.sign(t / rhs_signed))
 
-        return (t1, t2, np.abs(np.abs(t1) - rhs1), np.abs(np.abs(t2) - rhs2),
-                sign_of(t1, (K + kappa) * sqrt_w),
-                sign_of(t2, (K - kappa) * sqrt_w))
+        return BlaschkeResult(
+            np.abs(np.abs(t1) - rhs1), np.abs(np.abs(t2) - rhs2), t1, t2,
+            sign_of(t1, (K + kappa) * sqrt_w),
+            sign_of(t2, (K - kappa) * sqrt_w))
+
+
+def _cross(u, v):
+    """The cross product of each row pair of the 3-vector rows ``u``,
+    ``v``, bit for bit ``np.cross(u, v)`` without its argument handling."""
+    return _rows(u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
+                 u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+                 u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
 
 # largest difference of the principal-angle cosines of isoclinic planes

@@ -57,32 +57,27 @@ _BLOCK = 4096
 
 
 def _product(a, b, order):
-    """Coefficients of the product of two jets with coefficients a and b.
+    """Coefficients of the product of two jets with coefficients a, b of
+    one shape.
 
     Each output is 0.0 + (w*a)*b + ... over its terms in table order, the
     rounding of a per-term loop, but gathered into one broadcast and
     summed by one reduction over the leading (term) axis.  numpy adds the
     rows of that axis in order, after its ``initial`` +0.0, so the
-    reduction rounds like the loop.  Tails of unequal rank line up on
-    their last axes, and the result takes numpy's broadcast shape of a
-    and b.
+    reduction rounds like the loop.
     """
-    if a.shape == b.shape and a.ndim == 2 and a.shape[1] > _BLOCK:
+    if a.shape != b.shape:
+        raise ValueError(f"jet shape mismatch: {a.shape} vs {b.shape}")
+    if a.ndim == 2 and a.shape[1] > _BLOCK:
         out = np.empty(a.shape)
         for i in range(0, a.shape[1], _BLOCK):
             block = slice(i, i + _BLOCK)
             out[:, block] = _product(a[:, block], b[:, block], order)
         return out
     s1, s2, w = _LEIBNIZ[order]
-    shape = a.shape
-    if b.shape != shape:
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        a = a.reshape(a.shape[:1] + (1,) * (len(shape) - a.ndim) + a.shape[1:])
-        b = b.reshape(b.shape[:1] + (1,) * (len(shape) - b.ndim) + b.shape[1:])
-    if len(shape) > 1:
-        w = w.reshape(w.shape + (1,) * (len(shape) - 1))
-    acc = np.add.reduce(w * a[s1] * b[s2], axis=0, initial=0.0)
-    return acc if acc.shape == shape else np.broadcast_to(acc, shape).copy()
+    if a.ndim > 1:
+        w = w.reshape(w.shape + (1,) * (a.ndim - 1))
+    return np.add.reduce(w * a[s1] * b[s2], axis=0, initial=0.0)
 
 
 def _check_order(order):
@@ -113,13 +108,10 @@ class Jet:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def constant(value, order, like=None):
+    def constant(value, order):
+        """The constant ``value``, whose shape is the coefficient tail."""
         _check_order(order)
-        n = len(_INDICES[order])
-        shape = np.shape(value)
-        tail = np.shape(like)[1:] if like is not None else shape
-        c = np.zeros((n,) + (shape if shape == tail
-                             else np.broadcast_shapes(shape, tail)))
+        c = np.zeros((len(_INDICES[order]),) + np.shape(value))
         c[0] = value
         return _jet(order, c)
 
@@ -166,15 +158,15 @@ class Jet:
 
     # -- arithmetic ---------------------------------------------------------
     #
-    # A number operand v acts as the constant jet (v, 0, 0, ...).  A float,
-    # or a float64 array shaped like the coefficient tail, is never built
-    # into one: each operator applies the one term of the constant that is
-    # not zero, with the rounding the full operation on the constant has
-    # (x + 0.0 turns -0.0 into +0.0, and a product sum starts at 0.0).
+    # The other operand is a jet of one coefficient shape, or a number v: a
+    # float, or a float64 array shaped like the coefficient tail, which
+    # acts as the constant jet (v, 0, 0, ...) but is never built into one:
+    # each operator applies its one nonzero term, rounding as the full
+    # operation would (x + 0.0 turns -0.0 into +0.0, a sum starts at 0.0).
 
     def _operand(self, other):
         """``other`` as a Jet of this order or as a number that fits the
-        coefficient tail; None if it is neither a Jet nor a number."""
+        coefficient tail; None if it is neither."""
         if isinstance(other, Jet):
             if other.order != self.order:
                 raise ValueError(
@@ -183,11 +175,9 @@ class Jet:
             return other
         if isinstance(other, (int, float, np.floating)):
             return float(other)
-        if isinstance(other, np.ndarray):
-            if other.dtype == np.float64 and other.shape == self.c.shape[1:]:
-                return other
-            # other arrays broadcast and cast as their constant jet does
-            return Jet.constant(other, self.order, like=self.c)
+        if (isinstance(other, np.ndarray) and other.dtype == np.float64
+                and other.shape == self.c.shape[1:]):
+            return other
         return None
 
     def __add__(self, other):
@@ -216,8 +206,6 @@ class Jet:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, Jet):
-            return _jet(self.order, o.c - self.c)
         c = 0.0 - self.c
         c[0] = o - self.c[0]
         return _jet(self.order, c)
@@ -250,8 +238,6 @@ class Jet:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, Jet):
-            return o * self._reciprocal()
         return _jet(self.order, self._reciprocal().c * o + 0.0)
 
     def __pow__(self, n):
@@ -269,7 +255,7 @@ class Jet:
         if n < 0:
             return (self.__pow__(-n))._reciprocal()
         if n == 0:
-            return Jet.constant(1.0, self.order, like=self.c)
+            return Jet.constant(np.ones(self.c.shape[1:]), self.order)
         result = None
         base = self
         while n:
@@ -286,7 +272,7 @@ class Jet:
         """Evaluate sum_k series[k] * (self - value)^k by Horner."""
         w = _jet(self.order, self.c.copy())
         w.c[0] = 0.0
-        result = Jet.constant(series[-1], self.order, like=self.c)
+        result = Jet.constant(series[-1], self.order)
         for k in range(len(series) - 2, -1, -1):
             result = result * w
             result.c[0] = result.c[0] + series[k]

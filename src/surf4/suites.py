@@ -128,13 +128,10 @@ def suite_blaschke():
     worst = 0.0
     signs1, signs2 = set(), set()
     for _ in range(n_surfaces):
-        sd = random_polynomial_surface(rng)
-        for result in blaschke_check(sd, grid):
-            worst = max(worst, result.residual1, result.residual2)
-            if result.sign1:
-                signs1.add(result.sign1)
-            if result.sign2:
-                signs2.add(result.sign2)
+        result = blaschke_check(random_polynomial_surface(rng), grid)
+        worst = _worst(worst, result.residual1, result.residual2)
+        signs1 |= set(result.sign1[result.sign1 != 0].tolist())
+        signs2 |= set(result.sign2[result.sign2 != 0].tolist())
     rows = [
         _row("blaschke",
              f"| |t_i| - |K +- kappa| sqrt(W) | on {n_surfaces} surfaces x "
@@ -151,11 +148,9 @@ def suite_blaschke():
     phi, psi = expr.eval_points(sd, grid, 2)
     report = frames.curvature_report(phi, psi, grid)
     sqw = np.sqrt(frames.monge_frame(phi, psi, grid).W)
-    results = blaschke_check(sd, grid)
-    t1 = np.array([result.t1 for result in results])
-    t2 = np.array([result.t2 for result in results])
-    k_est = 0.5 * (eps1 * t1 + eps2 * t2) / sqw
-    kappa_est = 0.5 * (eps1 * t1 - eps2 * t2) / sqw
+    result = blaschke_check(sd, grid)
+    k_est = 0.5 * (eps1 * result.t1 + eps2 * result.t2) / sqw
+    kappa_est = 0.5 * (eps1 * result.t1 - eps2 * result.t2) / sqw
     worst_cor = _worst(np.abs(k_est - report.K),
                        np.abs(kappa_est - report.kappa))
     rows.append(_row(

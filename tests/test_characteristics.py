@@ -1,6 +1,8 @@
 """Characteristic strips and the b1 = c surface reconstruction."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +56,21 @@ class TestCompatibility:
             residual = float(f_partials(PROBLEM, x, 0.0,
                                         PROBLEM.initial_p(x), h)[0])
             assert abs(residual) < 1e-12
+
+    # F = q - slope*x: each 0.01 continuation step moves the root by
+    # slope/100, past the 0.5 jump bound at 60 and inside it at 49
+    @pytest.mark.parametrize("slope, jumps", [(60.0, True), (49.0, False)])
+    def test_branch_jump_bound(self, slope, jumps):
+        problem = PdeProblem(f=lambda x, y, p, q: q - slope * x, c=0.0,
+                             initial_curve=lambda x: 0.0,
+                             initial_p=lambda x: 0.0, initial_q_seed=0.0)
+        if jumps:
+            with pytest.raises(BranchError, match=re.escape(
+                    "compatibility branch jumped near x = 0.01")):
+                _initial_q_values(problem, [0.1])
+        else:
+            assert _initial_q_values(problem, [0.1])[0] == pytest.approx(
+                4.9, abs=1e-12)
 
     def test_continuity(self):
         values = [_initial_q_values(PROBLEM, [x])[0]
@@ -116,15 +133,62 @@ class TestStripIntegrate:
     ], ids=["nan-f", "nan-fq"])
     def test_nan_aborts(self, f, error):
         problem = PdeProblem(f=f, c=0.0, initial_curve=lambda x: 0.0,
-                             initial_p=lambda x: 0.0)
+                             initial_p=lambda x: 0.0, initial_q_seed=-1.0)
         with pytest.raises(error):
             _integrate_batch(problem, strip(0.0, 0.0, 0.0, 0.0, 1.0), 1e-2, 3,
                              None)
 
 
+# F = s*(q - 0.5) has |F_q| = s at every launch point, against the floor
+# FQ_MIN = 1e-6
+@pytest.mark.parametrize("s, characteristic", [(9e-7, True),
+                                               (1.1e-6, False)])
+def test_launch_fq_floor(s, characteristic):
+    problem = PdeProblem(f=lambda x, y, p, q: s * (q - 0.5), c=0.0,
+                         initial_curve=lambda x: 0.0,
+                         initial_p=lambda x: 0.0, initial_q_seed=0.5)
+    x0s = np.array([-0.1, 0.0, 0.1])
+    if characteristic:
+        with pytest.raises(CharacteristicPointError, match=re.escape(
+                "initial point x0 = -0.1 is characteristic")):
+            _launch_states(problem, x0s)
+    else:
+        assert _launch_states(problem, x0s)[4].tolist() == [0.5] * 3
+
+
 @pytest.fixture(scope="module")
 def samples():
     return reconstruct_surface(PROBLEM)
+
+
+def nearest(samples, n):
+    """The ``n`` samples nearest the origin."""
+    keep = np.argsort(samples.x ** 2 + samples.y ** 2)[:n]
+    return dataclasses.replace(samples, **{
+        field.name: getattr(samples, field.name)[keep]
+        for field in dataclasses.fields(samples)
+        if isinstance(getattr(samples, field.name), np.ndarray)})
+
+
+@pytest.mark.parametrize("n", [99, 100])
+def test_verification_needs_100_samples(samples, n):
+    if n < 100:
+        with pytest.raises(ch.SamplingError,
+                           match="need at least 100 samples"):
+            verify_reconstruction(nearest(samples, n))
+    else:
+        assert verify_reconstruction(nearest(samples, n))["nSamples"] == n
+
+
+# the origin sample may lie at most 1e-8 from the origin
+@pytest.mark.parametrize("shift, found", [(0.9e-8, True), (1.1e-8, False)])
+def test_verification_needs_a_sample_at_the_origin(samples, shift, found):
+    shifted = dataclasses.replace(samples, x=samples.x + shift)
+    if found:
+        assert verify_reconstruction(shifted)["nSamples"] == len(samples)
+    else:
+        with pytest.raises(ch.SamplingError, match="no sample at the origin"):
+            verify_reconstruction(shifted)
 
 
 class TestReconstruction:

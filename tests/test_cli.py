@@ -233,6 +233,12 @@ PARAM_MESSAGE = ("error: line 3, column 11: parameter 'a' is not a finite "
       for text, message in BAD_SURFACES.values()],
     *[(["analyze", "--grid", "3,3", "--out", OUT], text, message)
       for text, message in STEEP.values()],
+    # W is finite but W*W is not: the determinant routes of K and kappa
+    # divide by inf and read 0 where the frame route reads 1e129
+    (["analyze", "--grid", "5,4", "--out", OUT],
+     "phi = -1.13e90*y\npsi = (y + 0.0136)^-2 * (exp(x) * y^3 - y)\n",
+     "error: first fundamental form overflows at point "
+     "(-1.0, -0.33333333333333337)\n"),
     # the square of v = 1e-300 in the Taylor series of sqrt underflows to 0
     (["analyze", "--grid", "3,3", "--out", OUT],
      "phi = x\npsi = sqrt(-1e-300*x)\n",
@@ -266,7 +272,7 @@ PARAM_MESSAGE = ("error: line 3, column 11: parameter 'a' is not a finite "
         *[f"reconstruct--dt={dt}" for dt, _ in COARSE_DT],
         "reconstruct-out-coarse-dt",
         *[f"analyze-{kind}" for kind in BAD_SURFACES],
-        *[f"analyze-steep-{kind}" for kind in STEEP],
+        *[f"analyze-steep-{kind}" for kind in STEEP], "analyze-steep-k-routes",
         "analyze-sqrt-underflow", *FILESYSTEM_ERRORS, "analyze-undecodable",
         *OVERSIZE, "reconstruct-out-of-memory", "analyze-param-overflow",
         "gaussmap-param-overflow", "analyze-literal-overflow"])
@@ -295,7 +301,9 @@ def reject_constant(token):
 
 @pytest.mark.parametrize("grid, text, points", [
     ("1,3", "phi = x^2\npsi = x*y\n", 3), ("3,3", CUBIC.format("1e76"), 9),
-], ids=["grid-1,3", "delta-bound-1e76"])
+    # W*W overflows, but both K routes read 0 there and agree
+    ("3,3", "phi = 1e100*y\npsi = x^2\n", 9),
+], ids=["grid-1,3", "delta-bound-1e76", "form-square-overflow"])
 def test_analyze_at_the_input_boundaries(capsys, tmp_path, grid, text,
                                          points):
     path = tmp_path / "surface.surf"

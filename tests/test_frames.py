@@ -379,7 +379,9 @@ def test_seven_conditions_agree_on_isoclinic_surface():
             a, b, c, e, f, g = first_point(
                 _second_form_from(mf, adapted_frame(mf)))
             scale = max(abs(v) for v in (a, b, c, e, f, g)) or 0.0
-            bands = first_point(_bands(np.array([scale])))
+            bands = first_point(_bands(np.array([scale]),
+                                       np.array([scale ** 2]),
+                                       np.array([scale ** 4])))
             cond2 = rep.point_class == "parabolic" and \
                 abs(rep.kappa) <= bands["kappa"]
             cond5 = rep.point_class == "parabolic" and \

@@ -1,5 +1,6 @@
 """Pluecker/Klein coordinates, the SO(4) lift and circle fitting."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -140,19 +141,19 @@ def test_cross_is_np_cross_bit_for_bit(u, v):
 
 class TestBlaschke:
     def test_z2_origin(self):
-        result = blaschke_check(Z2, [(0.0, 0.0)])[0]
+        result = first_point(blaschke_check(Z2, [(0.0, 0.0)]))
         assert result.t1 == pytest.approx(0.0, abs=1e-10)
         assert abs(result.t2) == pytest.approx(16.0, abs=1e-5)
         assert result.residual1 < 1e-6 and result.residual2 < 1e-5
 
     def test_flat_plane(self):
         flat = parse_surface("phi = 0\npsi = 0")
-        result = blaschke_check(flat, [(0.0, 0.0)])[0]
+        result = first_point(blaschke_check(flat, [(0.0, 0.0)]))
         assert result.t1 == result.t2 == 0.0
         assert result.residual1 == result.residual2 == 0.0
 
     def test_example1_b_factor_degenerates(self):
-        result = blaschke_check(EX1, [(0.0, 0.0)])[0]
+        result = first_point(blaschke_check(EX1, [(0.0, 0.0)]))
         assert abs(result.t2) < 1e-6  # K = kappa kills the b-factor identity
         assert result.residual1 < 1e-5
 
@@ -164,8 +165,12 @@ class TestBlaschke:
     @pytest.mark.parametrize("sd", BATCH_SURFACES)
     def test_batch_equals_single_points(self, sd):
         points = [(x, y) for x in (-0.3, 0.0, 0.3) for y in (-0.3, 0.0, 0.3)]
-        assert [repr(r) for r in blaschke_check(sd, points)] == [
-            repr(blaschke_check(sd, [pt])[0]) for pt in points]
+        batch = blaschke_check(sd, points)
+        alone = [first_point(blaschke_check(sd, [pt])) for pt in points]
+        names = [field.name for field in dataclasses.fields(batch)]
+        assert [repr(getattr(batch, name).tolist()) for name in names] == [
+            repr([getattr(result, name) for result in alone])
+            for name in names]
 
 
 class TestIsoclinicPlanes:

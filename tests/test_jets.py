@@ -404,22 +404,40 @@ def test_kernel_matches_per_term_reference(kind, data):
     a = data.draw(_coefficients(order, tail))
     if kind == "number":
         op = _NUMBER_OPS[data.draw(st.sampled_from(sorted(_NUMBER_OPS)))]
-        # arrays shaped like the tail, or shaped otherwise
+        # numbers, and arrays shaped like the tail
         value = data.draw(st.one_of(
             _VALUES, st.integers(-3, 3),
-            st.one_of(st.just(tail), _TAILS).flatmap(lambda t: st.lists(
-                _VALUES, min_size=math.prod(t), max_size=math.prod(t)).map(
-                    lambda vs, t=t: np.array(vs).reshape(t)))), label="v")
+            st.lists(_VALUES, min_size=math.prod(tail),
+                     max_size=math.prod(tail)).map(
+                         lambda vs: np.array(vs).reshape(tail))), label="v")
         new, old = _outcomes(lambda cls: op(cls(order, a.copy()), value))
     elif kind == "jet":
         op = _JET_OPS[data.draw(st.sampled_from(sorted(_JET_OPS)))]
-        b = data.draw(_coefficients(order, data.draw(_TAILS)))
+        b = data.draw(_coefficients(order, tail))
         new, old = _outcomes(
             lambda cls: op(cls(order, a.copy()), cls(order, b.copy())))
     else:
         op = _UNARY_OPS[data.draw(st.sampled_from(sorted(_UNARY_OPS)))]
         new, old = _outcomes(lambda cls: op(cls(order, a.copy())))
     assert new == old
+
+
+@pytest.mark.parametrize("other", [
+    np.ones(2), np.ones((1, 3)), np.ones(3, dtype=int), np.ones(3, np.float32),
+], ids=["shorter", "rank-2", "int", "float32"])
+@pytest.mark.parametrize("op", sorted(_NUMBER_OPS))
+def test_array_operand_of_another_shape_or_dtype_is_refused(op, other):
+    # a jet computes on one coefficient shape; such an array is no number
+    # of it
+    with pytest.raises(TypeError):
+        _NUMBER_OPS[op](Jet(1, np.ones((3, 3))), other)
+
+
+@pytest.mark.parametrize("tails", [((), (3,)), ((1,), (3,)), ((2, 3), (3,))])
+def test_product_of_jets_of_another_shape_raises(tails):
+    a, b = (Jet(2, np.ones((6,) + tail)) for tail in tails)
+    with pytest.raises(ValueError, match="jet shape mismatch"):
+        a * b
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -475,12 +493,8 @@ def test_kernel_matches_reference_on_mixed_magnitudes(op, order, tail):
 
 def _two_step_product(a, b, order):
     s1, s2, w = _LEIBNIZ[order]
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    a = a.reshape(a.shape[:1] + (1,) * (len(shape) - a.ndim) + a.shape[1:])
-    b = b.reshape(b.shape[:1] + (1,) * (len(shape) - b.ndim) + b.shape[1:])
-    terms = w.reshape(w.shape + (1,) * (len(shape) - 1)) * a[s1] * b[s2]
-    acc = np.add.reduce(terms, axis=0) + 0.0
-    return np.broadcast_to(acc, shape).copy()
+    terms = w.reshape(w.shape + (1,) * (a.ndim - 1)) * a[s1] * b[s2]
+    return np.add.reduce(terms, axis=0) + 0.0
 
 
 # signed zeros, subnormals, both infinities, NaN of either sign, and
@@ -491,10 +505,8 @@ _EDGE_VALUES = st.one_of(
                      -1.7976931348623157e308, 1e160, -1e155]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-# tails of a and b: none, equal 1-D and 2-D tails, and tails that broadcast
-_TAIL_PAIRS = st.sampled_from([((), ()), ((3,), (3,)), ((2, 3), (2, 3)),
-                               ((1,), (4,)), ((4,), (1,)), ((2, 1), (1, 3)),
-                               ((1, 3), (2, 3))])
+# tails of a and b: none, and equal 1-D and 2-D tails
+_TAIL_PAIRS = st.sampled_from([((), ()), ((3,), (3,)), ((2, 3), (2, 3))])
 
 
 @settings(max_examples=300, deadline=None)
