@@ -25,8 +25,7 @@ import numpy as np
 from . import characteristics, suites
 from .expr import (SurfaceEvalError, SurfaceSyntaxError, eval_surface,
                    parse_surface)
-from .frames import (TOLERANCES, InternalInconsistencyError, _first_error,
-                     curvature_report)
+from .frames import TOLERANCES, InternalInconsistencyError, curvature_report
 from .grassmann import gauss_map_at, great_circle_fit, tangent_pair
 from .jets import Jet
 from .lagrangian import (DEFAULT_GRID, TOL_CIRCLE, TOL_SYMP,
@@ -171,12 +170,13 @@ def _grid_geometry(sd, points, steps):
 
     Each point is evaluated at each step's order in turn, into one
     preallocated (2, slots, n) coefficient array per step; then each fn
-    runs once.  When anything raises, the points are rerun one at a time,
-    each through every step's evaluation and ``check`` (fn, or the part
-    of fn that checks points one by one) in turn, so the first failing
-    point reports its first failing check, as a point-by-point run would.
+    runs once.  A batch raises stage by stage, but a command reports the
+    first failing point's first failing check: when a check raises, the
+    points are rerun one at a time (the package's one such rerun), each
+    through every step's evaluation and ``check`` (fn, or the part of fn
+    that checks points one by one) in turn.
     """
-    def batch():
+    try:
         coeffs = [None] * len(steps)
         for i, pt in enumerate(points):
             for k, (order, _, _) in enumerate(steps):
@@ -187,14 +187,14 @@ def _grid_geometry(sd, points, steps):
                 coeffs[k][1, :, i] = jets[1].c
         return [fn(Jet(order, c[0]), Jet(order, c[1]), points)
                 for (order, fn, _), c in zip(steps, coeffs)]
-
-    def one(i):
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        error = exc
+    for pt in points:
         for order, _, check in steps:
-            phi, psi = eval_surface(sd, points[i], order)
+            phi, psi = eval_surface(sd, pt, order)
             check(Jet(order, phi.c.reshape(-1, 1)),
-                  Jet(order, psi.c.reshape(-1, 1)), points[i:i + 1])
-
-    return _first_error(len(points), batch, one)
+                  Jet(order, psi.c.reshape(-1, 1)), [pt])
+    raise error
 
 
 def analysis_report(sd, nx, ny, source):

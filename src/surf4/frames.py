@@ -15,13 +15,13 @@ Conventions fixed here and relied on throughout:
   axis of n points with the sequence of the points, or vectors as the
   rows of an (n, k) array; one point is the batch with n = 1.  A point's
   numbers do not depend on its batch (reductions run per row: ``_norm``,
-  ``np.vecdot``, stacked ``solve``, ``det`` and ``svd``), and a check
-  raises for the first point it fails at.
+  ``np.vecdot``, stacked ``solve``, ``det`` and ``svd``).  Each check
+  runs over the whole batch and raises for the first point it fails at,
+  so a batch raises an error that one of its points raises alone.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +40,6 @@ class InternalInconsistencyError(RuntimeError):
 # relative tolerance factors of point classification; reports embed them
 TOLERANCES = {"delta": 1e-9, "kappa": 1e-8, "k": 1e-8, "rank": 1e-8,
               "wong": 1e-8}
-
-
-def _powers(scale, k):
-    """``s ** k`` for each element s of ``scale`` as a Python float, which
-    raises ``OverflowError`` past the largest float (numpy would round
-    differently and give inf)."""
-    return np.array([s ** k for s in scale.tolist()])
 
 
 def _bands(scale, scale2, scale4):
@@ -109,10 +102,14 @@ class CurvatureReport:
     gauss_singular: np.ndarray
 
 
-def form_overflow(point):
-    """The error for a point whose first fundamental form overflows."""
-    return SurfaceEvalError("first fundamental form overflows at point "
-                            f"{tuple(map(float, point))}")
+def _at(message):
+    """error(point) for :func:`_raise_first`: ``message`` at the point."""
+    return lambda point: SurfaceEvalError(
+        f"{message} at point {tuple(map(float, point))}")
+
+
+# the error for a point whose first fundamental form overflows
+form_overflow = _at("first fundamental form overflows")
 
 
 def _raise_first(points, checks):
@@ -125,37 +122,6 @@ def _raise_first(points, checks):
         for mask, error in checks:
             if mask[i]:
                 raise error(points[i])
-
-
-def _first_error(n, batch, one):
-    """``batch()`` over n points; when it raises, ``one(i)`` for each
-    point i in order, so that the first point that fails alone raises
-    its own error, as a point-by-point run would.  The batch error is
-    raised if no point fails alone.  The errors rerun are those a check
-    raises: ``SurfaceEvalError`` and ``OverflowError`` (arithmetic),
-    ``ValueError`` and ``LinAlgError``, and internal inconsistencies."""
-    try:
-        return batch()
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
-        if n == 1:
-            raise
-        error = exc
-    for i in range(n):
-        one(i)
-    raise error
-
-
-def _pointwise_errors(batch):
-    """``batch(phi, psi, points)`` whose error, when it raises, is the
-    one the first failing point raises alone (see :func:`_first_error`)."""
-    @functools.wraps(batch)
-    def run(phi, psi, points):
-        return _first_error(
-            len(points), lambda: batch(phi, psi, points),
-            lambda i: batch(Jet(phi.order, phi.c[:, i:i + 1]),
-                            Jet(psi.order, psi.c[:, i:i + 1]),
-                            points[i:i + 1]))
-    return run
 
 
 def _slopes(phi, psi):
@@ -221,9 +187,7 @@ def _check_hatted_identity(W, eg, eg_hat, ff_hat, points):
         bound = 1e-10 * np.maximum(np.maximum(eg, eg_hat), 1.0)
         _raise_first(points, [
             (~np.isfinite(W), form_overflow),
-            (W <= 0.0, lambda point: SurfaceEvalError(
-                "first fundamental form is numerically singular at point "
-                f"{tuple(map(float, point))}")),
+            (W <= 0.0, _at("first fundamental form is numerically singular")),
             (~(np.isfinite(eg_hat) & np.isfinite(ff_hat)), form_overflow),
             (np.abs(eg_hat - ff_hat - W) > bound,
              lambda point: InternalInconsistencyError(
@@ -248,16 +212,21 @@ def _gram_schmidt_pair(v1, v2):
     return e1, e2
 
 
+def _gram(basis1, basis2):
+    """The 2x2 Gram matrix of each row pair of (basis1, basis2)."""
+    return _rows(np.vecdot(basis1, basis1), np.vecdot(basis1, basis2),
+                 np.vecdot(basis1, basis2),
+                 np.vecdot(basis2, basis2)).reshape(-1, 2, 2)
+
+
 def _coords_in(basis1, basis2, vectors):
     """Per point, the components of each of ``vectors`` in the (basis1,
     basis2) span, as rows: one Gram matrix per point and one stacked
     solve that keeps one right-hand side per system (one system with
     both right-hand sides rounds differently)."""
-    g = _rows(np.vecdot(basis1, basis1), np.vecdot(basis1, basis2),
-              np.vecdot(basis1, basis2), np.vecdot(basis2, basis2))
     rhs = _rows(*[np.vecdot(v, basis) for v in vectors
                   for basis in (basis1, basis2)])
-    return np.linalg.solve(g.reshape(-1, 1, 2, 2),
+    return np.linalg.solve(_gram(basis1, basis2)[:, None],
                            rhs.reshape(-1, len(vectors), 2, 1))[..., 0]
 
 
@@ -331,13 +300,18 @@ def monge_curvatures(mf):
     return K, kappa
 
 
-def _require_close(name, u, v, scale):
-    """Raise at the first point where the routes ``u`` and ``v`` of
-    ``name`` differ by more than 1e-9 relative."""
+def _disagree(u, v, scale):
+    """Per point, whether the routes ``u`` and ``v`` differ by more than
+    1e-9 relative to the largest of 1, ``scale``, |u| and |v|."""
     with np.errstate(all="ignore"):
         # a NaN route fails no comparison, whatever the bound
-        failed = np.abs(u - v) > 1e-9 * np.maximum.reduce(
+        return np.abs(u - v) > 1e-9 * np.maximum.reduce(
             [np.ones_like(u), scale, np.abs(u), np.abs(v)])
+
+
+def _require_close(name, u, v, scale):
+    """Raise at the first point where ``name``'s routes disagree."""
+    failed = _disagree(u, v, scale)
     if failed.any():
         i = int(np.argmax(failed))
         raise InternalInconsistencyError(
@@ -355,7 +329,6 @@ def resultant_determinant(a, b, c, e, f, g):
         return 0.25 * np.linalg.det(m)
 
 
-@_pointwise_errors
 def curvature_report(phi, psi, points):
     """Full curvature/classification record of the order-2 jets ``phi``,
     ``psi`` at ``points``, one array entry per point.
@@ -370,12 +343,13 @@ def curvature_report(phi, psi, points):
     try:
         frame = adapted_frame(mf)
     except np.linalg.LinAlgError:
-        # the tangent or normal Gram matrix is singular in floating point,
-        # as for a plane so steep that 1 + slope^2 rounds to slope^2; the
-        # point named is the batch's first, and a batch of one names it
-        raise SurfaceEvalError(
-            "adapted frame is numerically singular at point "
-            f"{tuple(map(float, points[0]))}") from None
+        # a tangent or normal Gram matrix is singular in floating point, as
+        # for a plane so steep that 1 + slope^2 rounds to slope^2: its LU
+        # meets a zero pivot, so solve raises and det reads exactly 0
+        grams = np.stack([_gram(mf.t1, mf.t2), _gram(mf.n1, mf.n2)], axis=1)
+        _raise_first(points, [((np.linalg.det(grams) == 0.0).any(axis=1),
+                               _at("adapted frame is numerically singular"))])
+        raise
     a, b, c, e, f, g = _second_form_from(mf, frame)
     sigma = frame.orientation
 
@@ -387,24 +361,22 @@ def curvature_report(phi, psi, points):
         k_frame = k1 + k2
         kappa_raw = (a - c) * f - (e - g) * b
         kappa_frame = sigma * kappa_raw
-        scale = np.abs(pxx)
-        for d in (pxy, pyy, qxx, qxy, qyy):
-            scale = np.maximum(scale, np.abs(d))
-        try:
-            scale2, scale4 = _powers(scale, 2), _powers(scale, 4)
-        except OverflowError:
-            # Delta and its bounds live at scale^4, past the largest float
-            raise SurfaceEvalError(
-                "second derivatives overflow the Delta bound at point "
-                f"{tuple(map(float, points[0]))}") from None
+        scale = np.maximum.reduce(np.abs([pxx, pxy, pyy, qxx, qxy, qyy]))
+        scale2, scale4 = _power(scale, 2), _power(scale, 4)
+        # Delta and its bounds live at scale^4, past the largest float
+        _raise_first(points, [(~np.isfinite(scale4), _at(
+            "second derivatives overflow the Delta bound"))])
         bands = _bands(scale, scale2, scale4)
         try:
             _require_close("K", k_hessian, k_frame, scale2)
             _require_close("kappa", kappa_det, kappa_frame, scale2)
         except InternalInconsistencyError:
             # the determinant routes divide by W*W, inf past the largest
-            # float: a form overflow (the rerun names the failing point)
-            _raise_first(points, [(~np.isfinite(mf.W * mf.W), form_overflow)])
+            # float: where a route fails there, the form overflows
+            failed = (_disagree(k_hessian, k_frame, scale2)
+                      | _disagree(kappa_det, kappa_frame, scale2))
+            _raise_first(points, [(failed & ~np.isfinite(mf.W * mf.W),
+                                   form_overflow)])
             raise
 
         A = a * f - b * e

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import eval_points
-from .frames import (InternalInconsistencyError, _norm, _pointwise_errors,
-                     _raise_first, _rows, _slopes, _tangents, form_overflow,
-                     monge_curvatures, monge_frame)
+from .frames import (InternalInconsistencyError, _norm, _raise_first, _rows,
+                     _slopes, _tangents, form_overflow, monge_curvatures,
+                     monge_frame)
 from .jets import Jet
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
@@ -124,7 +124,6 @@ def tangent_pair(phi, psi, points):
     return _tangents(px, py, qx, qy)
 
 
-@_pointwise_errors
 def gauss_map_at(phi, psi, points):
     """Tangent planes of the jets ``phi``, ``psi`` (any order >= 1) at
     ``points``, as (Pluecker rows, KleinPoint)."""

@@ -66,8 +66,6 @@ def _product(a, b, order):
     rows of that axis in order, after its ``initial`` +0.0, so the
     reduction rounds like the loop.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"jet shape mismatch: {a.shape} vs {b.shape}")
     if a.ndim == 2 and a.shape[1] > _BLOCK:
         out = np.empty(a.shape)
         for i in range(0, a.shape[1], _BLOCK):
@@ -170,8 +168,10 @@ class Jet:
         if isinstance(other, Jet):
             if other.order != self.order:
                 raise ValueError(
-                    f"jet order mismatch: {self.order} vs {other.order}"
-                )
+                    f"jet order mismatch: {self.order} vs {other.order}")
+            if other.c.shape != self.c.shape:
+                raise ValueError(
+                    f"jet shape mismatch: {self.c.shape} vs {other.c.shape}")
             return other
         if isinstance(other, (int, float, np.floating)):
             return float(other)

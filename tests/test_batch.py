@@ -1,5 +1,6 @@
 """The geometry of a batch of points gives each point, bit for bit, what
-the same call gives that point alone."""
+the same call gives that point alone, and a batch that raises raises an
+error that one of its points raises alone."""
 
 import dataclasses
 
@@ -60,9 +61,9 @@ def leaves(value):
 
 
 def outcome(fn, phi, psi, points):
-    """repr of every field of ``fn`` on the batch, or its error."""
+    """The fields of ``fn`` on the batch as lists, or its error."""
     try:
-        return repr(leaves(fn(phi, psi, points)))
+        return leaves(fn(phi, psi, points))
     except (SurfaceEvalError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -71,17 +72,18 @@ def column(jet, i):
     return type(jet)(jet.order, jet.c[:, i:i + 1])
 
 
-def column_outcome(fn, phi, psi, points):
-    """The same for each point alone, the fields joined in point order;
-    the first failing point's error if one fails."""
-    parts = []
-    for i in range(len(points)):
-        try:
-            parts.append(leaves(fn(column(phi, i), column(psi, i),
-                                   points[i:i + 1])))
-        except (SurfaceEvalError, ValueError) as exc:
-            return f"{type(exc).__name__}: {exc}"
-    return repr([sum(field, []) for field in zip(*parts)])
+def assert_batch_matches_columns(fn, phi, psi, points):
+    """A batch that succeeds gives each point's fields bit for bit as the
+    point alone; a batch that raises raises an error one of its points
+    raises alone, and it raises whenever one of them does."""
+    batch = outcome(fn, phi, psi, points)
+    alone = [outcome(fn, column(phi, i), column(psi, i), points[i:i + 1])
+             for i in range(len(points))]
+    errors = [result for result in alone if isinstance(result, str)]
+    if errors or isinstance(batch, str):
+        assert batch in errors
+    else:
+        assert repr(batch) == repr([sum(field, []) for field in zip(*alone)])
 
 
 @pytest.mark.parametrize("fn, order", [(curvature_report, 2),
@@ -92,20 +94,37 @@ def column_outcome(fn, phi, psi, points):
 def test_batch_equals_each_column_alone(fn, order, data):
     sd, points = data
     phi, psi = eval_points(sd, points, order)
-    assert outcome(fn, phi, psi, points) == \
-        column_outcome(fn, phi, psi, points)
+    assert_batch_matches_columns(fn, phi, psi, points)
+
+
+# batches in which some point fails a check; the library raises stage by
+# stage, so the error raised need not be the first failing point's
+FAILING = {
+    # (0, 0) passes; at x = 2e76 the form is finite but the curvature's
+    # Delta bound, 1e-9 * phi_xx^4, overflows; at x = 1e100 the slopes'
+    # squares overflow the form, the first check either function makes
+    "cubic": ("phi = x^3\npsi = y\n",
+              [(0.0, 0.0), (2e76, 0.0), (1e100, 0.0), (2e76, 1.0)]),
+    # the normal Gram matrix at (-1, -1) rounds to singular; (0, 0) passes
+    "singular-frame": ("phi = 5e9*x^2\npsi = 5e9*x^2\n",
+                       [(0.0, 0.0), (-1.0, -1.0)]),
+    "delta-overflow": ("phi = x^3\npsi = y\n",
+                       [(0.0, 0.0), (1.0, 0.0), (2e76, 0.0), (3e76, 1.0)]),
+    # W is finite but W*W is not, at every point: at the second, the
+    # determinant routes of K and kappa divide by inf and read 0 where
+    # the frame route reads 1e129; the routes agree at the others
+    "k-routes": ("phi = -1.13e90*y\n"
+                 "psi = (y + 0.0136)^-2 * (exp(x) * y^3 - y)\n",
+                 [(-1.0, -1.0), (-1.0, -0.33333333333333337), (1.0, 1.0)]),
+}
 
 
 @pytest.mark.parametrize("fn, order", [(curvature_report, 2),
                                        (gauss_map_at, 1)],
                          ids=["curvature_report", "gauss_map_at"])
-def test_batch_raises_the_first_failing_points_error(fn, order):
-    # (0, 0) passes; at x = 2e76 the form is finite but the curvature's
-    # Delta bound, 1e-9 * phi_xx^4, overflows; at x = 1e100 the slopes'
-    # squares overflow the form, the first check either function makes
-    sd = parse_surface("phi = x^3\npsi = y\n")
-    points = [(0.0, 0.0), (2e76, 0.0), (1e100, 0.0), (2e76, 1.0)]
-    phi, psi = eval_points(sd, points, order)
-    assert outcome(fn, phi, psi, points) == \
-        column_outcome(fn, phi, psi, points)
-    assert outcome(fn, phi, psi, points).startswith("SurfaceEvalError")
+@pytest.mark.parametrize("kind", FAILING)
+def test_batch_error_is_one_points_own_error(fn, order, kind):
+    text, points = FAILING[kind]
+    phi, psi = eval_points(parse_surface(text), points, order)
+    assert_batch_matches_columns(fn, phi, psi, points)
+

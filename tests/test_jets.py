@@ -2,6 +2,7 @@
 per-term reference kernel."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -438,6 +439,16 @@ def test_product_of_jets_of_another_shape_raises(tails):
     a, b = (Jet(2, np.ones((6,) + tail)) for tail in tails)
     with pytest.raises(ValueError, match="jet shape mismatch"):
         a * b
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub],
+                         ids=["add", "sub"])
+@pytest.mark.parametrize("tails", [((1,), (4,)), ((4,), (1,))])
+def test_sum_of_jets_of_another_shape_raises(op, tails):
+    # a sum refuses what a product refuses, rather than broadcasting
+    a, b = (Jet(1, np.ones((3,) + tail)) for tail in tails)
+    with pytest.raises(ValueError, match="jet shape mismatch"):
+        op(a, b)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
