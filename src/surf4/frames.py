@@ -6,11 +6,10 @@ Conventions fixed here and relied on throughout:
 * Tangent basis T1 = (1, 0, phi_x, psi_x), T2 = (0, 1, phi_y, psi_y);
   normal basis N1 = (-phi_x, -phi_y, 1, 0), N2 = (-psi_x, -psi_y, 0, 1).
 * The adapted frame comes from Gram-Schmidt of (T1, T2) and (N1, N2) in
-  that order.  Second-fundamental-form coefficients a..g are frame
-  dependent; every reported invariant (K, kappa, Delta, whether an
-  isoclinic direction exists) is corrected by the frame-orientation signs
-  so that it is frame independent and matches the Monge-chart
-  determinant formulas.
+  that order, so each new pair is its old pair times a triangular matrix
+  with a positive diagonal and keeps that pair's handedness.  This one
+  convention fixes the sign of kappa (the sign of its Monge-chart
+  determinant formula); no invariant is corrected by a run-time sign.
 * Every function takes a batch: jets whose coefficients carry a trailing
   axis of n points with the sequence of the points, or vectors as the
   rows of an (n, k) array; one point is the batch with n = 1.  A point's
@@ -83,9 +82,6 @@ class AdaptedFrame:
     e3: np.ndarray
     e4: np.ndarray
     chart: np.ndarray  # per point, rows: (dx, dy) components of e1, e2
-    # product of the signs of det of (e1,e2) in the (T1,T2) basis and of
-    # det of (e3,e4) in the (N1,N2) basis
-    orientation: np.ndarray
 
 
 @dataclass
@@ -236,10 +232,7 @@ def adapted_frame(mf):
         e1, e2 = _gram_schmidt_pair(mf.t1, mf.t2)
         e3, e4 = _gram_schmidt_pair(mf.n1, mf.n2)
         chart = _coords_in(mf.t1, mf.t2, (e1, e2))
-        normal_coords = _coords_in(mf.n1, mf.n2, (e3, e4))
-        signs = np.sign(np.linalg.det(np.stack([chart, normal_coords],
-                                               axis=1)))
-    return AdaptedFrame(e1, e2, e3, e4, chart, signs[:, 0] * signs[:, 1])
+    return AdaptedFrame(e1, e2, e3, e4, chart)
 
 
 def _second_derivatives(phi_jet, psi_jet):
@@ -340,55 +333,42 @@ def curvature_report(phi, psi, points):
     Classification uses the bands of :data:`TOLERANCES`.
     """
     mf = monge_frame(phi, psi, points)
-    try:
-        frame = adapted_frame(mf)
-    except np.linalg.LinAlgError:
-        # a tangent or normal Gram matrix is singular in floating point, as
-        # for a plane so steep that 1 + slope^2 rounds to slope^2: its LU
-        # meets a zero pivot, so solve raises and det reads exactly 0
-        grams = np.stack([_gram(mf.t1, mf.t2), _gram(mf.n1, mf.n2)], axis=1)
-        _raise_first(points, [((np.linalg.det(grams) == 0.0).any(axis=1),
-                               _at("adapted frame is numerically singular"))])
-        raise
-    a, b, c, e, f, g = _second_form_from(mf, frame)
-    sigma = frame.orientation
+    # a tangent or normal Gram matrix singular in floating point, as for a
+    # plane so steep that 1 + slope^2 rounds to slope^2, has det exactly 0
+    # (its LU meets a zero pivot)
+    grams = np.stack([_gram(mf.t1, mf.t2), _gram(mf.n1, mf.n2)], axis=1)
+    _raise_first(points, [((np.linalg.det(grams) == 0.0).any(axis=1),
+                           _at("adapted frame is numerically singular"))])
+    a, b, c, e, f, g = _second_form_from(mf, adapted_frame(mf))
 
     k_hessian, kappa_det = monge_curvatures(mf)
     pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(mf.phi_jet,
                                                        mf.psi_jet)
     with np.errstate(all="ignore"):
         k1, k2 = a * c - b * b, e * g - f * f
-        k_frame = k1 + k2
-        kappa_raw = (a - c) * f - (e - g) * b
-        kappa_frame = sigma * kappa_raw
+        K = k1 + k2
+        kappa = (a - c) * f - (e - g) * b
         scale = np.maximum.reduce(np.abs([pxx, pxy, pyy, qxx, qxy, qyy]))
         scale2, scale4 = _power(scale, 2), _power(scale, 4)
         # Delta and its bounds live at scale^4, past the largest float
         _raise_first(points, [(~np.isfinite(scale4), _at(
             "second derivatives overflow the Delta bound"))])
         bands = _bands(scale, scale2, scale4)
-        try:
-            _require_close("K", k_hessian, k_frame, scale2)
-            _require_close("kappa", kappa_det, kappa_frame, scale2)
-        except InternalInconsistencyError:
-            # the determinant routes divide by W*W, inf past the largest
-            # float: where a route fails there, the form overflows
-            failed = (_disagree(k_hessian, k_frame, scale2)
-                      | _disagree(kappa_det, kappa_frame, scale2))
-            _raise_first(points, [(failed & ~np.isfinite(mf.W * mf.W),
-                                   form_overflow)])
-            raise
+        # the determinant routes divide by W*W, inf past the largest
+        # float: where a route fails there, the form overflows
+        failed = (_disagree(k_hessian, K, scale2)
+                  | _disagree(kappa_det, kappa, scale2))
+        _raise_first(points, [(failed & ~np.isfinite(mf.W * mf.W),
+                               form_overflow)])
+        _require_close("K", k_hessian, K, scale2)
+        _require_close("kappa", kappa_det, kappa, scale2)
 
         A = a * f - b * e
         B = a * g - c * e
         C = b * g - c * f
-        delta_expanded = A * C - 0.25 * _power(B, 2)
-        delta_resultant = resultant_determinant(a, b, c, e, f, g)
-        _require_close("Delta", delta_expanded, delta_resultant, scale4)
-
-        K = k_frame
-        kappa = kappa_frame
-        delta = delta_expanded
+        delta = A * C - 0.25 * _power(B, 2)
+        _require_close("Delta", delta, resultant_determinant(a, b, c, e, f, g),
+                       scale4)
 
         point_class = np.where(
             delta < -bands["delta"], "hyperbolic",
@@ -401,8 +381,8 @@ def curvature_report(phi, psi, points):
 
         # a NaN difference counts as within the band
         band = wong_band(K, kappa)
-        isoclinic = ~((np.abs(K - kappa_raw) > band)
-                      & (np.abs(K + kappa_raw) > band))
+        isoclinic = ~((np.abs(K - kappa) > band)
+                      & (np.abs(K + kappa) > band))
 
         d2 = np.stack([_rows(pxx, qxx, pxy, qxy), _rows(pxy, qxy, pyy, qyy)],
                       axis=1)

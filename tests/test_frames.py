@@ -22,6 +22,7 @@ from surf4.frames import (
     isoclinic_form_closedness,
     monge_frame,
 )
+from surf4.jets import Jet
 from surf4.lagrangian import grid_points
 from surf4.suites import (
     EXAMPLE1_TEXT,
@@ -142,6 +143,25 @@ class TestAdaptedFrame:
         fr = first_point(adapted_frame(mf_at(EX1, point)))
         basis = np.vstack([fr.e1, fr.e2, fr.e3, fr.e4])
         np.testing.assert_allclose(basis @ basis.T, np.eye(4), atol=1e-12)
+
+    # seeded suite surfaces on a grid, and the steep surfaces analyze still
+    # accepts at (-1, -1)
+    @pytest.mark.parametrize("sd, points", [
+        *[(sd, grid_points(sd.domain, 7, 7)) for sd in (
+            random_polynomial_surface(np.random.default_rng(seed))
+            for seed in range(SEED, SEED + 5))],
+        (parse_surface("phi = 1e5*x\npsi = 1e5*x"), [(-1.0, -1.0)]),
+        (parse_surface("phi = 1e6*x*y\npsi = x^2"), [(-1.0, -1.0)]),
+    ], ids=[*[f"polynomial-{k}" for k in range(5)], "plane-1e5",
+            "saddle-1e6"])
+    def test_frame_keeps_the_handedness_of_both_pairs(self, sd, points):
+        # kappa's sign rests on this: (e1, e2) in (T1, T2) and (e3, e4) in
+        # (N1, N2) have positive determinants at every point
+        mf = monge_frame(*eval_points(sd, points, 2), points)
+        fr = adapted_frame(mf)
+        normal = _coords_in(mf.n1, mf.n2, (fr.e3, fr.e4))
+        assert (np.linalg.det(fr.chart) > 0.0).all()
+        assert (np.linalg.det(normal) > 0.0).all()
 
 
 class TestSecondForm:
@@ -285,6 +305,32 @@ class TestDualRoutes:
                                match="K routes disagree"):
                 frames._require_close("K", u, v, scale)
 
+    # kappa disagrees at the first point and K at the second; the third,
+    # where W*W overflows, fails a route only in the second case
+    @pytest.mark.parametrize("k_off, error, message", [
+        ([0.0, 1.0, 0.0], frames.InternalInconsistencyError,
+         "K routes disagree"),
+        ([0.0, 1.0, 1.0], SurfaceEvalError,
+         r"first fundamental form overflows at point \(0\.5, 0\.5\)$"),
+    ])
+    def test_route_errors_raise_in_stage_order(self, monkeypatch, k_off,
+                                               error, message):
+        # two example1 points, then one of a surface whose routes agree
+        # and whose W = (1 + 4 x^2)(1 + 1e160) squares past the largest float
+        points = [(0.0, 0.0), (0.3, 0.2), (0.5, 0.5)]
+        jets = zip(eval_points(EX1, points[:2], 2),
+                   eval_points(parse_surface("phi = 1e80*y\npsi = x^2"),
+                               points[2:], 2))
+        phi, psi = (Jet(2, np.concatenate([u.c, v.c], axis=1))
+                    for u, v in jets)
+        curvature_report(phi, psi, points)  # unperturbed, the batch passes
+        curvatures = frames.monge_curvatures
+        monkeypatch.setattr(frames, "monge_curvatures", lambda mf: tuple(
+            route + np.array(off)
+            for route, off in zip(curvatures(mf), (k_off, [1.0, 0.0, 0.0]))))
+        with pytest.raises(error, match=message):
+            curvature_report(phi, psi, points)
+
 
 class TestFrameInvariance:
     @pytest.mark.parametrize("point", [(0.0, 0.0), (0.35, -0.6), (0.7, 0.2)])
@@ -292,26 +338,34 @@ class TestFrameInvariance:
         rng = np.random.default_rng(17)
         surfaces = [EX1, Z2] + [random_polynomial_surface(rng)
                                 for _ in range(5)]
-        reports = [report_at(sd, point) for sd in surfaces]
+        invariants = [self.frame_invariants(sd, point) for sd in surfaces]
         gram_schmidt = frames._gram_schmidt_pair
         # re-derive with (T2, T1), with (N2, N1), and with both swapped;
-        # adapted_frame orthonormalizes the tangent pair, then the normal
-        for swaps in [(True, False), (False, True), (True, True)]:
+        # adapted_frame orthonormalizes the tangent pair, then the normal.
+        # Swapping one pair reverses its handedness and so kappa's sign;
+        # swapping both leaves kappa as it is
+        for swaps, kappa_sign in [((True, False), -1.0),
+                                  ((False, True), -1.0), ((True, True), 1.0)]:
             order = itertools.cycle(swaps)
             monkeypatch.setattr(
                 frames, "_gram_schmidt_pair",
                 lambda v1, v2: (gram_schmidt(v2, v1) if next(order)
                                 else gram_schmidt(v1, v2)))
-            for sd, r1 in zip(surfaces, reports):
-                self.assert_same_invariants(r1, report_at(sd, point))
+            for sd, (K, kappa, delta) in zip(surfaces, invariants):
+                K2, kappa2, delta2 = self.frame_invariants(sd, point)
+                assert K2 == pytest.approx(K, rel=1e-10, abs=1e-12)
+                assert kappa2 == pytest.approx(kappa_sign * kappa, rel=1e-10,
+                                               abs=1e-12)
+                assert delta2 == pytest.approx(delta, rel=1e-9, abs=1e-12)
 
     @staticmethod
-    def assert_same_invariants(r1, r2):
-        assert r1.K == pytest.approx(r2.K, rel=1e-10, abs=1e-12)
-        assert r1.kappa == pytest.approx(r2.kappa, rel=1e-10, abs=1e-12)
-        assert r1.delta == pytest.approx(r2.delta, rel=1e-9, abs=1e-12)
-        assert r1.point_class == r2.point_class
-        assert r1.isoclinic == r2.isoclinic
+    def frame_invariants(sd, point):
+        """k1 + k2, kappa and Delta from the second form a..g."""
+        mf = mf_at(sd, point)
+        a, b, c, e, f, g = first_point(_second_form_from(mf,
+                                                         adapted_frame(mf)))
+        return ((a * c - b * b) + (e * g - f * f), (a - c) * f - (e - g) * b,
+                (a * f - b * e) * (b * g - c * f) - 0.25 * (a * g - c * e)**2)
 
 
 class TestNormalFormIdentities:
@@ -452,7 +506,8 @@ def outcome(fn, *args):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-6, 1e-12, 0.0]))
 def test_stacked_solve_and_det_match_one_call_per_matrix(seed, gap):
     # Gram matrices of random and of nearly (gap -> 0: exactly) parallel
-    # bases, and the determinant signs adapted_frame takes from them
+    # bases, and stacked determinants, which curvature_report's singular
+    # frame check reads
     rng = np.random.default_rng(seed)
     basis1 = rng.normal(size=4) * 10.0 ** rng.integers(-3, 4)
     basis2 = rng.normal() * basis1 + gap * rng.normal(size=4)
