@@ -141,8 +141,11 @@ class Rect:
     y1: float
 
     def contains(self, point):
+        """Whether ``point`` = (x, y) lies in the rectangle; elementwise
+        for arrays of x and y."""
         x, y = point
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
+        return ((self.x0 <= x) & (x <= self.x1)
+                & (self.y0 <= y) & (y <= self.y1))
 
 
 @dataclass

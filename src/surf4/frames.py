@@ -14,9 +14,10 @@ Conventions fixed here and relied on throughout:
   axis of n points with the sequence of the points, or vectors as the
   rows of an (n, k) array; one point is the batch with n = 1.  A point's
   numbers do not depend on its batch (reductions run per row: ``_norm``,
-  ``np.vecdot``, stacked ``solve``, ``det`` and ``svd``).  Each check
-  runs over the whole batch and raises for the first point it fails at,
-  so a batch raises an error that one of its points raises alone.
+  ``np.vecdot``, ``_matvecs``, stacked ``solve``, ``inv``, ``det`` and
+  ``svd``).  Each check runs over the whole batch and raises for the
+  first point it fails at, so a batch raises an error that one of its
+  points raises alone.
 """
 
 from __future__ import annotations
@@ -135,6 +136,12 @@ def _rows(*columns):
     """The rows of the columns ``columns`` (arrays over the points, or
     numbers) as a C-contiguous array; numbers alone give one row."""
     return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
+def _matvecs(m, rows):
+    """``m @ v`` for each row v of ``rows``, with one matrix ``m`` or a
+    stack of matrices, one per row: bit for bit one product per row."""
+    return np.matmul(m, rows[..., None])[..., 0]
 
 
 def _tangents(px, py, qx, qy):
@@ -399,96 +406,76 @@ def curvature_report(phi, psi, points):
         )
 
 
-def _adapted_chart_jets(sd, targets):
-    """Order-2 jets of the surface re-graphed in an adapted chart, as one
+def _adapted_chart_jets(sd, points, frame, base, uv):
+    """Order-2 jets of the surface re-graphed in adapted charts, as one
     ``(phi, psi)`` batch with a column per target.
 
-    A target is ``(point, chart, rot, base, target_uv)``.  Its adapted
-    chart translates the surface point ``base`` to the origin and rotates
-    R^4 by ``rot``, whose rows are the adapted frame at ``point``, making
-    the tangent plane the new (x, y)-plane; ``chart`` holds that frame's
-    tangent rows in (dx, dy) components.  The preimage of the chart point
-    ``target_uv`` is found by Newton iteration, each target from its own
-    start and with its own stop and step; every iteration evaluates the
-    targets not yet converged in one call, so each target takes the steps
-    it would take alone.  Errors follow target order: a Newton iteration
-    that does not converge, then a preimage outside the domain.  First and
-    second derivatives of the re-graphed surface follow from the exact
-    change-of-variables formulas.
+    ``uv`` holds the k chart points of each of ``points``, as an (n, k, 2)
+    array, and each is a target.  The chart adapted at a point translates
+    its surface point ``base`` to the origin and rotates R^4 by the rows
+    of the adapted ``frame`` at it, making the tangent plane the new
+    (x, y)-plane.  The preimage of each target is found by Newton
+    iteration, each target from its own start and with its own stop and
+    step; every iteration evaluates the targets not yet converged in one
+    call, so each target takes the steps it would take alone.  Errors
+    follow target order: a Newton iteration that does not converge, then
+    a preimage outside the domain.  First and second derivatives of the
+    re-graphed surface follow from the exact change-of-variables formulas,
+    stacked over the targets.
     """
+    k = uv.shape[1]
+    uv = uv.reshape(-1, 2)
+    rot = np.repeat(np.stack([frame.e1, frame.e2, frame.e3, frame.e4],
+                             axis=1), k, axis=0)
+    base = np.repeat(base, k, axis=0)
     # initial guesses from the tangent charts
-    xys = [np.asarray(point, dtype=float) + chart.T @ target_uv
-           for point, chart, _, _, target_uv in targets]
-    found = [None] * len(targets)
-    active = list(range(len(targets)))
+    xy = base[:, :2] + _matvecs(
+        np.repeat(frame.chart, k, axis=0).transpose(0, 2, 1), uv)
+    offset, second = np.empty((len(uv), 4)), np.empty((len(uv), 6))
+    tangents = np.empty((len(uv), 2, 4))
+    active = np.arange(len(uv))
     for _ in range(40):
-        if not active:
+        if not len(active):
             break
-        phi, psi = eval_points(sd, [xys[i] for i in active], 2)
-        t1s, t2s = _tangents(*_slopes(phi, psi))
-        second = _rows(*_second_derivatives(phi, psi))
-        pending = []
-        for j, i in enumerate(active):
-            _, _, rot, base, target_uv = targets[i]
-            xy = xys[i]
-            pos = np.array([xy[0], xy[1], phi.value[j], psi.value[j]])
-            t1, t2 = t1s[j], t2s[j]
-            res = rot[:2] @ (pos - base) - target_uv
-            if np.hypot(res[0], res[1]) < 1e-14:
-                found[i] = (xy, second[j], pos, t1, t2)
-                continue
-            xys[i] = xy - np.linalg.solve(
-                rot[:2] @ np.column_stack([t1, t2]), res)
-            pending.append(i)
-        active = pending
-    columns = []
-    for (point, _, rot, base, _), inverse in zip(targets, found):
-        if inverse is None:
-            raise ValueError(f"chart inversion did not converge near {point}")
-        xy, second, pos, t1, t2 = inverse
-        if not sd.domain.contains(xy):
-            raise ValueError(
-                f"closedness stencil point {tuple(map(float, xy))} leaves "
-                "the domain"
-            )
-        columns.append(_regraphed_coefficients(rot, base, second, pos, t1,
-                                               t2))
-    phi_c, psi_c = np.stack(columns, axis=-1)
-    return Jet(2, phi_c), Jet(2, psi_c)
-
-
-def _regraphed_coefficients(rot, base, second, pos, t1, t2):
-    """Order-2 jet coefficients of the rotated coordinates 3 and 4 as
-    functions of the rotated coordinates 1 and 2, from the second
-    derivatives ``second`` of phi and psi at the preimage, its position
-    ``pos`` and its tangents ``t1``, ``t2``."""
-    pxx, pxy, pyy, qxx, qxy, qyy = second
-    hess_phi = np.array([[pxx, pxy], [pxy, pyy]])
-    hess_psi = np.array([[qxx, qxy], [qxy, qyy]])
-
-    def component(row):
-        # derivative data of the row-th rotated coordinate, as functions
-        # of the original chart
-        weights = rot[row]
-        val = weights @ (pos - base)
-        grad = np.array([weights @ t1, weights @ t2])
-        return val, grad, weights[2] * hess_phi + weights[3] * hess_psi
-
-    _, grad_u, hess_u = component(0)
-    _, grad_v, hess_v = component(1)
-    jac = np.vstack([grad_u, grad_v])
-    jac_inv = np.linalg.inv(jac)
-
-    out = []
-    for row in (2, 3):
-        val, grad, hess = component(row)
-        grad_uv = grad @ jac_inv
-        hess_uv = jac_inv.T @ (
-            hess - grad_uv[0] * hess_u - grad_uv[1] * hess_v) @ jac_inv
-        # slots in jet order: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2)
-        out.append([val, grad_uv[0], grad_uv[1], hess_uv[0, 0],
-                    hess_uv[0, 1], hess_uv[1, 1]])
-    return np.array(out)
+        phi, psi = eval_points(sd, xy[active], 2)
+        t1, t2 = _tangents(*_slopes(phi, psi))
+        moved = _rows(*xy[active].T, phi.value, psi.value) - base[active]
+        res = _matvecs(rot[active, :2], moved) - uv[active]
+        done = np.hypot(res[:, 0], res[:, 1]) < 1e-14
+        offset[active[done]] = moved[done]
+        tangents[active[done]] = np.stack([t1, t2], axis=1)[done]
+        second[active[done]] = _rows(*_second_derivatives(phi, psi))[done]
+        step, active = ~done, active[~done]
+        jac = np.matmul(rot[active, :2], np.stack([t1, t2], axis=-1)[step])
+        xy[active] -= np.linalg.solve(jac, res[step, :, None])[..., 0]
+    stuck = np.zeros(len(uv), dtype=bool)
+    stuck[active] = True
+    _raise_first(range(len(uv)), [
+        (stuck, lambda i: ValueError(
+            f"chart inversion did not converge near {points[i // k]}")),
+        (~sd.domain.contains(xy.T), lambda i: ValueError(
+            f"closedness stencil point {tuple(map(float, xy[i]))} leaves "
+            "the domain")),
+    ])
+    # per rotated coordinate: its value, gradient and Hessian as functions
+    # of the original chart
+    val = np.vecdot(rot[:, 2:], offset[:, None])
+    grad = np.vecdot(rot[:, :, None], tangents[:, None])
+    pxx, pxy, pyy, qxx, qxy, qyy = second.T
+    hess_phi = _rows(pxx, pxy, pxy, pyy).reshape(-1, 1, 2, 2)
+    hess_psi = _rows(qxx, qxy, qxy, qyy).reshape(-1, 1, 2, 2)
+    hess = (rot[:, :, 2, None, None] * hess_phi
+            + rot[:, :, 3, None, None] * hess_psi)
+    # rotated coordinates 3 and 4 as functions of coordinates 1 and 2
+    jac_inv = np.linalg.inv(grad[:, :2])[:, None]
+    grad_uv = np.matmul(grad[:, 2:, None], jac_inv)[:, :, 0]
+    hess_uv = jac_inv.transpose(0, 1, 3, 2) @ (
+        hess[:, 2:] - grad_uv[..., :1, None] * hess[:, :1]
+        - grad_uv[..., 1:, None] * hess[:, 1:2]) @ jac_inv
+    # slots in jet order: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2)
+    c = np.stack([val, grad_uv[..., 0], grad_uv[..., 1],
+                  hess_uv[..., 0, 0], hess_uv[..., 0, 1], hess_uv[..., 1, 1]])
+    return Jet(2, c[..., 0]), Jet(2, c[..., 1])
 
 
 # central-difference step of the closedness check, in adapted-chart units
@@ -511,23 +498,19 @@ def isoclinic_form_closedness(sd, points):
     preimages (:func:`_adapted_chart_jets`) and theta.
     """
     h = CLOSEDNESS_STEP
-    stencil = [np.array(uv) for uv in ((h, 0.0), (-h, 0.0), (0.0, h),
-                                       (0.0, -h))]
+    stencil = np.array([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
     phi0, psi0 = eval_points(sd, points, 2)
     frame0 = adapted_frame(monge_frame(phi0, psi0, points))
-    rot = np.stack([frame0.e1, frame0.e2, frame0.e3, frame0.e4], axis=1)
     base = _rows(*np.array(points, dtype=float).reshape(-1, 2).T,
                  phi0.value, psi0.value)
-    targets = [(point, frame0.chart[i], rot[i], base[i], uv)
-               for i, point in enumerate(points) for uv in stencil]
-    phi, psi = _adapted_chart_jets(sd, targets)
-    mf = monge_frame(phi, psi, [target[4] for target in targets])
+    uv = np.broadcast_to(stencil, (len(base), 4, 2))
+    phi, psi = _adapted_chart_jets(sd, points, frame0, base, uv)
+    mf = monge_frame(phi, psi, uv.reshape(-1, 2))
     frame = adapted_frame(mf)
     a, b, _, _, f, g = _second_form_from(mf, frame)
     with np.errstate(all="ignore"):
         coframe = np.linalg.inv(frame.chart.transpose(0, 2, 1))
-        theta = np.matmul(coframe.transpose(0, 2, 1),
-                          _rows(a + f, b + g)[:, :, None])[:, :, 0]
+        theta = _matvecs(coframe.transpose(0, 2, 1), _rows(a + f, b + g))
     theta = theta.reshape(-1, 4, 2)
     q_plus, q_minus = theta[:, 0, 1], theta[:, 1, 1]
     p_plus, p_minus = theta[:, 2, 0], theta[:, 3, 0]

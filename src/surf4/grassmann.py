@@ -27,6 +27,8 @@ from .jets import Jet
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
 PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
+# their first and second indices
+PLUCKER_I, PLUCKER_J = np.array(PLUCKER_PAIRS).T
 
 # the coordinate swap exchanging the 3rd and 4th axes of R^4
 C_SWAP = np.array([
@@ -216,9 +218,8 @@ def _basis(p):
     """An orthonormal basis of the plane of the Pluecker point ``p``
     (columns of a 4x2 matrix)."""
     m = np.zeros((4, 4))
-    for (i, j), value in zip(PLUCKER_PAIRS, p):
-        m[i, j] = value
-        m[j, i] = -value
+    m[PLUCKER_I, PLUCKER_J] = p
+    m[PLUCKER_J, PLUCKER_I] = -np.asarray(p)
     u, _, _ = np.linalg.svd(m)
     return u[:, :2]
 
@@ -259,8 +260,8 @@ def lift_so4(m):
     m = np.asarray(m, dtype=float)
     if np.max(np.abs(m @ m.T - np.eye(4))) > 1e-10:
         raise ValueError("matrix is not orthogonal to 1e-10")
-    cols = [wedge6(m[:, i], m[:, j]) for i, j in PLUCKER_PAIRS]
-    m6 = np.column_stack(cols)
+    # C-contiguous, as a product with it rounds by its layout
+    m6 = np.ascontiguousarray(wedge6(m[:, PLUCKER_I].T, m[:, PLUCKER_J].T).T)
     if np.max(np.abs(m6 @ m6.T - np.eye(6))) > 1e-10:
         raise InternalInconsistencyError("lift is not orthogonal to 1e-10")
     return m6

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import eval_points
-from .frames import _norm
+from .frames import _matvecs, _norm
 from .grassmann import (
     C_AXES,
     C_SWAP,
@@ -65,12 +65,6 @@ def congruence_grid(domain, grid):
     ``domain``; NX and NY must be at least 3."""
     _check_congruence_grid(*grid)
     return grid_points(domain, *grid)
-
-
-def _matvecs(m, rows):
-    """``m @ v`` for each row v of ``rows``, bit for bit one product per
-    row."""
-    return np.matmul(m[None], rows[:, :, None])[:, :, 0]
 
 
 def symplectic_residual(sd, form, grid=None, rotation=None):

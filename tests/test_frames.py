@@ -406,6 +406,50 @@ class TestClosedness:
         assert [repr(r) for r in isoclinic_form_closedness(sd, points)] == [
             repr(isoclinic_form_closedness(sd, [pt])[0]) for pt in points]
 
+    def test_errors_raise_in_target_order(self, monkeypatch):
+        # the stencil targets of STUCK never converge; those of EDGE
+        # converge outside the domain
+        calls = stall_newton_near(monkeypatch, STUCK)
+
+        def error(points):
+            with pytest.raises(ValueError) as caught:
+                isoclinic_form_closedness(EX1, points)
+            return str(caught.value)
+
+        stuck = error([STUCK])
+        assert stuck == "chart inversion did not converge near (0.1, -0.1)"
+        # the base points, then the 40 Newton steps of the cap
+        assert len(calls) == 41
+        edge = error([EDGE])
+        assert edge.startswith("closedness stencil point (1.0")
+        assert edge.endswith(") leaves the domain")
+        assert error([STUCK, EDGE]) == stuck
+        assert error([EDGE, STUCK]) == edge
+
+
+STUCK, EDGE = (0.1, -0.1), (1.0, 0.0)
+
+
+def stall_newton_near(monkeypatch, point):
+    """Make ``frames.eval_points`` move phi by 1e-6 more at each call at
+    the points within 0.01 of ``point`` but not at it, so that the Newton
+    residual of the stencil targets around ``point`` never drops below
+    1e-14; returns the list that records one entry per call."""
+    evaluate, calls = frames.eval_points, []
+
+    def eval_points(sd, points, order):
+        phi, psi = evaluate(sd, points, order)
+        calls.append(len(phi.value))
+        x, y = np.array(points, dtype=float).reshape(-1, 2).T
+        near = (np.hypot(x - point[0], y - point[1]) < 0.01) \
+            & ((x != point[0]) | (y != point[1]))
+        c = phi.c.copy()
+        c[0, near] += 1e-6 * len(calls)
+        return Jet(order, c), psi
+
+    monkeypatch.setattr(frames, "eval_points", eval_points)
+    return calls
+
 
 def test_gauss_singularity_flag_on_z3():
     z3 = parse_surface(

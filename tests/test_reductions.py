@@ -9,7 +9,7 @@ how they sum and fuse.
 import numpy as np
 import pytest
 
-from surf4.frames import _norm
+from surf4.frames import _matvecs, _norm
 
 # signed zeros, subnormals, and values whose squares overflow to inf
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-160,
@@ -50,7 +50,7 @@ def test_stacked_matrix_products_equal_one_product_per_vector(n, layout):
     m = m if layout == "C" else m.T
     v = rows(rng, n, 4)
     with np.errstate(all="ignore"):
-        matvec = np.matmul(m[None], v[:, :, None])[:, :, 0]
+        matvec = _matvecs(m, v)
         vecmat = np.matmul(v[:, None, :], m[None])[:, 0, :]
         assert bits(matvec.ravel()) == bits(np.ravel([m @ a for a in v]))
         assert bits(vecmat.ravel()) == bits(np.ravel([a @ m for a in v]))
@@ -68,3 +68,34 @@ def test_stacked_inverse_and_coframe_equal_one_call_per_matrix(n):
     assert bits(coframe.ravel()) == bits(np.ravel(one_by_one))
     assert bits(stacked.ravel()) == bits(np.ravel(
         [c.T @ w for c, w in zip(one_by_one, v)]))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 4)])
+@pytest.mark.parametrize("layout", ["C", "transposed"])
+@pytest.mark.parametrize("n", SIZES)
+def test_matvecs_of_a_matrix_stack_equal_one_product_per_row(n, layout,
+                                                            shape):
+    # one matrix per row, as the closedness check's transposed charts,
+    # Newton residual rows of the rotations, and coframes
+    rng = np.random.default_rng(10 * n + shape[1])
+    if layout == "C":
+        m = rows(rng, n, shape[0] * shape[1]).reshape(n, *shape)
+    else:
+        m = rows(rng, n, shape[0] * shape[1]).reshape(
+            n, shape[1], shape[0]).transpose(0, 2, 1)
+    v = rows(rng, n, shape[1])
+    with np.errstate(all="ignore"):
+        assert bits(_matvecs(m, v).ravel()) == bits(np.ravel(
+            [a @ b for a, b in zip(m, v)]))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_solve_equals_one_solve_per_jacobian(n):
+    # the Newton steps of the closedness check: a 2x2 Jacobian and one
+    # right-hand side, a residual, per target
+    rng = np.random.default_rng(n + 11)
+    jac = rng.normal(size=(n, 2, 2))
+    res = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-16, 1, (n, 2))
+    stacked = np.linalg.solve(jac, res[:, :, None])[:, :, 0]
+    assert bits(stacked.ravel()) == bits(np.ravel(
+        [np.linalg.solve(j, r) for j, r in zip(jac, res)]))
