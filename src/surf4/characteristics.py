@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .frames import monge_curvatures, monge_frame
+from .frames import _raise_first, monge_curvatures, monge_frame
 from .grassmann import C_AXES, great_circle_fit
 from .jets import Jet
 
@@ -195,17 +195,14 @@ def _integrate_batch(problem, states0, dt, steps, x0_labels):
 def _newton_q(problem, x, q0):
     p0 = float(problem.initial_p(x))
     q = float(q0)
-    for _ in range(60):
+    for step in range(61):
         fval, _, _, _, fq = f_partials(problem, x, 0.0, p0, q)
         fval = float(fval)
         if abs(fval) < NEWTON_TOL:
             return q
-        if fq == 0.0:
+        if fq == 0.0 or step == 60:
             break
         q = q - fval / float(fq)
-    fval = float(f_partials(problem, x, 0.0, p0, q)[0])
-    if abs(fval) < NEWTON_TOL:
-        return q
     raise IntegrationError(
         f"Newton failed to solve the compatibility equation at x = {x} "
         f"(residual {fval})"
@@ -281,10 +278,9 @@ def _launch_states(problem, x0s):
     states0 = np.stack([x0s, np.zeros(len(x0s)), z0, p0, h_values])
     fval, _, _, _, fq = f_partials(problem, states0[0], states0[1],
                                    states0[3], states0[4])
-    if np.any(np.abs(fq) < FQ_MIN):
-        bad = float(x0s[int(np.argmax(np.abs(fq) < FQ_MIN))])
-        raise CharacteristicPointError(
-            f"initial point x0 = {bad} is characteristic", x0=bad, t=0.0)
+    _raise_first(x0s.tolist(), [(np.abs(fq) < FQ_MIN, lambda x0: (
+        CharacteristicPointError(f"initial point x0 = {x0} is characteristic",
+                                 x0=x0, t=0.0)))])
     if np.max(np.abs(fval)) > 1e-10:
         raise IntegrationError("initial data does not satisfy F = 0")
     return states0

@@ -332,19 +332,19 @@ def _parse_number(parser):
 
 
 def _parse_domain(parser):
-    parser.expect("lbracket")
-    x0 = _parse_number(parser)
-    parser.expect("comma")
-    x1 = _parse_number(parser)
-    parser.expect("rbracket")
+    def interval():
+        parser.expect("lbracket")
+        lo = _parse_number(parser)
+        parser.expect("comma")
+        hi = _parse_number(parser)
+        parser.expect("rbracket")
+        return lo, hi
+
+    x0, x1 = interval()
     sep = parser.expect("ident")
     if sep.text != "x":
         parser.error("expected 'x' between the domain intervals", sep)
-    parser.expect("lbracket")
-    y0 = _parse_number(parser)
-    parser.expect("comma")
-    y1 = _parse_number(parser)
-    parser.expect("rbracket")
+    y0, y1 = interval()
     if not (x0 < x1 and y0 < y1):
         parser.error("domain intervals must satisfy x0 < x1 and y0 < y1", sep)
     if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
@@ -354,7 +354,7 @@ def _parse_domain(parser):
 
 def parse_surface(text):
     """Parse a surface definition from text into a :class:`SurfaceDef`."""
-    phi = psi = None
+    exprs = {}
     params = {}
     domain = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -393,22 +393,16 @@ def parse_surface(text):
         parser.expect("op", "=")
         node = parser.parse_expression()
         parser.expect("end")
-        if head.text == "phi":
-            if phi is not None:
-                parser.error("phi defined twice", head)
-            phi = node
-        else:
-            if psi is not None:
-                parser.error("psi defined twice", head)
-            psi = node
-    if phi is None:
-        raise SurfaceSyntaxError("missing 'phi = ...' line", 1, 1)
-    if psi is None:
-        raise SurfaceSyntaxError("missing 'psi = ...' line", 1, 1)
-    sd = SurfaceDef(phi=phi, psi=psi, params=params)
+        if head.text in exprs:
+            parser.error(f"{head.text} defined twice", head)
+        exprs[head.text] = node
+    for name in ("phi", "psi"):
+        if name not in exprs:
+            raise SurfaceSyntaxError(f"missing '{name} = ...' line", 1, 1)
+    sd = SurfaceDef(params=params, **exprs)
     if domain is not None:
         sd.domain = domain
-    for name in sorted(_param_refs(phi) | _param_refs(psi)):
+    for name in sorted(_param_refs(sd.phi) | _param_refs(sd.psi)):
         if name not in params:
             raise SurfaceSyntaxError(f"undeclared parameter {name!r}", 1, 1)
     return sd

@@ -311,11 +311,9 @@ def _disagree(u, v, scale):
 
 def _require_close(name, u, v, scale):
     """Raise at the first point where ``name``'s routes disagree."""
-    failed = _disagree(u, v, scale)
-    if failed.any():
-        i = int(np.argmax(failed))
-        raise InternalInconsistencyError(
-            f"{name} routes disagree: {float(u[i])!r} vs {float(v[i])!r}")
+    _raise_first(range(len(u)), [(_disagree(u, v, scale), lambda i: (
+        InternalInconsistencyError(f"{name} routes disagree: "
+                                   f"{float(u[i])!r} vs {float(v[i])!r}")))])
 
 
 def resultant_determinant(a, b, c, e, f, g):

@@ -102,13 +102,10 @@ def klein_from_plucker(p):
         a_norm = _norm(a)
         b_norm = _norm(b)
         unit = (np.abs(a_norm - 1.0) <= 1e-10) & (np.abs(b_norm - 1.0) <= 1e-10)
-        if not unit.all():
-            i = int(np.argmax(~unit.ravel()))
-            raise ValueError(
-                f"Klein vectors are not unit (|a| = {float(a_norm.flat[i])}, "
-                f"|b| = {float(b_norm.flat[i])}); input is not a valid "
-                "Pluecker point"
-            )
+        _raise_first(range(unit.size), [(~unit.ravel(), lambda i: ValueError(
+            f"Klein vectors are not unit (|a| = {float(a_norm.flat[i])}, "
+            f"|b| = {float(b_norm.flat[i])}); input is not a valid "
+            "Pluecker point"))])
         return KleinPoint(a / a_norm[..., None], b / b_norm[..., None],
                           a_norm, b_norm)
 
@@ -162,14 +159,15 @@ def blaschke_check(sd, points):
     curvatures of the centres.
     """
     h = BLASCHKE_STEP
-    stencils = []
-    for x, y in points:
-        stencil = [(x + h, y), (x - h, y), (x, y + h), (x, y - h)]
-        for pt in stencil:
-            if not sd.domain.contains(pt):
-                raise ValueError(
-                    f"Blaschke stencil point {pt} leaves the domain")
-        stencils += stencil + [(x, y)]
+    # rows (x + h, y), (x - h, y), (x, y + h), (x, y - h), (x, y) per
+    # point; a coordinate that does not move keeps its own float
+    stencils = np.repeat(np.array(points, dtype=float).reshape(-1, 2), 5, 0)
+    for row, col, step in ((0, 0, h), (1, 0, -h), (2, 1, h), (3, 1, -h)):
+        stencils[row::5, col] += step
+    # a centre outside the domain has a moved point outside before it
+    _raise_first(stencils, [(~sd.domain.contains(stencils.T), lambda pt: (
+        ValueError(f"Blaschke stencil point {tuple(map(float, pt))} leaves "
+                   "the domain")))])
     phi, psi = eval_points(sd, stencils, 2)
     _, klein = gauss_map_at(phi, psi, stencils)
 

@@ -336,28 +336,32 @@ def _jet(order, c):
     return jet
 
 
-# -- scalar-generic helpers: work on Jets and plain numbers -----------------
+# -- scalar-generic helpers: work on Jets, plain numbers and arrays -------
+
+
+def _each(fn, v):
+    """``fn`` of a number, and of each element of an array as of that
+    float alone (numpy's own ufuncs may round differently)."""
+    if np.ndim(v) == 0:
+        return fn(v)
+    return np.array([fn(s) for s in v.ravel().tolist()]).reshape(v.shape)
 
 
 def sin(v):
-    return v.sin() if isinstance(v, Jet) else math.sin(v)
+    return v.sin() if isinstance(v, Jet) else _each(math.sin, v)
 
 
 def cos(v):
-    return v.cos() if isinstance(v, Jet) else math.cos(v)
+    return v.cos() if isinstance(v, Jet) else _each(math.cos, v)
 
 
 def exp(v):
-    return v.exp() if isinstance(v, Jet) else math.exp(v)
+    return v.exp() if isinstance(v, Jet) else _each(math.exp, v)
 
 
 def sqrt(v):
     if isinstance(v, Jet):
         return v.sqrt()
-    if isinstance(v, np.ndarray):
-        if np.any(v <= 0.0):
-            raise ValueError("sqrt of a non-positive value")
-        return np.sqrt(v)
-    if v <= 0.0:
+    if np.any(np.asarray(v) <= 0.0):
         raise ValueError("sqrt of a non-positive value")
-    return math.sqrt(v)
+    return _each(math.sqrt, v)

@@ -72,6 +72,18 @@ class TestCompatibility:
             assert _initial_q_values(problem, [0.1])[0] == pytest.approx(
                 4.9, abs=1e-12)
 
+    def test_newton_stops_where_f_q_vanishes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ch, "f_partials", lambda *args: calls.append(
+            args) or f_partials(*args))
+        problem = PdeProblem(f=lambda x, y, p, q: 1.0 + 0.0 * q, c=0.0,
+                             initial_curve=lambda x: 0.0,
+                             initial_p=lambda x: 0.0, initial_q_seed=0.0)
+        with pytest.raises(ch.IntegrationError, match=re.escape(
+                "equation at x = 0.0 (residual 1.0)")):
+            ch._newton_q(problem, 0.0, 0.0)
+        assert len(calls) == 1
+
     def test_continuity(self):
         values = [_initial_q_values(PROBLEM, [x])[0]
                   for x in np.linspace(-0.4, 0.4, 17)]
@@ -90,6 +102,23 @@ class TestField:
                                      np.array([0.0, 0.0, 0.0, 0.0, -1.0]))
         assert field[3] / field[1] == pytest.approx(2.0, abs=1e-12)  # phi_xy
         assert field[4] / field[1] == pytest.approx(0.0, abs=1e-12)  # phi_yy
+
+
+    def test_batch_equals_each_column_with_plain_functions(self):
+        # the plain arguments of each evaluation (y and q, then x and p)
+        # reach sin, cos, exp and sqrt as arrays
+        problem = PdeProblem(
+            f=lambda x, y, p, q: (q - ch.jets.sin(x) + ch.jets.cos(y)
+                                  + ch.jets.exp(p) * ch.jets.sqrt(2.0 + q)),
+            c=0.0, initial_curve=lambda x: 0.0, initial_p=lambda x: 0.0,
+            initial_q_seed=0.0)
+        x, y, p, q = np.array([[0.3, -0.7], [0.1, 0.45], [-0.2, 0.9],
+                               [0.5, -1.3]])
+        batch = f_partials(problem, x, y, p, q)
+        alone = [f_partials(problem, *map(float, column))
+                 for column in zip(x, y, p, q)]
+        assert [repr(part.tolist()) for part in batch] == [
+            repr([float(result[k]) for result in alone]) for k in range(5)]
 
 
 class TestStripIntegrate:

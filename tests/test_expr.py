@@ -86,6 +86,30 @@ def test_malformed_domain():
         parse_surface("phi = x\npsi = y\ndomain = [0, 1] y [0, 1]")
 
 
+# an expression line is parsed to its end before its duplicate check; a
+# domain line checks for a duplicate first
+@pytest.mark.parametrize("text, message, line, column", [
+    ("phi = x\nphi = y\npsi = y", "phi defined twice", 2, 1),
+    ("phi = x\npsi = y\npsi = x", "psi defined twice", 3, 1),
+    ("phi = x\npsi = y\ndomain = [0, 1] x [0, 1]\ndomain = [0, 1] x [0, 1]",
+     "domain defined twice", 4, 1),
+    ("phi = x\npsi = y\ndomain = [0, 1] x [0, 1]\ndomain = [0, 1] y",
+     "domain defined twice", 4, 1),
+    ("psi = y", "missing 'phi = ...' line", 1, 1),
+    ("phi = x", "missing 'psi = ...' line", 1, 1),
+    ("param a = 1", "missing 'phi = ...' line", 1, 1),
+    ("phi = x\nphi = x +\npsi = y", "expected a value, found end of line",
+     2, 10),
+    ("phi = x\npsi = y\ndomain = [0, 1] y [0, 1]",
+     "expected 'x' between the domain intervals", 3, 17),
+])
+def test_statement_errors(text, message, line, column):
+    with pytest.raises(SurfaceSyntaxError) as err:
+        parse_surface(text)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_comments_and_blank_lines():
     sd = parse_surface("# a surface\n\nphi = x  # graph\npsi = y\n")
     assert eval_surface(sd, (0.5, 0.5), 1)[0].value == 0.5

@@ -60,6 +60,17 @@ class TestPlucker:
             plucker_from_pair(np.array([1.0, 2, 3, 4]),
                               np.array([2.0, 4, 6, 8]))
 
+    # |e1 ^ w e2| = w, against the bound 1e-12
+    @pytest.mark.parametrize("w, dependent", [(1e-12, True),
+                                              (1.1e-12, False)])
+    def test_dependence_bound(self, w, dependent):
+        v1, v2 = np.array([1.0, 0, 0, 0]), np.array([0.0, w, 0, 0])
+        if dependent:
+            with pytest.raises(ValueError, match="dependent"):
+                plucker_from_pair(v1, v2)
+        else:
+            assert plucker_from_pair(v1, v2).tolist() == [1.0] + [0.0] * 5
+
     def test_relations_on_random_planes(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -98,6 +109,27 @@ class TestKlein:
     def test_nan_point_rejected(self):
         with pytest.raises(ValueError, match="not unit"):
             klein_from_plucker(np.full(6, np.nan))
+
+    # p = s e_12 has a = b = (s, 0, 0), against the bound 1e-10 on |s - 1|
+    @pytest.mark.parametrize("s, unit", [(1 + 0.9e-10, True),
+                                         (1 + 1.1e-10, False)])
+    def test_unit_bound(self, s, unit):
+        p = np.array([s, 0, 0, 0, 0, 0])
+        if unit:
+            assert klein_from_plucker(p).a_vec.tolist() == [1.0, 0.0, 0.0]
+        else:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"(|a| = {s}, |b| = {s})")):
+                klein_from_plucker(p)
+
+    def test_first_non_unit_row_is_named(self):
+        # rows 1 and 2 leave the sphere pair: |a|, |b| = 1.5, 0.5 and 2, 2
+        p = np.zeros((3, 6))
+        p[:, 0] = [1.0, 1.0, 2.0]
+        p[1, 3] = 0.5
+        with pytest.raises(ValueError, match=re.escape(
+                "(|a| = 1.5, |b| = 0.5)")):
+            klein_from_plucker(p)
 
 
 class TestGaussMap:
@@ -161,6 +193,13 @@ class TestBlaschke:
         with pytest.raises(ValueError, match=re.escape(
                 "Blaschke stencil point (1.0001, 0.0) leaves the domain")):
             blaschke_check(EX1, [(0.0, 0.0), (1.0, 0.0)])
+
+    def test_first_failing_stencil_point_in_point_order(self):
+        # the second point's (x, y + h) fails before the third point's
+        # (x + h, y); its x keeps the sign of its zero
+        with pytest.raises(ValueError, match=re.escape(
+                "Blaschke stencil point (-0.0, 1.0001) leaves the domain")):
+            blaschke_check(EX1, [(0.0, 0.0), (-0.0, 1.0), (1.0, 0.0)])
 
     @pytest.mark.parametrize("sd", BATCH_SURFACES)
     def test_batch_equals_single_points(self, sd):
