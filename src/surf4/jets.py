@@ -6,9 +6,10 @@ function of two variables (x, y) at a base point, up to a fixed order in
 d^(i+j) f / dx^i dy^j, not Taylor-normalized; the i! j! conversion factors
 live inside the arithmetic kernel (Leibniz rule with binomial weights).
 
-Coefficients may be plain floats or numpy arrays of equal shape, in which
-case every operation broadcasts elementwise; this is what makes batched
-strip integration cheap.
+The coefficients ``c`` are one float64 array: derivatives on the leading
+axis, the points of a batch on the trailing ones (the coefficient tail).
+A one-point jet (tail ``()``) multiplies in generated float code on lists,
+a batch in a gathered array kernel; both add one table's terms in order.
 """
 
 from __future__ import annotations
@@ -73,9 +74,35 @@ def _product(a, b, order):
             out[:, block] = _product(a[:, block], b[:, block], order)
         return out
     s1, s2, w = _LEIBNIZ[order]
-    if a.ndim > 1:
-        w = w.reshape(w.shape + (1,) * (a.ndim - 1))
+    w = w.reshape(w.shape + (1,) * (a.ndim - 1))
     return np.add.reduce(w * a[s1] * b[s2], axis=0, initial=0.0)
+
+
+def _point_product(order):
+    """``_product`` of two one-point coefficient lists, as straight-line
+    float code generated from ``_LEIBNIZ``: the same ``(w*a)*b`` terms,
+    padded ones included, summed left to right from 0.0."""
+    s1, s2, w = (t.T.tolist() for t in _LEIBNIZ[order])
+    sums = ", ".join(
+        " + ".join(["0.0"] + [f"{wt!r} * a{i} * b{j}"
+                              for i, j, wt in zip(*terms)])
+        for terms in zip(s1, s2, w))
+    a, b = (", ".join(f"{x}{k}" for k in range(len(s1))) for x in "ab")
+    namespace = {}
+    exec(f"def product(a, b):\n    {a}, = a\n    {b}, = b\n"
+         f"    return [{sums}]\n", namespace)
+    return namespace["product"]
+
+
+_POINT_PRODUCT = {o: _point_product(o) for o in (1, 2, 3)}
+
+
+def _kernel(c, order):
+    """``(product, load)`` for coefficients shaped like ``c``; ``load``
+    gives what ``product`` takes: floats for one point, else the array."""
+    if c.ndim == 1:
+        return _POINT_PRODUCT[order], np.ndarray.tolist
+    return (lambda a, b: _product(a, b, order)), np.asarray
 
 
 def _check_order(order):
@@ -218,7 +245,8 @@ class Jet:
         if o is None:
             return NotImplemented
         if isinstance(o, Jet):
-            return _jet(self.order, _product(self.c, o.c, self.order))
+            mul, load = _kernel(self.c, self.order)
+            return _jet(self.order, np.asarray(mul(load(self.c), load(o.c))))
         return _jet(self.order, self.c * o + 0.0)
 
     __rmul__ = __mul__
@@ -241,13 +269,13 @@ class Jet:
         return _jet(self.order, self._reciprocal().c * o + 0.0)
 
     def __pow__(self, n):
-        """``self`` to an integer power by repeated squaring.
+        """``self`` to an integer power by repeated squaring of ``self + 0.0``.
 
-        The first factor is ``base + 0.0``: for finite coefficients that is
-        bit for bit the unit jet times ``base`` (the one nonzero Leibniz
-        term is 1*1*b, the rest are +-0.0 in a sum from +0.0), without
-        building the unit jet.  A non-finite coefficient stays as it is
-        where the unit product would turn 0*inf into NaN.
+        For finite coefficients ``self + 0.0`` is bit for bit the unit jet
+        times ``self`` (one nonzero Leibniz term 1*1*b, the rest +-0.0 in a
+        sum from +0.0), and no product sees the sign of a zero factor; a
+        non-finite coefficient stays where the unit product would turn
+        0*inf into NaN.
         """
         if not isinstance(n, (int, np.integer)):
             raise TypeError("jet exponent must be an integer")
@@ -256,27 +284,29 @@ class Jet:
             return (self.__pow__(-n))._reciprocal()
         if n == 0:
             return Jet.constant(np.ones(self.c.shape[1:]), self.order)
+        mul, load = _kernel(self.c, self.order)
         result = None
-        base = self
+        base = load(self.c + 0.0)
         while n:
             if n & 1:
-                result = (_jet(self.order, base.c + 0.0) if result is None
-                          else result * base)
-            base = base * base if n > 1 else base
+                result = base if result is None else mul(result, base)
+            base = mul(base, base) if n > 1 else base
             n >>= 1
-        return result
+        return _jet(self.order, np.asarray(result))
 
     # -- composition with univariate functions ------------------------------
 
     def _compose(self, series):
         """Evaluate sum_k series[k] * (self - value)^k by Horner."""
-        w = _jet(self.order, self.c.copy())
-        w.c[0] = 0.0
-        result = Jet.constant(series[-1], self.order)
-        for k in range(len(series) - 2, -1, -1):
-            result = result * w
-            result.c[0] = result.c[0] + series[k]
-        return result
+        mul, load = _kernel(self.c, self.order)
+        series = load(np.array(series))
+        w = load(self.c.copy())
+        w[0] = 0.0
+        result = load(Jet.constant(series[-1], self.order).c)
+        for s in series[-2::-1]:
+            result = mul(result, w)
+            result[0] = result[0] + s
+        return _jet(self.order, np.asarray(result))
 
     def _reciprocal(self):
         v = self.c[0]
@@ -315,17 +345,26 @@ class Jet:
 
 def _power(v, k):
     """``v ** k`` for a number ``v``, and for an array each element as that
-    number alone would give it.
-
-    On one float64 numpy computes ``v ** k`` by the C library's ``pow``,
-    which is not correctly rounded; the array operator squares exactly
-    and may take another ``pow``, so for k >= 2 the two disagree in the
-    last bit on a fraction of the inputs.  A jet column must not depend
-    on the batch it was evaluated in.
+    number alone would give it: the Python float power, and past the
+    largest float the infinity of the power's sign.  numpy's array power
+    squares exactly and may take another ``pow``, so for k >= 2 it
+    disagrees with the power of one float in the last bit on a fraction
+    of the inputs; a jet column must not depend on its batch.
     """
-    if np.ndim(v) == 0 or k < 2:
-        return v ** k
-    return np.array([s ** k for s in v.ravel()]).reshape(v.shape)
+    def power(s):
+        try:
+            return s ** k
+        except OverflowError:
+            return math.copysign(math.inf, s) if k % 2 else math.inf
+    if not np.shape(v):
+        return power(float(v))
+    if k < 2:
+        return v ** k  # ones, or a copy: exact, and one numpy call
+    values = v.ravel().tolist()
+    try:
+        return np.array([s ** k for s in values]).reshape(v.shape)
+    except OverflowError:
+        return np.array(list(map(power, values))).reshape(v.shape)
 
 
 def _jet(order, c):

@@ -533,3 +533,75 @@ def test_product_matches_two_step_reduction_on_non_finite_input(data):
         new = jets._product(a, b, order)
         old = _two_step_product(a, b, order)
     assert (new.shape, new.tobytes()) == (old.shape, old.tobytes())
+
+
+
+# -- one point against its column in a batch -----------------------------------
+#
+# A one-point jet multiplies in generated float code and a batch in the
+# gathered array kernel; every operation must give each point the bytes of
+# its column, also where a coefficient is infinite, subnormal or overflows,
+# and a batch must raise what one of its points raises alone.  A NaN is
+# compared as NaN: where two NaNs meet, Python floats and numpy scalars
+# keep the second operand's and numpy's array loops the first's, and no
+# check or printed digit reads a NaN's sign or payload.
+
+
+def _bytes_or_error(fn):
+    try:
+        with np.errstate(all="ignore"):
+            c = fn().c
+    except Exception as exc:
+        return type(exc)
+    return np.where(np.isnan(c), np.nan, c).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["number", "jet", "unary"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_point_equals_its_batch_column_on_edge_values(kind, data):
+    order = data.draw(st.integers(1, 3), label="order")
+    n = len(_INDICES[order])
+    a, b = (np.array(data.draw(st.lists(
+        _EDGE_VALUES, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+        for _ in range(2))
+    if kind == "number":
+        op = _NUMBER_OPS[data.draw(st.sampled_from(sorted(_NUMBER_OPS)))]
+        v = data.draw(_EDGE_VALUES, label="v")
+        run = lambda a, b: op(Jet(order, a), v)
+    elif kind == "jet":
+        op = _JET_OPS[data.draw(st.sampled_from(sorted(_JET_OPS)))]
+        run = lambda a, b: op(Jet(order, a), Jet(order, b))
+    else:
+        op = _UNARY_OPS[data.draw(st.sampled_from(sorted(_UNARY_OPS)))]
+        run = lambda a, b: op(Jet(order, a))
+    points = [_bytes_or_error(lambda: run(a[:, i].copy(), b[:, i].copy()))
+              for i in range(2)]
+    batch = _bytes_or_error(lambda: run(a.copy(), b.copy()))
+    if isinstance(batch, type):
+        assert batch in points
+    else:
+        columns = np.frombuffer(batch).reshape(n, 2)
+        assert points == [columns[:, i].tobytes() for i in range(2)]
+
+
+def test_power_matches_numpy_power_of_one_float64():
+    # the Python float power, an overflow taken as the infinity of the
+    # power's sign, gives the bits of numpy's power of one float64, except
+    # that a NaN stays itself where numpy turns -NaN to +NaN for odd k
+    rng = np.random.default_rng(24)
+    edges = [0.0, 5e-324, 2.2e-308, math.inf, 1.7976931348623157e308,
+             1e154, 1e103, 1e77, 1.5]
+    random = np.ldexp(rng.uniform(1.0, 2.0, 30000),
+                      rng.integers(-1074, 1024, 30000))
+    values = np.concatenate([edges, random])
+    values = np.concatenate([values, -values, [math.nan, -math.nan]])
+    for k in (0, 1, 2, 3, 4):
+        with np.errstate(all="ignore"):
+            expected = np.array([np.float64(s) ** k for s in values])
+        expected[-2:] = values[-2:] if k else 1.0
+        got = jets._power(values, k)
+        assert got.tobytes() == expected.tobytes()
+        # one number takes the same rule, and never raises
+        assert np.array([jets._power(s, k) for s in values.tolist()]
+                        ).tobytes() == got.tobytes()
