@@ -21,18 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .frames import _raise_first, monge_curvatures, monge_frame
+from .expr import _raise_first
+from .frames import _worst, monge_curvatures, monge_frame
 from .grassmann import C_AXES, great_circle_fit
 from .jets import Jet
 
 
 class CharacteristicPointError(RuntimeError):
     """|F_q| fell below the transversality floor along a strip."""
-
-    def __init__(self, message, x0, t):
-        super().__init__(message)
-        self.x0 = x0
-        self.t = t
 
 
 class IntegrationError(RuntimeError):
@@ -126,21 +122,17 @@ def _rk4_step(problem, state, dt, k1):
 def _checked_step(problem, state, dt, f0, t, x0_labels):
     """Check a (5, n) batch at time ``t``, then take one RK4 step from it.
 
-    Raises :class:`CharacteristicPointError` when a column has
-    |F_q| < FQ_MIN, and :class:`IntegrationError` when F has drifted more
-    than MAX_F_DRIFT from ``f0``.  The check's evaluation of F is the
-    step's ``k1``.
+    Raises :class:`CharacteristicPointError`, naming its launch point in
+    ``x0_labels``, for the first column with |F_q| < FQ_MIN or NaN, and
+    :class:`IntegrationError` when F has drifted more than MAX_F_DRIFT
+    from ``f0``.  The check's evaluation of F is the step's ``k1``.
     """
     x, y, _, p, q = state
     fval, fx, fy, fp, fq = f_partials(problem, x, y, p, q)
-    bad = ~(np.abs(fq) >= FQ_MIN)  # NaN counts as bad
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        x0 = None if x0_labels is None else x0_labels[idx]
-        raise CharacteristicPointError(
-            f"characteristic point: |F_q| < {FQ_MIN} at t = {t}",
-            x0=x0, t=t,
-        )
+    _raise_first(x0_labels, [(~(np.abs(fq) >= FQ_MIN), lambda x0: (
+        CharacteristicPointError(
+            f"strip from x0 = {x0} aborted: characteristic point: "
+            f"|F_q| < {FQ_MIN} at t = {t}")))])
     drift = float(np.max(np.abs(fval - f0)))
     if not (drift <= MAX_F_DRIFT):
         raise IntegrationError(
@@ -163,7 +155,8 @@ _STEP_ERRORS = (CharacteristicPointError, IntegrationError, ArithmeticError,
 
 
 def _integrate_batch(problem, states0, dt, steps, x0_labels):
-    """Classical RK4 from a (5, n) batch to t = steps*dt and t = -steps*dt.
+    """Classical RK4 from a (5, n) batch to t = steps*dt and t = -steps*dt,
+    with ``x0_labels`` naming the launch point of each column.
 
     Returns the (2*steps + 1, 5, n) trajectory at t = 0, dt, ...,
     steps*dt, then -dt, ..., -steps*dt.  Both directions advance as one
@@ -183,7 +176,8 @@ def _integrate_batch(problem, states0, dt, steps, x0_labels):
         # step k writes its (5, 2n) state into out[1 + k] and
         # out[1 + steps + k] through one (5, 2, n) view
         _run(problem, np.concatenate([states0, states0], axis=1),
-             np.repeat([dt, -dt], n), np.concatenate([f0, f0]), None,
+             np.repeat([dt, -dt], n), np.concatenate([f0, f0]),
+             np.concatenate([x0_labels, x0_labels]),
              out[1:].reshape(2, steps, 5, n).transpose(1, 2, 0, 3))
     except _STEP_ERRORS:
         _run(problem, states0, dt, f0, x0_labels, out[1:steps + 1])
@@ -278,10 +272,11 @@ def _launch_states(problem, x0s):
     states0 = np.stack([x0s, np.zeros(len(x0s)), z0, p0, h_values])
     fval, _, _, _, fq = f_partials(problem, states0[0], states0[1],
                                    states0[3], states0[4])
-    _raise_first(x0s.tolist(), [(np.abs(fq) < FQ_MIN, lambda x0: (
-        CharacteristicPointError(f"initial point x0 = {x0} is characteristic",
-                                 x0=x0, t=0.0)))])
-    if np.max(np.abs(fval)) > 1e-10:
+    # NaN counts as failing, as in the step checks
+    _raise_first(x0s.tolist(), [(~(np.abs(fq) >= FQ_MIN), lambda x0: (
+        CharacteristicPointError(
+            f"initial point x0 = {x0} is characteristic")))])
+    if not (np.max(np.abs(fval)) <= 1e-10):
         raise IntegrationError("initial data does not satisfy F = 0")
     return states0
 
@@ -312,15 +307,8 @@ def reconstruct_surface(problem, n_curves=DEFAULT_N_CURVES,
     x0s = np.linspace(-RANGE, RANGE, n_curves)
     all_x0 = np.concatenate([x0s, x0s - DERIVATIVE_OFFSET,
                              x0s + DERIVATIVE_OFFSET])
-    states0 = _launch_states(problem, all_x0)
-
-    try:
-        states = _integrate_batch(problem, states0, dt, steps,
-                                  x0_labels=all_x0)
-    except CharacteristicPointError as err:
-        raise CharacteristicPointError(
-            f"strip from x0 = {err.x0} aborted: {err}",
-            x0=err.x0, t=err.t) from err
+    states = _integrate_batch(problem, _launch_states(problem, all_x0), dt,
+                              steps, all_x0)
 
     main = states[:, :, :n_curves]
     xs, ys, zs, ps, qs = (main[:, k, :].ravel() for k in range(5))
@@ -457,8 +445,7 @@ def verify_reconstruction(samples):
         samples.phi_y[picks], samples.phi_xx[picks], samples.phi_xy[picks],
         samples.phi_yy[picks])
     with np.errstate(all="ignore"):
-        # a NaN difference is passed over, as a running max passes it over
-        worst_kk = float(np.fmax.reduce(np.abs(K - kappa), initial=0.0))
+        worst_kk = _worst(np.abs(K - kappa))
 
     expected_gamma1 = np.array([math.sqrt(0.5), 0.0, -math.sqrt(0.5)])
 

@@ -54,6 +54,18 @@ class SurfaceEvalError(ArithmeticError):
         self.subexpression = subexpression
 
 
+def _raise_first(points, checks):
+    """Raise, for the first of ``points`` that fails one of ``checks``,
+    the error of the first check it fails; ``checks`` holds (failed over
+    the points, error(point)) pairs in the order a point meets them."""
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        i = int(np.argmax(failed))
+        for mask, error in checks:
+            if mask[i]:
+                raise error(points[i])
+
+
 # -- AST ---------------------------------------------------------------------
 
 
@@ -501,20 +513,13 @@ def eval_surface(sd, point, order):
         psi = Jet.constant(psi, order)
     for name, jet in (("phi", phi), ("psi", psi)):
         if not all(map(math.isfinite, jet.c.ravel().tolist())):
-            raise SurfaceEvalError(
-                f"non-finite derivative of {name} at point "
-                f"{_first_bad_point(jet.c, point)}",
-                to_text(getattr(sd, name)))
+            x, y = np.broadcast_arrays(*point)
+            bad = np.broadcast_to(~np.isfinite(jet.c).all(axis=0), x.shape)
+            _raise_first(np.column_stack([x.ravel(), y.ravel()]), [(
+                bad.ravel(), lambda pt: SurfaceEvalError(
+                    f"non-finite derivative of {name} at point "
+                    f"{tuple(map(float, pt))}", to_text(getattr(sd, name))))])
     return phi, psi
-
-
-def _first_bad_point(c, point):
-    """(x, y) of the first column of the coefficients ``c`` at ``point``
-    (numbers, or arrays of x and y) that holds a non-finite value."""
-    x, y = np.broadcast_arrays(*point)
-    bad = np.broadcast_to(~np.isfinite(c).all(axis=0), x.shape).ravel()
-    i = int(np.argmax(bad))
-    return float(x.ravel()[i]), float(y.ravel()[i])
 
 
 def eval_points(sd, points, order):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import SurfaceEvalError, eval_points
+from .expr import SurfaceEvalError, _raise_first, eval_points
 from .jets import Jet, _power
 
 
@@ -109,18 +109,6 @@ def _at(message):
 form_overflow = _at("first fundamental form overflows")
 
 
-def _raise_first(points, checks):
-    """Raise, for the first of ``points`` that fails one of ``checks``,
-    the error of the first check it fails; ``checks`` holds (failed over
-    the points, error(point)) pairs in the order a point meets them."""
-    failed = np.logical_or.reduce([mask for mask, _ in checks])
-    if failed.any():
-        i = int(np.argmax(failed))
-        for mask, error in checks:
-            if mask[i]:
-                raise error(points[i])
-
-
 def _slopes(phi, psi):
     """(phi_x, phi_y, psi_x, psi_y), each an array over the points.
 
@@ -136,6 +124,13 @@ def _rows(*columns):
     """The rows of the columns ``columns`` (arrays over the points, or
     numbers) as a C-contiguous array; numbers alone give one row."""
     return np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+
+def _worst(*values):
+    """The largest of 0.0 and every number in ``values`` (numbers or
+    arrays), passing over NaN as a running ``max`` from 0.0 does."""
+    return float(np.fmax.reduce(np.concatenate(
+        [np.ravel(v) for v in values]), initial=0.0))
 
 
 def _matvecs(m, rows):

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import eval_points
-from .frames import (InternalInconsistencyError, _norm, _raise_first, _rows,
-                     _slopes, _tangents, form_overflow, monge_curvatures,
-                     monge_frame)
+from .expr import _raise_first, eval_points
+from .frames import (InternalInconsistencyError, _norm, _rows, _slopes,
+                     _tangents, form_overflow, monge_curvatures, monge_frame)
 from .jets import Jet
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
@@ -314,7 +313,7 @@ def rotation_from_alpha(alpha):
     a1, a2, a3 = alpha
     if a1 * a1 + a2 * a2 < 1e-12:
         swapped = np.array([a1, a3, a2])
-        cross = np.cross(swapped, alpha)
+        cross = _cross(swapped, alpha)
         angle = np.arctan2(_norm(cross), float(swapped @ alpha))
         axis = cross / _norm(cross)
         m = _so4_rotating_a_factor(axis, angle) @ _alpha_matrix(swapped)

@@ -310,7 +310,7 @@ class Jet:
 
     def _reciprocal(self):
         v = self.c[0]
-        if np.any(np.asarray(v) == 0.0):
+        if (v == 0.0).any():
             raise ZeroDivisionError("division by a jet with zero value")
         inv = 1.0 / v
         series = [inv * _power(-inv, k) for k in range(self.order + 1)]
@@ -318,7 +318,7 @@ class Jet:
 
     def sqrt(self):
         v = self.c[0]
-        if np.any(np.asarray(v) <= 0.0):
+        if (v <= 0.0).any():
             raise ValueError("sqrt of a jet with non-positive value")
         r = np.sqrt(v)
         # Taylor coefficients of sqrt at v: binom(1/2, k) v^(1/2 - k)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expr import eval_points
-from .frames import _matvecs, _norm
+from .frames import _matvecs, _norm, _worst
 from .grassmann import (
     C_AXES,
     C_SWAP,
@@ -84,9 +84,9 @@ def _residuals_on_pairs(tangent_pairs, forms, rotation):
         t1, t2 = _matvecs(rotation, t1), _matvecs(rotation, t2)
     with np.errstate(all="ignore"):
         scale = _norm(t1) * _norm(t2)
-        return [float(np.fmax.reduce(np.abs(np.vecdot(
-            np.matmul(t1[:, None, :], form[None])[:, 0, :], t2)) / scale,
-            initial=0.0)) for form in forms]
+        return [_worst(np.abs(np.vecdot(np.matmul(
+            t1[:, None, :], form[None])[:, 0, :], t2)) / scale)
+            for form in forms]
 
 
 def congruence_from_tangent_samples(tangent_pairs, tol_circle, tol_symp):

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import expr, frames, grassmann, lagrangian
 from .expr import SurfaceDef, parse_surface
+from .frames import _worst
 from .grassmann import (
     C_SWAP,
     BETA_TARGET,
@@ -43,13 +44,6 @@ class CheckRow:
 def _row(suite, name, value, threshold):
     value = float(value)
     return CheckRow(suite, name, value, threshold, value < threshold)
-
-
-def _worst(*values):
-    """The largest of 0.0 and every number in ``values`` (numbers or
-    arrays), passing over NaN as a running ``max`` from 0.0 does."""
-    return float(np.fmax.reduce(np.concatenate(
-        [np.ravel(v) for v in values]), initial=0.0))
 
 
 def _random_so4(rng):
@@ -187,7 +181,7 @@ def suite_wong():
     k_eq_kappa = [parse_surface(EXAMPLE1_TEXT),
                   random_gradient_surface(np.random.default_rng(SEED + 3))]
     for sd in k_eq_kappa:
-        worst_closed = max(worst_closed, *frames.isoclinic_form_closedness(
+        worst_closed = _worst(worst_closed, frames.isoclinic_form_closedness(
             sd, lagrangian.grid_points(sd.domain, 5, 5, shrink=0.4)))
     rows.append(_row("wong", "isoclinic 1-form closedness residual at 25 "
                      "points per K = kappa surface", worst_closed, 1e-4))
@@ -199,8 +193,8 @@ def suite_wong():
         alpha = rng.normal(size=2)
         plane = graph_plane(alpha, (alpha[1], -alpha[0]))
         klein = klein_from_plucker(lift_c @ plane)
-        worst_swap = max(worst_swap, float(np.max(np.abs(
-            klein.a_vec - np.array([1.0, 0.0, 0.0])))))
+        worst_swap = _worst(worst_swap, np.abs(
+            klein.a_vec - np.array([1.0, 0.0, 0.0])))
     rows.append(_row("wong", f"C maps the minus isocline set onto the plus "
                      f"set ({n_swap} planes)", worst_swap, 1e-10))
 
@@ -231,27 +225,26 @@ def suite_lift():
         b = _random_so4(rng)
         la, lb = lift_so4(a), lift_so4(b)
         lab = lift_so4(a @ b)
-        worst_hom = max(worst_hom, float(np.max(np.abs(lab - la @ lb))))
-        worst_orth = max(worst_orth, float(np.max(np.abs(
-            la @ la.T - np.eye(6)))))
+        worst_hom = _worst(worst_hom, np.abs(lab - la @ lb))
+        worst_orth = _worst(worst_orth, np.abs(la @ la.T - np.eye(6)))
         v1, v2 = rng.normal(size=4), rng.normal(size=4)
         lhs = plucker_from_pair(a @ v1, a @ v2)
         rhs = la @ plucker_from_pair(v1, v2)
-        worst_equi = max(worst_equi, float(np.max(np.abs(lhs - rhs))))
+        worst_equi = _worst(worst_equi, np.abs(lhs - rhs))
     worst_post = 0.0
     for _ in range(n_alphas):
         alpha = rng.normal(size=3)
         alpha /= frames._norm(alpha)
         rot = rotation_from_alpha(alpha)
         image = lift_so4(rot) @ BETA_TARGET
-        worst_post = max(worst_post, float(np.max(np.abs(
-            image - np.concatenate([alpha, alpha])))))
+        worst_post = _worst(worst_post, np.abs(
+            image - np.concatenate([alpha, alpha])))
     # the capped directions go through the documented pre-rotation
     for cap in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])):
         rot = rotation_from_alpha(cap)
         image = lift_so4(rot) @ BETA_TARGET
-        worst_post = max(worst_post, float(np.max(np.abs(
-            image - np.concatenate([cap, cap])))))
+        worst_post = _worst(worst_post, np.abs(
+            image - np.concatenate([cap, cap])))
     return [
         _row("lift", f"homomorphism lift(AB) = lift(A) lift(B) "
              f"({n_pairs} pairs)", worst_hom, 1e-10),

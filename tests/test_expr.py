@@ -382,6 +382,24 @@ def test_non_finite_column_names_its_point():
         assert str(err.value) == str(single.value)
 
 
+def test_raise_first_raises_the_first_points_first_error():
+    points = ["p0", "p1", "p2"]
+
+    def error(check):
+        return lambda point: ValueError(f"{check} at {point}")
+
+    expr._raise_first(points, [(np.zeros(3, bool), error("a")),
+                               (np.zeros(3, bool), error("b"))])
+    # p1 fails the later check b; p2 fails the earlier check a, and the
+    # later check too: the first failing point wins, then its first check
+    checks = [(np.array([False, False, True]), error("a")),
+              (np.array([False, True, True]), error("b"))]
+    with pytest.raises(ValueError, match="^b at p1$"):
+        expr._raise_first(points, checks)
+    with pytest.raises(ValueError, match="^a at p2$"):
+        expr._raise_first(points[2:], [(mask[2:], e) for mask, e in checks])
+
+
 def assert_points_match_single_evaluations(sd, points, order):
     """eval_points equals eval_surface at each point, bit for bit, or
     fails where one of them fails."""
