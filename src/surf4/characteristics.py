@@ -83,7 +83,8 @@ def example2_problem(c=DEFAULT_C):
 def f_partials(problem, x, y, p, q):
     """(F, F_x, F_y, F_p, F_q) via two order-1 jet evaluations.
 
-    Arguments may be floats or equal-shape arrays.
+    Arguments may be floats or equal-shape arrays, and so are the results,
+    even for an F that returns a plain number.
     """
     xj = Jet.variable("x", (x, 0.0 * np.asarray(x)), 1)
     pj = Jet.variable("y", (0.0 * np.asarray(p), p), 1)
@@ -92,9 +93,9 @@ def f_partials(problem, x, y, p, q):
     qj = Jet.variable("y", (0.0 * np.asarray(q), q), 1)
     e2 = problem.f(x, yj, p, qj)
     if not isinstance(e1, Jet):  # F independent of x and p
-        e1 = Jet.constant(e1, 1)
+        e1 = Jet.constant(np.broadcast_to(e1, np.shape(x)), 1)
     if not isinstance(e2, Jet):
-        e2 = Jet.constant(e2, 1)
+        e2 = Jet.constant(np.broadcast_to(e2, np.shape(x)), 1)
     return (e1.value, e1.derivative(1, 0), e2.derivative(1, 0),
             e1.derivative(0, 1), e2.derivative(0, 1))
 
@@ -375,21 +376,14 @@ def _fit_second_derivatives(samples, at, radius):
             f"need {FIT_MIN_SAMPLES}"
         )
     dx, dy = dx[mask], dy[mask]
-    cols = [np.ones_like(dx)]
-    powers = [(0, 0)]
-    for total in range(1, FIT_DEGREE + 1):
-        for j in range(total + 1):
-            cols.append(dx ** (total - j) * dy ** j)
-            powers.append((total - j, j))
-    a_mat = np.column_stack(cols)
+    # monomials by total degree: 1, dx and dy are columns 0, 1 and 2
+    a_mat = np.column_stack([dx ** (total - j) * dy ** j
+                             for total in range(FIT_DEGREE + 1)
+                             for j in range(total + 1)])
     coef_p, *_ = np.linalg.lstsq(a_mat, samples.phi_x[mask], rcond=None)
     coef_q, *_ = np.linalg.lstsq(a_mat, samples.phi_y[mask], rcond=None)
-    ix = powers.index((1, 0))
-    iy = powers.index((0, 1))
-    phi_xx = coef_p[ix]
-    phi_xy = 0.5 * (coef_p[iy] + coef_q[ix])
-    phi_yy = coef_q[iy]
-    return float(phi_xx), float(phi_xy), float(phi_yy)
+    phi_xy = 0.5 * (coef_p[2] + coef_q[1])
+    return float(coef_p[1]), float(phi_xy), float(coef_q[2])
 
 
 def _curvatures_from_values(x, y, p, q, pxx, pxy, pyy):

@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import characteristics, suites
-from .expr import (SurfaceEvalError, SurfaceSyntaxError, eval_surface,
-                   parse_surface)
+from .expr import (SurfaceEvalError, SurfaceSyntaxError, eval_points,
+                   eval_surface, parse_surface)
 from .frames import TOLERANCES, InternalInconsistencyError, curvature_report
 from .grassmann import gauss_map_at, great_circle_fit, tangent_pair
 from .jets import Jet
@@ -191,9 +191,7 @@ def _grid_geometry(sd, points, steps):
         error = exc
     for pt in points:
         for order, _, check in steps:
-            phi, psi = eval_surface(sd, pt, order)
-            check(Jet(order, phi.c.reshape(-1, 1)),
-                  Jet(order, psi.c.reshape(-1, 1)), [pt])
+            check(*eval_points(sd, [pt], order), [pt])
     raise error
 
 

@@ -139,6 +139,15 @@ def _matvecs(m, rows):
     return np.matmul(m, rows[..., None])[..., 0]
 
 
+def _central(values, h):
+    """Central differences (d/dx, d/dy) of ``values`` at each point, from
+    its four rows (x + h, y), (x - h, y), (x, y + h) and (x, y - h), in
+    that order."""
+    rows = values.reshape((-1, 4) + values.shape[1:])
+    return ((rows[:, 0] - rows[:, 1]) / (2 * h),
+            (rows[:, 2] - rows[:, 3]) / (2 * h))
+
+
 def _tangents(px, py, qx, qy):
     """T1 = (1, 0, phi_x, psi_x) and T2 = (0, 1, phi_y, psi_y), as rows."""
     return _rows(1.0, 0.0, px, qx), _rows(0.0, 1.0, py, qy)
@@ -484,11 +493,12 @@ def isoclinic_form_closedness(sd, points):
     frame quantities are defined); at the four stencil points it is
     converted to chart (dx, dy) components through the coframe,
     ``inv(chart.T)``, and the exterior-derivative coefficient is the
-    central difference of those components.  Evaluating instead in a
-    fixed ambient Monge chart makes the residual frame-dependent and O(1)
-    even on K = kappa surfaces.  Stages run over all points, each raising
-    for its first failing point: one evaluation, the frames, the stencil
-    preimages (:func:`_adapted_chart_jets`) and theta.
+    central difference (:func:`_central`) of those components.
+    Evaluating instead in a fixed ambient Monge chart makes the residual
+    frame-dependent and O(1) even on K = kappa surfaces.  Stages run over
+    all points, each raising for its first failing point: one evaluation,
+    the frames, the stencil preimages (:func:`_adapted_chart_jets`) and
+    theta.
     """
     h = CLOSEDNESS_STEP
     stencil = np.array([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
@@ -504,7 +514,5 @@ def isoclinic_form_closedness(sd, points):
     with np.errstate(all="ignore"):
         coframe = np.linalg.inv(frame.chart.transpose(0, 2, 1))
         theta = _matvecs(coframe.transpose(0, 2, 1), _rows(a + f, b + g))
-    theta = theta.reshape(-1, 4, 2)
-    q_plus, q_minus = theta[:, 0, 1], theta[:, 1, 1]
-    p_plus, p_minus = theta[:, 2, 0], theta[:, 3, 0]
-    return np.abs((q_plus - q_minus) / (2 * h) - (p_plus - p_minus) / (2 * h))
+    d_x, d_y = _central(theta, h)
+    return np.abs(d_x[:, 1] - d_y[:, 0])

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import _raise_first, eval_points
-from .frames import (InternalInconsistencyError, _norm, _rows, _slopes,
-                     _tangents, form_overflow, monge_curvatures, monge_frame)
+from .frames import (InternalInconsistencyError, _central, _norm, _rows,
+                     _slopes, _tangents, form_overflow, monge_curvatures,
+                     monge_frame)
 from .jets import Jet
 
 # index pairs (i, j) of the coordinate 2-planes, in the fixed order
@@ -152,38 +153,32 @@ def blaschke_check(sd, points):
     identities fix |t_1| = |K + kappa| sqrt(W) and
     |t_2| = |K - kappa| sqrt(W).  Signs are reported for calibration, not
     asserted.  Stages run over all points, each raising for its first
-    failing point: every stencil point against the domain, one order-2
-    evaluation of the four stencil points and the centre of every point,
-    the Gauss map of all of them (it reads the slopes), and the
-    curvatures of the centres.
+    failing point: every moved stencil point against the domain, one
+    order-2 evaluation of the four stencil points of every point and then
+    of the centres, the Gauss map of all of them (it reads the slopes),
+    and the curvatures of the centres.
     """
     h = BLASCHKE_STEP
-    # rows (x + h, y), (x - h, y), (x, y + h), (x, y - h), (x, y) per
-    # point; a coordinate that does not move keeps its own float
-    stencils = np.repeat(np.array(points, dtype=float).reshape(-1, 2), 5, 0)
+    centres = np.array(points, dtype=float).reshape(-1, 2)
+    n = len(centres)
+    # rows (x + h, y), (x - h, y), (x, y + h), (x, y - h) per point; a
+    # coordinate that does not move keeps its own float
+    moved = np.repeat(centres, 4, 0)
     for row, col, step in ((0, 0, h), (1, 0, -h), (2, 1, h), (3, 1, -h)):
-        stencils[row::5, col] += step
+        moved[row::4, col] += step
     # a centre outside the domain has a moved point outside before it
-    _raise_first(stencils, [(~sd.domain.contains(stencils.T), lambda pt: (
+    _raise_first(moved, [(~sd.domain.contains(moved.T), lambda pt: (
         ValueError(f"Blaschke stencil point {tuple(map(float, pt))} leaves "
                    "the domain")))])
+    stencils = np.concatenate([moved, centres])
     phi, psi = eval_points(sd, stencils, 2)
     _, klein = gauss_map_at(phi, psi, stencils)
 
-    def triple(vectors):
-        groups = vectors.reshape(-1, 5, 3)
-        plus_x, minus_x, plus_y, minus_y, center = groups.transpose(1, 0, 2)
-        dx = (plus_x - minus_x) / (2 * h)
-        dy = (plus_y - minus_y) / (2 * h)
-        return np.vecdot(_cross(dx, dy), np.ascontiguousarray(center))
-
     with np.errstate(all="ignore"):
-        t1 = triple(klein.a_vec)
-        t2 = triple(klein.b_vec)
-
-        centre = slice(4, None, 5)
-        mf = monge_frame(Jet(2, phi.c[:, centre]), Jet(2, psi.c[:, centre]),
-                         stencils[centre])
+        t1, t2 = (np.vecdot(_cross(*_central(v[:4 * n], h)), v[4 * n:])
+                  for v in (klein.a_vec, klein.b_vec))
+        mf = monge_frame(Jet(2, phi.c[:, 4 * n:]), Jet(2, psi.c[:, 4 * n:]),
+                         centres)
         K, kappa = monge_curvatures(mf)
         sqrt_w = np.sqrt(mf.W)
         rhs1 = np.abs(K + kappa) * sqrt_w

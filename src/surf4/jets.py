@@ -358,13 +358,7 @@ def _power(v, k):
             return math.copysign(math.inf, s) if k % 2 else math.inf
     if not np.shape(v):
         return power(float(v))
-    if k < 2:
-        return v ** k  # ones, or a copy: exact, and one numpy call
-    values = v.ravel().tolist()
-    try:
-        return np.array([s ** k for s in values]).reshape(v.shape)
-    except OverflowError:
-        return np.array(list(map(power, values))).reshape(v.shape)
+    return np.array(list(map(power, v.ravel().tolist()))).reshape(v.shape)
 
 
 def _jet(order, c):

@@ -427,3 +427,15 @@ def test_reconstruction_propagates_characteristic_x0():
             "strip from x0 = -0.4 aborted: characteristic point: "
             "|F_q| < 1e-06 at t = 0.3")):
         reconstruct_surface(problem, n_curves=5, dt=1e-2)
+
+
+def test_constant_f_is_characteristic_at_the_first_launch_point():
+    # an F that returns a plain number has F_q = 0 at every launch point;
+    # f_partials gives it the shape of its arguments, so the launch check
+    # names the first of them
+    problem = PdeProblem(f=lambda x, y, p, q: 0.0, c=0.5,
+                         initial_curve=lambda x: 0.0,
+                         initial_p=lambda x: 0.0, initial_q_seed=0.0)
+    with pytest.raises(CharacteristicPointError, match=re.escape(
+            "initial point x0 = -0.4 is characteristic")):
+        reconstruct_surface(problem, n_curves=3, dt=0.1)
