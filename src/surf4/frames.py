@@ -14,10 +14,10 @@ Conventions fixed here and relied on throughout:
   axis of n points with the sequence of the points, or vectors as the
   rows of an (n, k) array; one point is the batch with n = 1.  A point's
   numbers do not depend on its batch (reductions run per row: ``_norm``,
-  ``np.vecdot``, ``_matvecs``, stacked ``solve``, ``inv``, ``det`` and
-  ``svd``).  Each check runs over the whole batch and raises for the
-  first point it fails at, so a batch raises an error that one of its
-  points raises alone.
+  ``np.vecdot``, ``_matvecs``, stacked ``solve``, ``det`` and ``svd``).
+  Each check runs over the whole batch and raises for the first point it
+  fails at, so a batch raises an error that one of its points raises
+  alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import SurfaceEvalError, _raise_first, eval_points
-from .jets import Jet, _power
+from .jets import _power
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -253,10 +253,11 @@ def _second_derivatives(phi_jet, psi_jet):
                  for k in ((2, 0), (1, 1), (0, 2)))
 
 
-def _second_form_from(mf, frame):
-    """Coefficients (a, b, c) toward e3 and (e, f, g) toward e4 of II."""
-    pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(mf.phi_jet,
-                                                       mf.psi_jet)
+def _second_form_from(second, frame):
+    """Coefficients (a, b, c) toward e3 and (e, f, g) toward e4 of II,
+    from the six second derivatives ``second`` of the chart that
+    ``frame.chart`` refers to."""
+    pxx, pxy, pyy, qxx, qxy, qyy = second
     dxx = _rows(0.0, 0.0, pxx, qxx)
     dxy = _rows(0.0, 0.0, pxy, qxy)
     dyy = _rows(0.0, 0.0, pyy, qyy)
@@ -348,11 +349,11 @@ def curvature_report(phi, psi, points):
     grams = np.stack([_gram(mf.t1, mf.t2), _gram(mf.n1, mf.n2)], axis=1)
     _raise_first(points, [((np.linalg.det(grams) == 0.0).any(axis=1),
                            _at("adapted frame is numerically singular"))])
-    a, b, c, e, f, g = _second_form_from(mf, adapted_frame(mf))
+    second = _second_derivatives(phi, psi)
+    a, b, c, e, f, g = _second_form_from(second, adapted_frame(mf))
 
     k_hessian, kappa_det = monge_curvatures(mf)
-    pxx, pxy, pyy, qxx, qxy, qyy = _second_derivatives(mf.phi_jet,
-                                                       mf.psi_jet)
+    pxx, pxy, pyy, qxx, qxy, qyy = second
     with np.errstate(all="ignore"):
         k1, k2 = a * c - b * b, e * g - f * f
         K = k1 + k2
@@ -408,9 +409,10 @@ def curvature_report(phi, psi, points):
         )
 
 
-def _adapted_chart_jets(sd, points, frame, base, uv):
-    """Order-2 jets of the surface re-graphed in adapted charts, as one
-    ``(phi, psi)`` batch with a column per target.
+def _chart_preimages(sd, points, frame, base, uv):
+    """The preimages of chart targets on the surface: per target, the rows
+    (e1, ..., e4) of the adapted frame at its point, and the tangent rows
+    (T1, T2) and the six second derivatives at its preimage.
 
     ``uv`` holds the k chart points of each of ``points``, as an (n, k, 2)
     array, and each is a target.  The chart adapted at a point translates
@@ -421,9 +423,7 @@ def _adapted_chart_jets(sd, points, frame, base, uv):
     step; every iteration evaluates the targets not yet converged in one
     call, so each target takes the steps it would take alone.  Errors
     follow target order: a Newton iteration that does not converge, then
-    a preimage outside the domain.  First and second derivatives of the
-    re-graphed surface follow from the exact change-of-variables formulas,
-    stacked over the targets.
+    a preimage outside the domain.
     """
     k = uv.shape[1]
     uv = uv.reshape(-1, 2)
@@ -433,8 +433,7 @@ def _adapted_chart_jets(sd, points, frame, base, uv):
     # initial guesses from the tangent charts
     xy = base[:, :2] + _matvecs(
         np.repeat(frame.chart, k, axis=0).transpose(0, 2, 1), uv)
-    offset, second = np.empty((len(uv), 4)), np.empty((len(uv), 6))
-    tangents = np.empty((len(uv), 2, 4))
+    tangents, second = np.empty((len(uv), 2, 4)), np.empty((len(uv), 6))
     active = np.arange(len(uv))
     for _ in range(40):
         if not len(active):
@@ -444,7 +443,6 @@ def _adapted_chart_jets(sd, points, frame, base, uv):
         moved = _rows(*xy[active].T, phi.value, psi.value) - base[active]
         res = _matvecs(rot[active, :2], moved) - uv[active]
         done = np.hypot(res[:, 0], res[:, 1]) < 1e-14
-        offset[active[done]] = moved[done]
         tangents[active[done]] = np.stack([t1, t2], axis=1)[done]
         second[active[done]] = _rows(*_second_derivatives(phi, psi))[done]
         step, active = ~done, active[~done]
@@ -459,25 +457,7 @@ def _adapted_chart_jets(sd, points, frame, base, uv):
             f"closedness stencil point {tuple(map(float, xy[i]))} leaves "
             "the domain")),
     ])
-    # per rotated coordinate: its value, gradient and Hessian as functions
-    # of the original chart
-    val = np.vecdot(rot[:, 2:], offset[:, None])
-    grad = np.vecdot(rot[:, :, None], tangents[:, None])
-    pxx, pxy, pyy, qxx, qxy, qyy = second.T
-    hess_phi = _rows(pxx, pxy, pxy, pyy).reshape(-1, 1, 2, 2)
-    hess_psi = _rows(qxx, qxy, qxy, qyy).reshape(-1, 1, 2, 2)
-    hess = (rot[:, :, 2, None, None] * hess_phi
-            + rot[:, :, 3, None, None] * hess_psi)
-    # rotated coordinates 3 and 4 as functions of coordinates 1 and 2
-    jac_inv = np.linalg.inv(grad[:, :2])[:, None]
-    grad_uv = np.matmul(grad[:, 2:, None], jac_inv)[:, :, 0]
-    hess_uv = jac_inv.transpose(0, 1, 3, 2) @ (
-        hess[:, 2:] - grad_uv[..., :1, None] * hess[:, :1]
-        - grad_uv[..., 1:, None] * hess[:, 1:2]) @ jac_inv
-    # slots in jet order: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2)
-    c = np.stack([val, grad_uv[..., 0], grad_uv[..., 1],
-                  hess_uv[..., 0, 0], hess_uv[..., 0, 1], hess_uv[..., 1, 1]])
-    return Jet(2, c[..., 0]), Jet(2, c[..., 1])
+    return rot, tangents, second
 
 
 # central-difference step of the closedness check, in adapted-chart units
@@ -489,16 +469,15 @@ def isoclinic_form_closedness(sd, points):
     one residual per point of ``points``.
 
     The form is evaluated in the chart adapted at each point (surface
-    re-graphed over its own tangent plane, the chart in which the paper's
-    frame quantities are defined); at the four stencil points it is
-    converted to chart (dx, dy) components through the coframe,
-    ``inv(chart.T)``, and the exterior-derivative coefficient is the
-    central difference (:func:`_central`) of those components.
-    Evaluating instead in a fixed ambient Monge chart makes the residual
-    frame-dependent and O(1) even on K = kappa surfaces.  Stages run over
-    all points, each raising for its first failing point: one evaluation,
-    the frames, the stencil preimages (:func:`_adapted_chart_jets`) and
-    theta.
+    graphed over its own tangent plane, the chart in which the paper's
+    frame quantities are defined): at each stencil target the frame is
+    Gram-Schmidt of that chart's coordinate vectors X_u, X_v and of its
+    Monge normals, and theta(X_u), theta(X_v) go into the central
+    difference (:func:`_central`).  Evaluating instead in a fixed ambient
+    Monge chart makes the residual frame-dependent and O(1) even on
+    K = kappa surfaces.  Stages run over all points, each raising for its
+    first failing point: one evaluation, the frames, the stencil
+    preimages (:func:`_chart_preimages`) and theta.
     """
     h = CLOSEDNESS_STEP
     stencil = np.array([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
@@ -507,12 +486,24 @@ def isoclinic_form_closedness(sd, points):
     base = _rows(*np.array(points, dtype=float).reshape(-1, 2).T,
                  phi0.value, psi0.value)
     uv = np.broadcast_to(stencil, (len(base), 4, 2))
-    phi, psi = _adapted_chart_jets(sd, points, frame0, base, uv)
-    mf = monge_frame(phi, psi, uv.reshape(-1, 2))
-    frame = adapted_frame(mf)
-    a, b, _, _, f, g = _second_form_from(mf, frame)
+    rot, tangents, second = _chart_preimages(sd, points, frame0, base, uv)
+    e1, e2, e3, e4 = rot.transpose(1, 0, 2)
     with np.errstate(all="ignore"):
-        coframe = np.linalg.inv(frame.chart.transpose(0, 2, 1))
-        theta = _matvecs(coframe.transpose(0, 2, 1), _rows(a + f, b + g))
+        # rows X_u, X_v of [X_u X_v] = [T1 T2] (R12 [T1 T2])^-1, R12 the
+        # rows (e1, e2), and the normals N_i = e_i - (e_i.X_u) e1
+        # - (e_i.X_v) e2, i = 3, 4, of the chart (u, v) -> (u, v, ., .)
+        jac = np.vecdot(rot[:, :2, None], tangents[:, None])
+        x_uv = np.linalg.solve(jac.transpose(0, 2, 1), tangents)
+        x_u, x_v = x_uv[:, 0], x_uv[:, 1]
+        n3, n4 = (e - np.vecdot(e, x_u)[:, None] * e1
+                  - np.vecdot(e, x_v)[:, None] * e2 for e in (e3, e4))
+        u1, u2 = _gram_schmidt_pair(x_u, x_v)
+        frame = AdaptedFrame(u1, u2, *_gram_schmidt_pair(n3, n4),
+                             _coords_in(tangents[:, 0], tangents[:, 1],
+                                        (u1, u2)))
+        a, b, _, _, f, g = _second_form_from(second.T, frame)
+        # theta(X_j) = (a + f) u1.X_j + (b + g) u2.X_j
+        theta = ((a + f)[:, None] * np.vecdot(x_uv, u1[:, None])
+                 + (b + g)[:, None] * np.vecdot(x_uv, u2[:, None]))
     d_x, d_y = _central(theta, h)
     return np.abs(d_x[:, 1] - d_y[:, 0])

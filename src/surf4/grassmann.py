@@ -139,6 +139,9 @@ class BlaschkeResult:
     t2: np.ndarray
     sign1: np.ndarray  # sign of t1 / ((K + kappa) sqrt(W)), 0 if tiny
     sign2: np.ndarray
+    K: np.ndarray  # at the centres, by monge_curvatures
+    kappa: np.ndarray
+    sqrt_w: np.ndarray
 
 
 # central-difference step of the Blaschke check
@@ -191,7 +194,7 @@ def blaschke_check(sd, points):
         return BlaschkeResult(
             np.abs(np.abs(t1) - rhs1), np.abs(np.abs(t2) - rhs2), t1, t2,
             sign_of(t1, (K + kappa) * sqrt_w),
-            sign_of(t2, (K - kappa) * sqrt_w))
+            sign_of(t2, (K - kappa) * sqrt_w), K, kappa, sqrt_w)
 
 
 def _cross(u, v):

@@ -356,9 +356,7 @@ def _power(v, k):
             return s ** k
         except OverflowError:
             return math.copysign(math.inf, s) if k % 2 else math.inf
-    if not np.shape(v):
-        return power(float(v))
-    return np.array(list(map(power, v.ravel().tolist()))).reshape(v.shape)
+    return _each(power, v)
 
 
 def _jet(order, c):
@@ -373,10 +371,10 @@ def _jet(order, c):
 
 
 def _each(fn, v):
-    """``fn`` of a number, and of each element of an array as of that
-    float alone (numpy's own ufuncs may round differently)."""
+    """``fn`` of a number as a float, and of each element of an array as
+    of that float alone (numpy's own ufuncs may round differently)."""
     if np.ndim(v) == 0:
-        return fn(v)
+        return fn(float(v))
     return np.array([fn(s) for s in v.ravel().tolist()]).reshape(v.shape)
 
 

@@ -495,8 +495,8 @@ def test_suite_blaschke_evaluates_each_surface_once(monkeypatch):
     calls = spy_evaluations(monkeypatch)
     assert all(row.passed for row in suites.suite_blaschke())
     # per surface: its 9 points and their 36 stencil points in one
-    # order-2 call; the corollary evaluates its 9 points, then checks them
-    assert calls == [(2, 45)] * 50 + [(2, 9), (2, 45)]
+    # order-2 call; the corollary reads its curvatures from its own check
+    assert calls == [(2, 45)] * 51
 
 
 @pytest.mark.parametrize("sd", [

@@ -15,6 +15,7 @@ from surf4.frames import (
     _bands,
     _coords_in,
     _norm,
+    _second_derivatives,
     _second_form_from,
     adapted_frame,
     curvature_report,
@@ -167,13 +168,15 @@ class TestAdaptedFrame:
 class TestSecondForm:
     def test_z2_origin(self):
         mf = mf_at(Z2, (0.0, 0.0))
-        a, b, c, e, f, g = _second_form_from(mf, adapted_frame(mf))
+        a, b, c, e, f, g = _second_form_from(
+            _second_derivatives(mf.phi_jet, mf.psi_jet), adapted_frame(mf))
         assert (a, b, c) == (2.0, 0.0, -2.0)
         assert (e, f, g) == (0.0, 2.0, 0.0)
 
     def test_flat_plane(self):
         mf = mf_at(FLAT, (0.2, 0.3))
-        assert _second_form_from(mf, adapted_frame(mf)) == (0,) * 6
+        assert _second_form_from(_second_derivatives(mf.phi_jet, mf.psi_jet),
+                                 adapted_frame(mf)) == (0,) * 6
 
 
 class TestCurvatureReport:
@@ -285,7 +288,8 @@ class TestDualRoutes:
             sd = random_polynomial_surface(rng)
             pt = tuple(rng.uniform(-0.8, 0.8, size=2))
             mf = mf_at(sd, pt)
-            a, b, c, e, f, g = _second_form_from(mf, adapted_frame(mf))
+            a, b, c, e, f, g = _second_form_from(
+                _second_derivatives(mf.phi_jet, mf.psi_jet), adapted_frame(mf))
             d1 = (a * f - b * e) * (b * g - c * f) - 0.25 * (a * g - c * e)**2
             d2 = (a * c - b * b) * (e * g - f * f) \
                 - 0.25 * (a * g + c * e - 2 * b * f)**2
@@ -362,8 +366,8 @@ class TestFrameInvariance:
     def frame_invariants(sd, point):
         """k1 + k2, kappa and Delta from the second form a..g."""
         mf = mf_at(sd, point)
-        a, b, c, e, f, g = first_point(_second_form_from(mf,
-                                                         adapted_frame(mf)))
+        a, b, c, e, f, g = first_point(_second_form_from(
+            _second_derivatives(mf.phi_jet, mf.psi_jet), adapted_frame(mf)))
         return ((a * c - b * b) + (e * g - f * f), (a - c) * f - (e - g) * b,
                 (a * f - b * e) * (b * g - c * f) - 0.25 * (a * g - c * e)**2)
 
@@ -474,8 +478,9 @@ def test_seven_conditions_agree_on_isoclinic_surface():
         for y in np.linspace(-0.4, 0.4, 9):
             rep = report_at(z3, (float(x), float(y)))
             mf = mf_at(z3, (float(x), float(y)))
-            a, b, c, e, f, g = first_point(
-                _second_form_from(mf, adapted_frame(mf)))
+            a, b, c, e, f, g = first_point(_second_form_from(
+                _second_derivatives(mf.phi_jet, mf.psi_jet),
+                adapted_frame(mf)))
             scale = max(abs(v) for v in (a, b, c, e, f, g)) or 0.0
             bands = first_point(_bands(np.array([scale]),
                                        np.array([scale ** 2]),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from surf4.expr import eval_points, parse_surface
+from surf4.frames import monge_curvatures, monge_frame
 from surf4.grassmann import (
     BETA_TARGET,
     C_SWAP,
@@ -200,6 +201,16 @@ class TestBlaschke:
         with pytest.raises(ValueError, match=re.escape(
                 "Blaschke stencil point (-0.0, 1.0001) leaves the domain")):
             blaschke_check(EX1, [(0.0, 0.0), (-0.0, 1.0), (1.0, 0.0)])
+
+    @pytest.mark.parametrize("sd", BATCH_SURFACES)
+    def test_centre_values_are_the_monge_curvatures(self, sd):
+        points = [(x, y) for x in (-0.3, 0.0, 0.3) for y in (-0.3, 0.0, 0.3)]
+        result = blaschke_check(sd, points)
+        mf = monge_frame(*eval_points(sd, points, 2), points)
+        K, kappa = monge_curvatures(mf)
+        for ours, theirs in ((result.K, K), (result.kappa, kappa),
+                             (result.sqrt_w, np.sqrt(mf.W))):
+            assert ours.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize("sd", BATCH_SURFACES)
     def test_batch_equals_single_points(self, sd):

@@ -58,7 +58,8 @@ def test_stacked_matrix_products_equal_one_product_per_vector(n, layout):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_stacked_inverse_and_coframe_equal_one_call_per_matrix(n):
-    # the chart matrices of the closedness check and their coframes
+    # rule 3 for inv: a stacked inverse of transposed 2x2 matrices, and
+    # products with its transposes, as one call per matrix
     rng = np.random.default_rng(n + 7)
     chart = rng.normal(size=(n, 2, 2))
     v = rng.normal(size=(n, 2))
@@ -75,8 +76,8 @@ def test_stacked_inverse_and_coframe_equal_one_call_per_matrix(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_matvecs_of_a_matrix_stack_equal_one_product_per_row(n, layout,
                                                             shape):
-    # one matrix per row, as the closedness check's transposed charts,
-    # Newton residual rows of the rotations, and coframes
+    # one matrix per row, as the closedness check's transposed charts
+    # (its Newton starts) and the Newton residual rows of its rotations
     rng = np.random.default_rng(10 * n + shape[1])
     if layout == "C":
         m = rows(rng, n, shape[0] * shape[1]).reshape(n, *shape)
@@ -99,3 +100,15 @@ def test_stacked_solve_equals_one_solve_per_jacobian(n):
     stacked = np.linalg.solve(jac, res[:, :, None])[:, :, 0]
     assert bits(stacked.ravel()) == bits(np.ravel(
         [np.linalg.solve(j, r) for j, r in zip(jac, res)]))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_solve_of_tangent_rows_equals_one_solve_per_target(n):
+    # the closedness check's chart coordinate vectors: a transposed 2x2
+    # Jacobian and the two tangent rows, four right-hand sides, per target
+    rng = np.random.default_rng(n + 13)
+    jac = rng.normal(size=(n, 2, 2))
+    tangents = rng.normal(size=(n, 2, 4))
+    stacked = np.linalg.solve(jac.transpose(0, 2, 1), tangents)
+    assert bits(stacked.ravel()) == bits(np.ravel(
+        [np.linalg.solve(j.T, t) for j, t in zip(jac, tangents)]))
