@@ -81,17 +81,15 @@ def example2_problem(c=DEFAULT_C):
 
 
 def f_partials(problem, x, y, p, q):
-    """(F, F_x, F_y, F_p, F_q) via two order-1 jet evaluations.
+    """(F, F_x, F_y, F_p, F_q) from order-1 jets in (x, p) and in (y, q).
 
     Arguments may be floats or equal-shape arrays, and so are the results,
     even for an F that returns a plain number.
     """
-    xj = Jet.variable("x", (x, 0.0 * np.asarray(x)), 1)
-    pj = Jet.variable("y", (0.0 * np.asarray(p), p), 1)
-    e1 = problem.f(xj, y, pj, q)
-    yj = Jet.variable("x", (y, 0.0 * np.asarray(y)), 1)
-    qj = Jet.variable("y", (0.0 * np.asarray(q), q), 1)
-    e2 = problem.f(x, yj, p, qj)
+    e1 = problem.f(Jet.variable("x", (x, p), 1), y,
+                   Jet.variable("y", (x, p), 1), q)
+    e2 = problem.f(x, Jet.variable("x", (y, q), 1),
+                   p, Jet.variable("y", (y, q), 1))
     if not isinstance(e1, Jet):  # F independent of x and p
         e1 = Jet.constant(np.broadcast_to(e1, np.shape(x)), 1)
     if not isinstance(e2, Jet):

@@ -238,9 +238,10 @@ def _tokenize_line(text, lineno):
 
 
 class _ExprParser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, used):
         self.tokens = tokens
         self.pos = 0
+        self.used = used  # the parameter names read, over every line
 
     def peek(self):
         return self.tokens[self.pos]
@@ -321,6 +322,7 @@ class _ExprParser:
                 return Unary(name, arg)
             if name in ("x", "y"):
                 return Var(name)
+            self.used.add(name)
             return Param(name)
         if tok.kind == "lparen":
             self.next()
@@ -368,12 +370,13 @@ def parse_surface(text):
     """Parse a surface definition from text into a :class:`SurfaceDef`."""
     exprs = {}
     params = {}
+    used = set()
     domain = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, lineno)
         if tokens[0].kind == "end":
             continue
-        parser = _ExprParser(tokens)
+        parser = _ExprParser(tokens, used)
         head = parser.expect("ident")
         if head.text not in _KEYWORDS:
             parser.error(
@@ -403,7 +406,10 @@ def parse_surface(text):
             parser.expect("end")
             continue
         parser.expect("op", "=")
-        node = parser.parse_expression()
+        try:
+            node = parser.parse_expression()
+        except RecursionError:
+            parser.error("expression nested too deeply", head)
         parser.expect("end")
         if head.text in exprs:
             parser.error(f"{head.text} defined twice", head)
@@ -414,22 +420,11 @@ def parse_surface(text):
     sd = SurfaceDef(params=params, **exprs)
     if domain is not None:
         sd.domain = domain
-    for name in sorted(_param_refs(sd.phi) | _param_refs(sd.psi)):
-        if name not in params:
-            raise SurfaceSyntaxError(f"undeclared parameter {name!r}", 1, 1)
+    undeclared = used - params.keys()
+    if undeclared:
+        raise SurfaceSyntaxError(
+            f"undeclared parameter {min(undeclared)!r}", 1, 1)
     return sd
-
-
-def _param_refs(node):
-    if isinstance(node, Param):
-        return {node.name}
-    if isinstance(node, Unary):
-        return _param_refs(node.arg)
-    if isinstance(node, Binary):
-        return _param_refs(node.lhs) | _param_refs(node.rhs)
-    if isinstance(node, Pow):
-        return _param_refs(node.base)
-    return set()
 
 
 # -- printer -------------------------------------------------------------------
@@ -489,36 +484,41 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def eval_surface(sd, point, order):
-    """Jets of phi and psi at ``point``.
+    """Jets of phi and psi at ``point``, whose x and y are two floats or
+    two arrays of one shape; a phi or psi that does not depend on x or y
+    takes that shape too.
 
     Each AST node evaluates itself on float or Jet operands for x and y.
     phi and psi share one dict of variable powers (see :meth:`Pow.eval`),
     so each ``x^k`` or ``y^k`` is computed once per call.  The point is
     not checked against the declared domain; callers that can leave it
     check it themselves.  Evaluation errors (division by zero, sqrt
-    domain, overflow, a non-finite value or derivative) raise
-    :class:`SurfaceEvalError`.
+    domain, overflow, a non-finite value or derivative, a tree too deep
+    for Python's recursion limit) raise :class:`SurfaceEvalError`.
     """
     xj = Jet.variable("x", point, order)
     yj = Jet.variable("y", point, order)
     # overflow, and division by a power that underflows to 0, show up as
     # inf or NaN coefficients, rejected just below
-    with np.errstate(all="ignore"):
-        powers = {}
-        phi = sd.phi.eval(xj, yj, sd.params, powers)
-        psi = sd.psi.eval(xj, yj, sd.params, powers)
-    if not isinstance(phi, Jet):
-        phi = Jet.constant(phi, order)
-    if not isinstance(psi, Jet):
-        psi = Jet.constant(psi, order)
-    for name, jet in (("phi", phi), ("psi", psi)):
-        if not all(map(math.isfinite, jet.c.ravel().tolist())):
-            x, y = np.broadcast_arrays(*point)
-            bad = np.broadcast_to(~np.isfinite(jet.c).all(axis=0), x.shape)
-            _raise_first(np.column_stack([x.ravel(), y.ravel()]), [(
-                bad.ravel(), lambda pt: SurfaceEvalError(
-                    f"non-finite derivative of {name} at point "
-                    f"{tuple(map(float, pt))}", to_text(getattr(sd, name))))])
+    try:
+        with np.errstate(all="ignore"):
+            powers = {}
+            phi = sd.phi.eval(xj, yj, sd.params, powers)
+            psi = sd.psi.eval(xj, yj, sd.params, powers)
+        if not isinstance(phi, Jet):
+            phi = Jet.constant(np.full(xj.c.shape[1:], phi), order)
+        if not isinstance(psi, Jet):
+            psi = Jet.constant(np.full(xj.c.shape[1:], psi), order)
+        for name, jet in (("phi", phi), ("psi", psi)):
+            if not all(map(math.isfinite, jet.c.ravel().tolist())):
+                bad = ~np.isfinite(jet.c).all(axis=0)
+                _raise_first(np.stack(point, axis=-1).reshape(-1, 2), [(
+                    bad.ravel(), lambda pt: SurfaceEvalError(
+                        f"non-finite derivative of {name} at point "
+                        f"{tuple(map(float, pt))}",
+                        to_text(getattr(sd, name))))])
+    except RecursionError:  # in an evaluation, or in to_text just above
+        raise SurfaceEvalError("expression nested too deeply") from None
     return phi, psi
 
 
@@ -526,17 +526,12 @@ def eval_points(sd, points, order):
     """Jets of phi and psi at each of ``points``, from one
     :func:`eval_surface` call on the arrays of their x and y.
 
-    Returns the ``(phi, psi)`` pair with a coefficient column per point (a
-    jet that does not depend on x or y is broadcast to every point).  Each
-    column equals ``eval_surface(sd, point, order)`` bit for bit.  A point
-    that fails fails the whole batch.
+    Returns the ``(phi, psi)`` pair with a coefficient column per point.
+    Each column equals ``eval_surface(sd, point, order)`` bit for bit.  A
+    point that fails fails the whole batch.
     """
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
-    out = []
-    for jet in eval_surface(sd, (x, y), order):
-        c = jet.c if jet.c.ndim == 2 else jet.c[:, np.newaxis]
-        out.append(Jet(order, np.broadcast_to(c, (len(c), len(x)))))
-    return tuple(out)
+    return eval_surface(sd, (x, y), order)
 
 
 def polynomial(coeffs):

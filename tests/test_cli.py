@@ -92,6 +92,17 @@ OVERFLOWS = {
     "form-then-sqrt": ("phi = 1e200*x\npsi = sqrt(0.5 - x)\n",
                        "error: first fundamental form overflows at point (-"),
 }
+# trees deeper than Python's recursion limit: the parser recurses on a
+# unary minus and on parentheses, and a long sum parses in a loop but
+# evaluates recursively
+NESTED = {
+    "unary-minus": ("phi = " + "-" * 3000 + "x\npsi = y\n",
+                    "error: line 1, column 1: expression nested too deeply\n"),
+    "sum": ("phi = " + " + ".join(["x"] * 5000) + "\npsi = y\n",
+            "error: expression nested too deeply\n"),
+    "parentheses": ("phi = " + "(" * 3000 + "x" + ")" * 3000 + "\npsi = y\n",
+                    "error: line 1, column 1: expression nested too deeply\n"),
+}
 SURFACE_COMMANDS = {"analyze": ["analyze", "--grid", "3,3", "--out", OUT],
                     "gaussmap": ["gaussmap", "--grid", "3,3", "--out", OUT],
                     "congruence": ["congruence", "--grid", "3,3"]}
@@ -225,6 +236,8 @@ PARAM_MESSAGE = ("error: line 3, column 11: parameter 'a' is not a finite "
      "error: non-finite derivative of phi at point"),
     *[(argv, text, message) for text, message in OVERFLOWS.values()
       for argv in SURFACE_COMMANDS.values()],
+    *[(argv, text, message) for text, message in NESTED.values()
+      for argv in SURFACE_COMMANDS.values()],
     *[(["reconstruct", "--dt", dt], None, message)
       for dt, message in COARSE_DT],
     (["reconstruct", "--dt", "0.5", "--out", OUT], None,
@@ -268,6 +281,8 @@ PARAM_MESSAGE = ("error: line 3, column 11: parameter 'a' is not a finite "
         "analyze-non-finite", "gaussmap-non-finite",
         "congruence-non-finite",
         *[f"{command}-overflow-{kind}" for kind in OVERFLOWS
+          for command in SURFACE_COMMANDS],
+        *[f"{command}-nested-{kind}" for kind in NESTED
           for command in SURFACE_COMMANDS],
         *[f"reconstruct--dt={dt}" for dt, _ in COARSE_DT],
         "reconstruct-out-coarse-dt",

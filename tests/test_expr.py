@@ -66,6 +66,13 @@ def test_undeclared_parameter():
         parse_surface("phi = c*x\npsi = y")
 
 
+def test_first_undeclared_parameter_is_named():
+    # 'a' is read last, in psi, but comes first of the undeclared names
+    with pytest.raises(SurfaceSyntaxError) as err:
+        parse_surface("phi = b*x + sin(k)\npsi = a*y\nparam k = 1")
+    assert str(err.value) == "line 1, column 1: undeclared parameter 'a'"
+
+
 def test_param_lines_may_follow_use():
     sd = parse_surface("phi = k*x^2\npsi = y\nparam k = 3")
     phi, _ = eval_surface(sd, (1.0, 0.0), 2)
@@ -380,6 +387,18 @@ def test_non_finite_column_names_its_point():
         with pytest.raises(SurfaceEvalError) as err:
             batch()
         assert str(err.value) == str(single.value)
+
+
+def test_constant_phi_takes_the_points_shape():
+    sd = parse_surface("phi = a + 1\npsi = x*y\nparam a = -1")
+    points = [(0.5, 0.25), (-0.0, -0.5), (1.0, 0.75)]
+    x, y = np.array(points).T
+    phi, psi = eval_surface(sd, (x, y), 2)
+    assert phi.c.shape == psi.c.shape == (6, 3)
+    for i, point in enumerate(points):
+        alone = eval_surface(sd, point, 2)
+        assert [j.c[:, i].tobytes() for j in (phi, psi)] == \
+            [j.c.tobytes() for j in alone]
 
 
 def test_raise_first_raises_the_first_points_first_error():
