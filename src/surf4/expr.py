@@ -510,7 +510,8 @@ def eval_surface(sd, point, order):
         if not isinstance(psi, Jet):
             psi = Jet.constant(np.full(xj.c.shape[1:], psi), order)
         for name, jet in (("phi", phi), ("psi", psi)):
-            if not all(map(math.isfinite, jet.c.ravel().tolist())):
+            c = jet._c if isinstance(jet._c, list) else jet.c.ravel().tolist()
+            if not all(map(math.isfinite, c)):
                 bad = ~np.isfinite(jet.c).all(axis=0)
                 _raise_first(np.stack(point, axis=-1).reshape(-1, 2), [(
                     bad.ravel(), lambda pt: SurfaceEvalError(

@@ -6,15 +6,20 @@ function of two variables (x, y) at a base point, up to a fixed order in
 d^(i+j) f / dx^i dy^j, not Taylor-normalized; the i! j! conversion factors
 live inside the arithmetic kernel (Leibniz rule with binomial weights).
 
-The coefficients ``c`` are one float64 array: derivatives on the leading
-axis, the points of a batch on the trailing ones (the coefficient tail).
-A one-point jet (tail ``()``) multiplies in generated float code on lists,
-a batch in a gathered array kernel; both add one table's terms in order.
+The coefficients ``c`` read as one float64 array: derivatives on the
+leading axis, the points of a batch on the trailing ones (the coefficient
+tail).  A batch keeps that array and computes on it.  A one-point jet
+(tail ``()``) keeps a list of Python floats and computes on it; its ``c``
+is a new array on each read, so writing into it does not change the jet.
+Every operator rounds alike on both; products add one Leibniz table's
+terms in order, a batch in a gathered array kernel, a point in float
+code generated from the table.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -98,11 +103,23 @@ _POINT_PRODUCT = {o: _point_product(o) for o in (1, 2, 3)}
 
 
 def _kernel(c, order):
-    """``(product, load)`` for coefficients shaped like ``c``; ``load``
-    gives what ``product`` takes: floats for one point, else the array."""
-    if c.ndim == 1:
-        return _POINT_PRODUCT[order], np.ndarray.tolist
-    return (lambda a, b: _product(a, b, order)), np.asarray
+    """The product of two coefficient sets stored like ``c``."""
+    if isinstance(c, list):
+        return _POINT_PRODUCT[order]
+    return lambda a, b: _product(a, b, order)
+
+
+def _shifted(fn, c, o):
+    """``fn(c, 0.0)`` with ``fn(c[0], o)`` at the value: ``fn`` of a jet
+    and the constant jet (o, 0, 0, ...) without building it."""
+    out = [fn(u, 0.0) for u in c] if isinstance(c, list) else fn(c, 0.0)
+    out[0] = fn(c[0], o)
+    return out
+
+
+def _scaled(c, o):
+    """``c * o + 0.0``: a jet times the constant jet (o, 0, 0, ...)."""
+    return [u * o + 0.0 for u in c] if isinstance(c, list) else c * o + 0.0
 
 
 def _check_order(order):
@@ -113,7 +130,7 @@ def _check_order(order):
 class Jet:
     """Value plus partial derivatives up to ``order`` at a fixed base point."""
 
-    __slots__ = ("order", "c")
+    __slots__ = ("order", "_c")
 
     # make ndarray <op> Jet defer to the reflected Jet operators instead of
     # broadcasting Jet as an object scalar
@@ -128,7 +145,15 @@ class Jet:
                 f"expected {len(_INDICES[order])} for order {order}"
             )
         self.order = order
-        self.c = c
+        self._c = c.tolist() if c.ndim == 1 else c
+
+    @property
+    def c(self):
+        """The coefficients as one float64 array.  A one-point jet keeps
+        floats, so for it this is a new array on each read, and writing
+        into it does not change the jet."""
+        c = self._c
+        return np.array(c) if isinstance(c, list) else c
 
     # -- construction ------------------------------------------------------
 
@@ -136,9 +161,7 @@ class Jet:
     def constant(value, order):
         """The constant ``value``, whose shape is the coefficient tail."""
         _check_order(order)
-        c = np.zeros((len(_INDICES[order]),) + np.shape(value))
-        c[0] = value
-        return _jet(order, c)
+        return _seeded(order, value, None)
 
     @staticmethod
     def variable(which, point, order):
@@ -147,35 +170,32 @@ class Jet:
         if which not in ("x", "y"):
             raise ValueError(f"variable must be 'x' or 'y', got {which!r}")
         px, py = point
-        value = px if which == "x" else py
-        c = np.zeros((len(_INDICES[order]),) + np.shape(value))
-        c[0] = value
-        c[_SLOT[order][(1, 0) if which == "x" else (0, 1)]] = 1.0
-        return _jet(order, c)
+        return _seeded(order, px if which == "x" else py,
+                       _SLOT[order][(1, 0) if which == "x" else (0, 1)])
 
     @staticmethod
     def from_derivatives(order, mapping):
         """Build a jet from a {(i, j): value} map of derivative values."""
         _check_order(order)
-        c = np.zeros(len(_INDICES[order]))
+        c = [0.0] * len(_INDICES[order])
         for ij, v in mapping.items():
-            c[_SLOT[order][ij]] = v
+            c[_SLOT[order][ij]] = float(v)
         return _jet(order, c)
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def value(self):
-        return self.c[0]
+        return self._c[0]
 
     def derivative(self, i, j):
         """Return d^(i+j)/dx^i dy^j at the base point."""
-        return self.c[_SLOT[self.order][(i, j)]]
+        return self._c[_SLOT[self.order][(i, j)]]
 
     @property
     def coeffs(self):
         """Derivative values as a {(i, j): value} map."""
-        return {ij: self.c[k] for k, ij in enumerate(_INDICES[self.order])}
+        return {ij: self._c[k] for k, ij in enumerate(_INDICES[self.order])}
 
     def __repr__(self):
         pairs = ", ".join(f"{ij}: {v}" for ij, v in self.coeffs.items())
@@ -188,66 +208,62 @@ class Jet:
     # acts as the constant jet (v, 0, 0, ...) but is never built into one:
     # each operator applies its one nonzero term, rounding as the full
     # operation would (x + 0.0 turns -0.0 into +0.0, a sum starts at 0.0).
+    # A one-point jet takes each step on floats, a batch on its array.
 
     def _operand(self, other):
-        """``other`` as a Jet of this order or as a number that fits the
-        coefficient tail; None if it is neither."""
+        """``other`` as a Jet of this order and shape, or as a number that
+        fits the coefficient tail (a float for one point); else None."""
+        point = isinstance(self._c, list)
         if isinstance(other, Jet):
             if other.order != self.order:
                 raise ValueError(
                     f"jet order mismatch: {self.order} vs {other.order}")
-            if other.c.shape != self.c.shape:
+            if (point != isinstance(other._c, list)
+                    or not point and other._c.shape != self._c.shape):
                 raise ValueError(
                     f"jet shape mismatch: {self.c.shape} vs {other.c.shape}")
             return other
         if isinstance(other, (int, float, np.floating)):
             return float(other)
         if (isinstance(other, np.ndarray) and other.dtype == np.float64
-                and other.shape == self.c.shape[1:]):
-            return other
+                and other.shape == np.shape(self.value)):
+            return float(other) if point else other
         return None
 
-    def __add__(self, other):
+    def _add(self, other, fn):
+        """``fn``, a sum or a difference, of ``self`` and ``other``."""
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        if isinstance(o, Jet):
-            return _jet(self.order, self.c + o.c)
-        c = self.c + 0.0
-        c[0] = self.c[0] + o
-        return _jet(self.order, c)
+        c = self._c
+        if not isinstance(o, Jet):
+            return _jet(self.order, _shifted(fn, c, o))
+        return _jet(self.order, list(map(fn, c, o._c))
+                    if isinstance(c, list) else fn(c, o._c))
+
+    def __add__(self, other):
+        return self._add(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, Jet):
-            return _jet(self.order, self.c - o.c)
-        c = self.c - 0.0
-        c[0] = self.c[0] - o
-        return _jet(self.order, c)
+        return self._add(other, operator.sub)
 
     def __rsub__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        c = 0.0 - self.c
-        c[0] = o - self.c[0]
-        return _jet(self.order, c)
+        return self._add(other, lambda u, v: v - u)
 
     def __neg__(self):
-        return _jet(self.order, -self.c)
+        c = self._c
+        return _jet(self.order, [-u for u in c] if isinstance(c, list) else -c)
 
     def __mul__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
         if isinstance(o, Jet):
-            mul, load = _kernel(self.c, self.order)
-            return _jet(self.order, np.asarray(mul(load(self.c), load(o.c))))
-        return _jet(self.order, self.c * o + 0.0)
+            return _jet(self.order,
+                        _kernel(self._c, self.order)(self._c, o._c))
+        return _jet(self.order, _scaled(self._c, o))
 
     __rmul__ = __mul__
 
@@ -257,16 +273,16 @@ class Jet:
             return NotImplemented
         if isinstance(o, Jet):
             return self * o._reciprocal()
-        if np.any(o == 0.0):
+        if (np.float64(o) == 0.0).any():
             raise ZeroDivisionError("division by a jet with zero value")
         # the reciprocal of a constant jet is the constant 1.0 / v
-        return _jet(self.order, self.c * (1.0 / o) + 0.0)
+        return _jet(self.order, _scaled(self._c, 1.0 / o))
 
     def __rtruediv__(self, other):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return _jet(self.order, self._reciprocal().c * o + 0.0)
+        return _jet(self.order, _scaled(self._reciprocal()._c, o))
 
     def __pow__(self, n):
         """``self`` to an integer power by repeated squaring of ``self + 0.0``.
@@ -283,33 +299,38 @@ class Jet:
         if n < 0:
             return (self.__pow__(-n))._reciprocal()
         if n == 0:
-            return Jet.constant(np.ones(self.c.shape[1:]), self.order)
-        mul, load = _kernel(self.c, self.order)
+            return Jet.constant(np.ones(np.shape(self.value)), self.order)
+        mul = _kernel(self._c, self.order)
         result = None
-        base = load(self.c + 0.0)
+        base = _shifted(operator.add, self._c, 0.0)
         while n:
             if n & 1:
                 result = base if result is None else mul(result, base)
             base = mul(base, base) if n > 1 else base
             n >>= 1
-        return _jet(self.order, np.asarray(result))
+        return _jet(self.order, result)
 
     # -- composition with univariate functions ------------------------------
+    #
+    # A point's series coefficients are numpy float64 scalars, as a batch's
+    # are arrays (np.float64 of a value row is that row): numpy returns inf
+    # where Python's / raises, and np.sin need not round like math.sin.
 
     def _compose(self, series):
         """Evaluate sum_k series[k] * (self - value)^k by Horner."""
-        mul, load = _kernel(self.c, self.order)
-        series = load(np.array(series))
-        w = load(self.c.copy())
+        mul = _kernel(self._c, self.order)
+        if isinstance(self._c, list):
+            series = [float(s) for s in series]
+        w = self._c.copy()
         w[0] = 0.0
-        result = load(Jet.constant(series[-1], self.order).c)
+        result = Jet.constant(series[-1], self.order)._c
         for s in series[-2::-1]:
             result = mul(result, w)
             result[0] = result[0] + s
-        return _jet(self.order, np.asarray(result))
+        return _jet(self.order, result)
 
     def _reciprocal(self):
-        v = self.c[0]
+        v = np.float64(self.value)
         if (v == 0.0).any():
             raise ZeroDivisionError("division by a jet with zero value")
         inv = 1.0 / v
@@ -317,7 +338,7 @@ class Jet:
         return self._compose(series)
 
     def sqrt(self):
-        v = self.c[0]
+        v = np.float64(self.value)
         if (v <= 0.0).any():
             raise ValueError("sqrt of a jet with non-positive value")
         r = np.sqrt(v)
@@ -328,17 +349,17 @@ class Jet:
         return self._compose(series)
 
     def exp(self):
-        e = np.exp(self.c[0])
+        e = np.exp(self.value)
         series = [e, e, e / 2.0, e / 6.0]
         return self._compose(series[: self.order + 1])
 
     def sin(self):
-        s, co = np.sin(self.c[0]), np.cos(self.c[0])
+        s, co = np.sin(self.value), np.cos(self.value)
         series = [s, co, -s / 2.0, -co / 6.0]
         return self._compose(series[: self.order + 1])
 
     def cos(self):
-        s, co = np.sin(self.c[0]), np.cos(self.c[0])
+        s, co = np.sin(self.value), np.cos(self.value)
         series = [co, -s, -co / 2.0, s / 6.0]
         return self._compose(series[: self.order + 1])
 
@@ -360,11 +381,26 @@ def _power(v, k):
 
 
 def _jet(order, c):
-    """A Jet around a coefficient array the kernel built, unchecked."""
+    """A Jet around coefficients the kernel built, unchecked: a list of
+    floats for one point (coefficient tail ``()``), else an array."""
     jet = object.__new__(Jet)
     jet.order = order
-    jet.c = c
+    jet._c = c
     return jet
+
+
+def _seeded(order, value, slot):
+    """The jet whose value is ``value``, with 1.0 at ``slot`` (if any) and
+    zeros elsewhere; ``value``'s shape is the coefficient tail."""
+    if isinstance(value, (int, float)) or np.ndim(value) == 0:
+        c = [0.0] * len(_INDICES[order])
+        c[0] = float(value)
+    else:
+        c = np.zeros((len(_INDICES[order]),) + np.shape(value))
+        c[0] = value
+    if slot is not None:
+        c[slot] = 1.0
+    return _jet(order, c)
 
 
 # -- scalar-generic helpers: work on Jets, plain numbers and arrays -------

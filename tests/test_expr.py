@@ -421,10 +421,19 @@ def test_raise_first_raises_the_first_points_first_error():
 
 def assert_points_match_single_evaluations(sd, points, order):
     """eval_points equals eval_surface at each point, bit for bit, or
-    fails where one of them fails."""
-    try:
-        single = [eval_surface(sd, point, order) for point in points]
-    except SurfaceEvalError:
+    fails where one of them fails.  A point that fails alone fails as its
+    batch of one with the same message (a one-point jet computes on floats,
+    a batch on arrays); a longer batch may fail at another point or check
+    first, so its message is not compared."""
+    single = []
+    for point in points:
+        try:
+            single.append(eval_surface(sd, point, order))
+        except SurfaceEvalError as exc:
+            with pytest.raises(SurfaceEvalError) as err:
+                eval_points(sd, [point], order)
+            assert str(err.value) == str(exc)
+    if len(single) < len(points):
         with pytest.raises(SurfaceEvalError):
             eval_points(sd, points, order)
         return

@@ -434,7 +434,8 @@ def test_array_operand_of_another_shape_or_dtype_is_refused(op, other):
         _NUMBER_OPS[op](Jet(1, np.ones((3, 3))), other)
 
 
-@pytest.mark.parametrize("tails", [((), (3,)), ((1,), (3,)), ((2, 3), (3,))])
+@pytest.mark.parametrize("tails", [((), (3,)), ((3,), ()), ((1,), (3,)),
+                                   ((2, 3), (3,))])
 def test_product_of_jets_of_another_shape_raises(tails):
     a, b = (Jet(2, np.ones((6,) + tail)) for tail in tails)
     with pytest.raises(ValueError, match="jet shape mismatch"):
@@ -443,9 +444,11 @@ def test_product_of_jets_of_another_shape_raises(tails):
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub],
                          ids=["add", "sub"])
-@pytest.mark.parametrize("tails", [((1,), (4,)), ((4,), (1,))])
+@pytest.mark.parametrize("tails", [((1,), (4,)), ((4,), (1,)), ((), (3,)),
+                                   ((3,), ())])
 def test_sum_of_jets_of_another_shape_raises(op, tails):
-    # a sum refuses what a product refuses, rather than broadcasting
+    # a sum refuses what a product refuses, rather than broadcasting, also
+    # where a one-point jet (floats) meets a batch (an array)
     a, b = (Jet(1, np.ones((3,) + tail)) for tail in tails)
     with pytest.raises(ValueError, match="jet shape mismatch"):
         op(a, b)
