@@ -100,7 +100,7 @@ def f_partials(problem, x, y, p, q):
 
 def _field(p, q, fx, fy, fp, fq):
     """(x', y', z', p', q') from the partials of F at a state."""
-    return np.stack([fp, fq, p * fp + q * fq, -fx, -fy])
+    return np.array([fp, fq, p * fp + q * fq, -fx, -fy])
 
 
 def characteristic_field(problem, state):

@@ -27,7 +27,7 @@ from .expr import (SurfaceEvalError, SurfaceSyntaxError, eval_points,
                    eval_surface, parse_surface)
 from .frames import TOLERANCES, InternalInconsistencyError, curvature_report
 from .grassmann import gauss_map_at, great_circle_fit, tangent_pair
-from .jets import Jet
+from .jets import _stack
 from .lagrangian import (DEFAULT_GRID, TOL_CIRCLE, TOL_SYMP,
                          _check_congruence_grid, congruence_grid,
                          congruence_to_lagrangean, grid_points)
@@ -131,8 +131,8 @@ def _csv_blocks(table):
     :func:`_fmt` writes it, in blocks of CSV_BLOCK rows."""
     row = ",".join([NUMBER] * table.shape[1]) + "\n"
     for start in range(0, len(table), CSV_BLOCK):
-        yield "".join([row % tuple(values) for values
-                       in table[start:start + CSV_BLOCK].tolist()])
+        block = table[start:start + CSV_BLOCK]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _write_table(header, table, out_path):
@@ -156,7 +156,7 @@ def _write_output(text, out_path):
 # -- analyze ------------------------------------------------------------------
 #
 # analyze, gaussmap and congruence evaluate the surface one point at a
-# time, each point's coefficients into one array per jet order, and then
+# time, stack the points' jets into one batch per jet order, and then
 # run each geometry function once on the whole grid.  The benchmark's
 # tests pin the evaluation shape (eval_surface calls per grid point in
 # perfbench/tests/test_perfbench.py); a grid evaluated in one
@@ -168,25 +168,18 @@ def _grid_geometry(sd, points, steps):
     """``fn(phi, psi, points)`` for each ``(order, fn, check)`` of
     ``steps``, on the order-``order`` jets of all ``points``.
 
-    Each point is evaluated at each step's order in turn, into one
-    preallocated (2, slots, n) coefficient array per step; then each fn
-    runs once.  A batch raises stage by stage, but a command reports the
-    first failing point's first failing check: when a check raises, the
-    points are rerun one at a time (the package's one such rerun), each
-    through every step's evaluation and ``check`` (fn, or the part of fn
-    that checks points one by one) in turn.
+    Each step evaluates the points one at a time at its order and stacks
+    their (phi, psi) jets into one batch; then each fn runs once.  A batch
+    raises stage by stage, but a command reports the first failing
+    point's first failing check: when a check raises, the points are
+    rerun one at a time (the package's one such rerun), each through
+    every step's evaluation and ``check`` (fn, or the part of fn that
+    checks points one by one) in turn.
     """
     try:
-        coeffs = [None] * len(steps)
-        for i, pt in enumerate(points):
-            for k, (order, _, _) in enumerate(steps):
-                jets = eval_surface(sd, pt, order)
-                if coeffs[k] is None:
-                    coeffs[k] = np.empty((2, len(jets[0].c), len(points)))
-                coeffs[k][0, :, i] = jets[0].c
-                coeffs[k][1, :, i] = jets[1].c
-        return [fn(Jet(order, c[0]), Jet(order, c[1]), points)
-                for (order, fn, _), c in zip(steps, coeffs)]
+        batches = [_stack(eval_surface(sd, pt, order) for pt in points)
+                   for order, _, _ in steps]
+        return [fn(*jets, points) for (_, fn, _), jets in zip(steps, batches)]
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         error = exc
     for pt in points:

@@ -18,6 +18,7 @@ code generated from the table.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -32,7 +33,7 @@ _SLOT = {o: {ij: k for k, ij in enumerate(idx)} for o, idx in _INDICES.items()}
 
 
 def _leibniz_table(order):
-    """Leibniz rule as gather indices and weights of shape (depth, slots).
+    """Leibniz rule as C-contiguous gather indices and weights (depth, slots).
 
     Row r holds the r-th term ((k, l), (i-k, j-l), C(i,k)*C(j,l)) of every
     output index (i, j), in a fixed term order.  Indices with fewer terms
@@ -50,7 +51,7 @@ def _leibniz_table(order):
     depth = max(len(terms) for terms in table)
     padded = [terms + [terms[0][:2] + (0.0,)] * (depth - len(terms))
               for terms in table]
-    s1, s2, w = np.array(padded).transpose(2, 1, 0)
+    s1, s2, w = map(np.ascontiguousarray, np.array(padded).transpose(2, 1, 0))
     return s1.astype(np.intp), s2.astype(np.intp), w
 
 
@@ -67,10 +68,10 @@ def _product(a, b, order):
     one shape.
 
     Each output is 0.0 + (w*a)*b + ... over its terms in table order, the
-    rounding of a per-term loop, but gathered into one broadcast and
-    summed by one reduction over the leading (term) axis.  numpy adds the
-    rows of that axis in order, after its ``initial`` +0.0, so the
-    reduction rounds like the loop.
+    rounding of a per-term loop: ``take`` gathers the terms into one block,
+    which is multiplied in place (``a * w`` is ``w * a`` bit for bit) and
+    summed over its leading (term) axis by one reduction; numpy adds those
+    rows in order after its ``initial`` +0.0, so it rounds like the loop.
     """
     if a.ndim == 2 and a.shape[1] > _BLOCK:
         out = np.empty(a.shape)
@@ -79,8 +80,10 @@ def _product(a, b, order):
             out[:, block] = _product(a[:, block], b[:, block], order)
         return out
     s1, s2, w = _LEIBNIZ[order]
-    w = w.reshape(w.shape + (1,) * (a.ndim - 1))
-    return np.add.reduce(w * a[s1] * b[s2], axis=0, initial=0.0)
+    terms = a.take(s1, axis=0)
+    terms *= w.reshape(w.shape + (1,) * (a.ndim - 1))
+    terms *= b.take(s2, axis=0)
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def _point_product(order):
@@ -100,13 +103,12 @@ def _point_product(order):
 
 
 _POINT_PRODUCT = {o: _point_product(o) for o in (1, 2, 3)}
+_BATCH_PRODUCT = {o: functools.partial(_product, order=o) for o in (1, 2, 3)}
 
 
 def _kernel(c, order):
     """The product of two coefficient sets stored like ``c``."""
-    if isinstance(c, list):
-        return _POINT_PRODUCT[order]
-    return lambda a, b: _product(a, b, order)
+    return (_POINT_PRODUCT if isinstance(c, list) else _BATCH_PRODUCT)[order]
 
 
 def _shifted(fn, c, o):
@@ -119,7 +121,11 @@ def _shifted(fn, c, o):
 
 def _scaled(c, o):
     """``c * o + 0.0``: a jet times the constant jet (o, 0, 0, ...)."""
-    return [u * o + 0.0 for u in c] if isinstance(c, list) else c * o + 0.0
+    if isinstance(c, list):
+        return [u * o + 0.0 for u in c]
+    out = c * o
+    out += 0.0
+    return out
 
 
 def _check_order(order):
@@ -226,7 +232,7 @@ class Jet:
         if isinstance(other, (int, float, np.floating)):
             return float(other)
         if (isinstance(other, np.ndarray) and other.dtype == np.float64
-                and other.shape == np.shape(self.value)):
+                and other.shape == (() if point else self._c.shape[1:])):
             return float(other) if point else other
         return None
 
@@ -287,11 +293,11 @@ class Jet:
     def __pow__(self, n):
         """``self`` to an integer power by repeated squaring of ``self + 0.0``.
 
-        For finite coefficients ``self + 0.0`` is bit for bit the unit jet
-        times ``self`` (one nonzero Leibniz term 1*1*b, the rest +-0.0 in a
-        sum from +0.0), and no product sees the sign of a zero factor; a
-        non-finite coefficient stays where the unit product would turn
-        0*inf into NaN.
+        For finite coefficients ``self + 0.0`` (formed as ``self * 1.0 +
+        0.0``, the same bits) is the unit jet times ``self`` bit for bit
+        (one nonzero Leibniz term 1*1*b, the rest +-0.0 in a sum from
+        +0.0), and no product sees the sign of a zero factor; a non-finite
+        coefficient stays where the unit product would turn 0*inf into NaN.
         """
         if not isinstance(n, (int, np.integer)):
             raise TypeError("jet exponent must be an integer")
@@ -302,7 +308,7 @@ class Jet:
             return Jet.constant(np.ones(np.shape(self.value)), self.order)
         mul = _kernel(self._c, self.order)
         result = None
-        base = _shifted(operator.add, self._c, 0.0)
+        base = _scaled(self._c, 1.0)
         while n:
             if n & 1:
                 result = base if result is None else mul(result, base)
@@ -401,6 +407,17 @@ def _seeded(order, value, slot):
     if slot is not None:
         c[slot] = 1.0
     return _jet(order, c)
+
+
+def _stack(points):
+    """Batches of one-point jets: ``points`` yields each point's tuple of
+    jets of one order, and the k-th batch, C-contiguous (slots, n), holds
+    their k-th jets.  Only floats are kept: no jet outlives its turn."""
+    floats = []
+    for jets in points:
+        floats += [u for jet in jets for u in jet._c]
+    table = np.array(floats).reshape(-1, len(jets), len(jets[0]._c))
+    return [_jet(jets[0].order, c) for c in table.transpose(1, 2, 0).copy()]
 
 
 # -- scalar-generic helpers: work on Jets, plain numbers and arrays -------

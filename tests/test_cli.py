@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, stable output."""
 
 import errno
+import hashlib
 import inspect
 import json
 import math
@@ -660,6 +661,10 @@ def test_reconstruct_small(capsys, tmp_path):
     lines = out_file.read_text().splitlines()
     assert lines[0] == "x,y,phi,phi_x,phi_y"
     assert len(lines) == payload["nSamples"] + 1
+    # every sample digit, the same under the default, Haswell, Zen and
+    # Prescott kernels
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "504be2e2e3e816bcede56feac48e557ef4e8aedfb461ba043f36c29518890e40")
 
 
 def test_golden_reconstruct_defaults(capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surf4 import jets
+from surf4.expr import eval_points, eval_surface, parse_surface
 from surf4.jets import _INDICES, _LEIBNIZ, _SLOT, Jet
 
 
@@ -586,6 +587,37 @@ def test_point_equals_its_batch_column_on_edge_values(kind, data):
     else:
         columns = np.frombuffer(batch).reshape(n, 2)
         assert points == [columns[:, i].tobytes() for i in range(2)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_stacked_points_equal_their_batch(order):
+    # a grid command stacks its per-point jets into one batch; it must be
+    # the batch of one eval_points call, byte for byte, in the C-contiguous
+    # (slots, n) layout of a batch's coefficients
+    sd = parse_surface("phi = 0.3*x^3 + 0.7*sin(2*x + y)\n"
+                       "psi = x^2*y + 0.4*exp(y) - sqrt(1.5 + x^2)")
+    points = [(x, y) for x in (-0.6, 0.0, 0.45) for y in (-0.2, 0.8)]
+    stacked = jets._stack(eval_surface(sd, pt, order) for pt in points)
+    batches = eval_points(sd, points, order)
+    assert len(stacked) == len(batches) == 2
+    for jet, batch in zip(stacked, batches):
+        assert jet.order == order
+        assert jet.c.flags.c_contiguous
+        assert jet.c.shape == batch.c.shape
+        assert jet.c.tobytes() == batch.c.tobytes()
+
+
+def test_number_array_operand_must_have_the_tail_shape():
+    # one point: a 0-d float64 array is its number, a 1-element array is not
+    point = Jet(1, np.array([2.0, 1.0, 0.0]))
+    with pytest.raises(TypeError):
+        point * np.ones(1)
+    assert (point * np.array(3.0)).c.tolist() == [6.0, 3.0, 0.0]
+    # tail (2, 3): the number array has shape (2, 3), not a trailing part
+    batch = Jet(1, np.ones((3, 2, 3)))
+    with pytest.raises(TypeError):
+        batch + np.ones(3)
+    assert (batch + np.ones((2, 3))).c[0].tolist() == [[2.0] * 3] * 2
 
 
 def test_power_matches_numpy_power_of_one_float64():
