@@ -14,21 +14,19 @@ exponent and binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``.
 Both ``phi`` and ``psi`` are required; the domain defaults to
 [-1, 1] x [-1, 1].
 
-Evaluation is generic over plain floats and :class:`surf4.jets.Jet`
-operands, so the same AST drives both point evaluation and derivative
-extraction.
+Evaluation compiles phi and psi once into a flat tape of steps on jet
+coefficients (see :func:`eval_surface`).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jets
-from .jets import Jet
+from .jets import Jet, _jet
 
 _FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 _KEYWORDS = ("param", "phi", "psi", "domain")
@@ -73,39 +71,21 @@ def _raise_first(points, checks):
 class Const:
     value: float
 
-    def eval(self, x, y, params, powers):
-        return self.value
-
 
 @dataclass(frozen=True)
 class Var:
     name: str  # "x" or "y"
-
-    def eval(self, x, y, params, powers):
-        return x if self.name == "x" else y
 
 
 @dataclass(frozen=True)
 class Param:
     name: str
 
-    def eval(self, x, y, params, powers):
-        try:
-            return params[self.name]
-        except KeyError:
-            raise SurfaceEvalError("undeclared parameter", self.name) from None
-
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # neg, sin, cos, exp, sqrt
     arg: "Expr"
-
-    def eval(self, x, y, params, powers):
-        try:
-            return _UNARY[self.op](self.arg.eval(x, y, params, powers))
-        except _EVAL_ERRORS as e:
-            raise SurfaceEvalError(str(e), to_text(self)) from e
 
 
 @dataclass(frozen=True)
@@ -114,32 +94,11 @@ class Binary:
     lhs: "Expr"
     rhs: "Expr"
 
-    def eval(self, x, y, params, powers):
-        try:
-            return _BINARY[self.op](self.lhs.eval(x, y, params, powers),
-                                    self.rhs.eval(x, y, params, powers))
-        except _EVAL_ERRORS as e:
-            raise SurfaceEvalError(str(e), to_text(self)) from e
-
 
 @dataclass(frozen=True)
 class Pow:
     base: "Expr"
     exponent: int
-
-    def eval(self, x, y, params, powers):
-        # a power of a variable is computed once per powers dict; a key for
-        # another base would walk it, and Const(0.0) == Const(-0.0)
-        try:
-            base = self.base.eval(x, y, params, powers)
-            if not isinstance(self.base, Var):
-                return base ** self.exponent
-            key = (self.base.name, self.exponent)
-            if key not in powers:
-                powers[key] = base ** self.exponent
-            return powers[key]
-        except _EVAL_ERRORS as e:
-            raise SurfaceEvalError(str(e), to_text(self)) from e
 
 
 Expr = Const | Var | Param | Unary | Binary | Pow
@@ -166,6 +125,7 @@ class SurfaceDef:
     psi: Expr
     params: dict = field(default_factory=dict)
     domain: Rect = field(default_factory=lambda: Rect(-1.0, 1.0, -1.0, 1.0))
+    _tape = None  # eval_surface's _Tape of phi and psi, not a field
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -474,13 +434,85 @@ def _render(node):
 # -- evaluation -----------------------------------------------------------------
 
 
-# each Unary, Binary and Pow reports these at itself; an operand that
-# fails raises SurfaceEvalError, so the innermost failing node is named
+# a step that raises one of these reports it at its own node
 _EVAL_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
-_UNARY = {"neg": operator.neg, "sin": jets.sin, "cos": jets.cos,
-          "exp": jets.exp, "sqrt": jets.sqrt}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv}
+# A step's function, by its operator and whether each operand depends on x
+# or y (a jet's coefficients, by the rules of jets) or not (a number).
+_STEPS = {
+    **jets._RULES,
+    ("+", False, False): lambda a, b, o: a + b,
+    ("-", False, False): lambda a, b, o: a - b,
+    ("*", False, False): lambda a, b, o: a * b,
+    ("/", False, False): lambda a, b, o: a / b,
+    ("^", False, False): lambda a, n, o: a ** n,
+    ("param", False, False): lambda params, name, o: params[name],
+    ("neg", False, False): lambda a, _, o: -a,
+    ("sin", False, False): lambda a, _, o: jets.sin(a),
+    ("cos", False, False): lambda a, _, o: jets.cos(a),
+    ("exp", False, False): lambda a, _, o: jets.exp(a),
+    ("sqrt", False, False): lambda a, _, o: jets.sqrt(a),
+}
+
+
+class _Tape:
+    """phi and psi as steps ``(fn, i, j, node)`` in their trees' post-order:
+    step k sets register 3 + k to ``fn(regs[i], regs[j], order)`` over x,
+    y, params, the step results and, from the end (the k-th at ``-1 - k``),
+    the constants, exponents and parameter names.  ``x^k`` and ``y^k`` are
+    one step each; a parameter is a step that reads ``params`` as it runs.
+    The build recurses: a tree too deep for Python raises RecursionError.
+    """
+
+    def __init__(self, phi, psi):
+        self.phi, self.psi = phi, psi
+        literals, self.steps, powers = [], [], {}
+
+        def literal(value):
+            literals.append(value)
+            return -len(literals), False
+
+        def emit(node):
+            """(register, whether it holds a jet) of ``node``."""
+            if isinstance(node, Var):
+                return ("x", "y").index(node.name), True
+            if isinstance(node, Const):
+                return literal(node.value)
+            key = isinstance(node, Pow) and isinstance(node.base, Var) and (
+                node.base.name, node.exponent)
+            if key in powers:
+                return powers[key]
+            if isinstance(node, Param):
+                op, operands = "param", [(2, False), literal(node.name)]
+            elif isinstance(node, Pow):
+                op, operands = "^", [emit(node.base), literal(node.exponent)]
+            elif isinstance(node, Unary):
+                op, operands = node.op, [emit(node.arg)] * 2
+            else:
+                op, operands = node.op, [emit(node.lhs), emit(node.rhs)]
+            (i, a), (j, b) = operands
+            self.steps.append((_STEPS[op, a, b], i, j, node))
+            out = len(self.steps) + 2, a or b
+            if key:
+                powers[key] = out
+            return out
+
+        self.outputs = [emit(phi), emit(psi)]
+        self.registers = [None] * len(self.steps) + literals[::-1]
+
+    def run(self, x, y, params, order):
+        """Jets of phi and psi, where x and y have the coefficients ``x``
+        and ``y``: a number is a constant jet of their shape."""
+        regs = [x, y, params, *self.registers]
+        try:
+            for k, (fn, i, j, node) in enumerate(self.steps, 3):
+                regs[k] = fn(regs[i], regs[j], order)
+        except _EVAL_ERRORS as e:
+            raise SurfaceEvalError(str(e), to_text(node)) from e
+        except KeyError as e:  # a parameter step's
+            raise SurfaceEvalError("undeclared parameter", e.args[0]) from None
+        return [_jet(order, regs[r]) if jet
+                else Jet.constant(np.full(np.shape(x[0]), regs[r]), order)
+                for r, jet in self.outputs]
 
 
 def eval_surface(sd, point, order):
@@ -488,27 +520,22 @@ def eval_surface(sd, point, order):
     two arrays of one shape; a phi or psi that does not depend on x or y
     takes that shape too.
 
-    Each AST node evaluates itself on float or Jet operands for x and y.
-    phi and psi share one dict of variable powers (see :meth:`Pow.eval`),
-    so each ``x^k`` or ``y^k`` is computed once per call.  The point is
-    not checked against the declared domain; callers that can leave it
-    check it themselves.  Evaluation errors (division by zero, sqrt
-    domain, overflow, a non-finite value or derivative, a tree too deep
-    for Python's recursion limit) raise :class:`SurfaceEvalError`.
+    phi and psi run as one :class:`_Tape`, kept on ``sd`` and built again
+    when ``sd.phi`` or ``sd.psi`` is not the tree it was built from.  The
+    point is not checked against the declared domain; callers that can
+    leave it check it themselves.  Evaluation errors (division by zero,
+    sqrt domain, overflow, a non-finite value or derivative, a tree too
+    deep for Python's recursion limit) raise :class:`SurfaceEvalError`.
     """
-    xj = Jet.variable("x", point, order)
-    yj = Jet.variable("y", point, order)
+    xj, yj = (Jet.variable(name, point, order) for name in "xy")
     # overflow, and division by a power that underflows to 0, show up as
     # inf or NaN coefficients, rejected just below
     try:
+        tape = sd._tape
+        if tape is None or tape.phi is not sd.phi or tape.psi is not sd.psi:
+            tape = sd._tape = _Tape(sd.phi, sd.psi)
         with np.errstate(all="ignore"):
-            powers = {}
-            phi = sd.phi.eval(xj, yj, sd.params, powers)
-            psi = sd.psi.eval(xj, yj, sd.params, powers)
-        if not isinstance(phi, Jet):
-            phi = Jet.constant(np.full(xj.c.shape[1:], phi), order)
-        if not isinstance(psi, Jet):
-            psi = Jet.constant(np.full(xj.c.shape[1:], psi), order)
+            phi, psi = tape.run(xj._c, yj._c, sd.params, order)
         for name, jet in (("phi", phi), ("psi", psi)):
             c = jet._c if isinstance(jet._c, list) else jet.c.ravel().tolist()
             if not all(map(math.isfinite, c)):
@@ -518,7 +545,7 @@ def eval_surface(sd, point, order):
                         f"non-finite derivative of {name} at point "
                         f"{tuple(map(float, pt))}",
                         to_text(getattr(sd, name))))])
-    except RecursionError:  # in an evaluation, or in to_text just above
+    except RecursionError:  # building the tape, or in to_text
         raise SurfaceEvalError("expression nested too deeply") from None
     return phi, psi
 

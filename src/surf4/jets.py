@@ -128,6 +128,142 @@ def _scaled(c, o):
     return out
 
 
+def _some(mask):  # mask.any(), by the faster bool for one number
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _inverse(v):
+    """``1.0 / v``, a constant jet's reciprocal, of a jet's value ``v``."""
+    if _some(np.float64(v) == 0.0):
+        raise ZeroDivisionError("division by a jet with zero value")
+    return 1.0 / v
+
+
+def _int_power(c, n, order):
+    """A jet to the integer power ``n`` by repeated squaring of ``c + 0.0``.
+
+    For finite coefficients ``c + 0.0`` (formed as ``c * 1.0 + 0.0``, the
+    same bits) is the unit jet times ``c`` bit for bit (one nonzero
+    Leibniz term 1*1*b, the rest +-0.0 in a sum from +0.0), and no product
+    sees the sign of a zero factor; a non-finite coefficient stays where
+    the unit product would turn 0*inf into NaN.
+    """
+    if n < 0:
+        return _reciprocal(_int_power(c, -n, order), order)
+    if n == 0:
+        return Jet.constant(np.ones(np.shape(c[0])), order)._c
+    mul = _kernel(c, order)
+    result, base = None, _scaled(c, 1.0)
+    while n:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        base = mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+# A point's series coefficients are numpy float64 scalars, as a batch's
+# are arrays (np.float64 of a value row is that row): numpy returns inf
+# where Python's / raises, and np.sin need not round like math.sin.
+def _compose(c, series, order):
+    """Evaluate sum_k series[k] * (jet - value)^k by Horner."""
+    mul = _kernel(c, order)
+    if isinstance(c, list):
+        series = [float(s) for s in series]
+    w = c.copy()
+    w[0] = 0.0
+    result = Jet.constant(series[-1], order)._c
+    for s in series[-2::-1]:
+        result = mul(result, w)
+        result[0] = result[0] + s
+    return result
+
+
+def _reciprocal(c, order):
+    inv = _inverse(np.float64(c[0]))
+    return _compose(c, [inv * _power(-inv, k) for k in range(order + 1)],
+                    order)
+
+
+def _sqrt(c, _, order):
+    v = np.float64(c[0])
+    if _some(v <= 0.0):
+        raise ValueError("sqrt of a jet with non-positive value")
+    r = np.sqrt(v)
+    # Taylor coefficients of sqrt at v: binom(1/2, k) v^(1/2 - k)
+    series = [r, 0.5 * r / v] + [weight * r / _power(v, k) for k, weight
+                                 in ((2, -0.125), (3, 0.0625))[: order - 1]]
+    return _compose(c, series, order)
+
+
+def _exp(c, _, order):
+    e = np.exp(c[0])
+    return _compose(c, [e, e, e / 2.0, e / 6.0][: order + 1], order)
+
+
+def _sin(c, _, order):
+    s, co = np.sin(c[0]), np.cos(c[0])
+    return _compose(c, [s, co, -s / 2.0, -co / 6.0][: order + 1], order)
+
+
+def _cos(c, _, order):
+    s, co = np.sin(c[0]), np.cos(c[0])
+    return _compose(c, [co, -s, -co / 2.0, s / 6.0][: order + 1], order)
+
+
+# The rules of the Jet operators and of expr's tapes, by operator and
+# whether each operand is a jet's coefficients (True) or a number (False:
+# a float, or a float64 array shaped like the coefficient tail, the
+# constant jet (v, 0, 0, ...) never built).  A rule applies its nonzero
+# terms, rounding as the full operation would (x + 0.0 turns -0.0 into
+# +0.0); a rule of one operand gets it twice, ``^`` an int.
+_RULES = {
+    ("+", True, True): lambda a, b, o: (
+        list(map(operator.add, a, b)) if isinstance(a, list) else a + b),
+    ("+", True, False): lambda a, b, o: _shifted(operator.add, a, b),
+    ("+", False, True): lambda a, b, o: _shifted(operator.add, b, a),
+    ("-", True, True): lambda a, b, o: (
+        list(map(operator.sub, a, b)) if isinstance(a, list) else a - b),
+    ("-", True, False): lambda a, b, o: _shifted(operator.sub, a, b),
+    ("-", False, True): lambda a, b, o: _shifted(lambda u, v: v - u, b, a),
+    ("*", True, True): lambda a, b, o: _kernel(a, o)(a, b),
+    ("*", True, False): lambda a, b, o: _scaled(a, b),
+    ("*", False, True): lambda a, b, o: _scaled(b, a),
+    ("/", True, True): lambda a, b, o: _kernel(a, o)(a, _reciprocal(b, o)),
+    ("/", True, False): lambda a, b, o: _scaled(a, _inverse(b)),
+    ("/", False, True): lambda a, b, o: _scaled(_reciprocal(b, o), a),
+    ("^", True, False): _int_power,
+    ("neg", True, True): lambda a, _, o: (
+        [-u for u in a] if isinstance(a, list) else -a),
+    ("sqrt", True, True): _sqrt,
+    ("exp", True, True): _exp,
+    ("sin", True, True): _sin,
+    ("cos", True, True): _cos,
+}
+
+
+def _operator(op, reflected):
+    """The Jet operator ``self op other`` (``other op self`` if
+    ``reflected``) by its rule, or NotImplemented for another operand."""
+    on_jet = _RULES[op, True, True]
+    on_number = _RULES[(op, False, True) if reflected else (op, True, False)]
+
+    def method(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        rule, o = (on_jet, o._c) if isinstance(o, Jet) else (on_number, o)
+        a, b = (o, self._c) if reflected else (self._c, o)
+        return _jet(self.order, rule(a, b, self.order))
+    return method
+
+
+def _method(op):
+    """The Jet method applying the one-operand rule of ``op``."""
+    rule = _RULES[op, True, True]
+    return lambda self: _jet(self.order, rule(self._c, self._c, self.order))
+
+
 def _check_order(order):
     if order not in (1, 2, 3):
         raise ValueError(f"jet order must be 1, 2 or 3, got {order!r}")
@@ -207,14 +343,7 @@ class Jet:
         pairs = ", ".join(f"{ij}: {v}" for ij, v in self.coeffs.items())
         return f"Jet(order={self.order}, {{{pairs}}})"
 
-    # -- arithmetic ---------------------------------------------------------
-    #
-    # The other operand is a jet of one coefficient shape, or a number v: a
-    # float, or a float64 array shaped like the coefficient tail, which
-    # acts as the constant jet (v, 0, 0, ...) but is never built into one:
-    # each operator applies its one nonzero term, rounding as the full
-    # operation would (x + 0.0 turns -0.0 into +0.0, a sum starts at 0.0).
-    # A one-point jet takes each step on floats, a batch on its array.
+    # -- arithmetic: _operand, then the rule, then _jet ----------------------
 
     def _operand(self, other):
         """``other`` as a Jet of this order and shape, or as a number that
@@ -236,138 +365,21 @@ class Jet:
             return float(other) if point else other
         return None
 
-    def _add(self, other, fn):
-        """``fn``, a sum or a difference, of ``self`` and ``other``."""
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        c = self._c
-        if not isinstance(o, Jet):
-            return _jet(self.order, _shifted(fn, c, o))
-        return _jet(self.order, list(map(fn, c, o._c))
-                    if isinstance(c, list) else fn(c, o._c))
+    __add__ = __radd__ = _operator("+", False)
+    __sub__ = _operator("-", False)
+    __rsub__ = _operator("-", True)
+    __mul__ = __rmul__ = _operator("*", False)
+    __truediv__ = _operator("/", False)
+    __rtruediv__ = _operator("/", True)
 
-    def __add__(self, other):
-        return self._add(other, operator.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._add(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._add(other, lambda u, v: v - u)
-
-    def __neg__(self):
-        c = self._c
-        return _jet(self.order, [-u for u in c] if isinstance(c, list) else -c)
-
-    def __mul__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, Jet):
-            return _jet(self.order,
-                        _kernel(self._c, self.order)(self._c, o._c))
-        return _jet(self.order, _scaled(self._c, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if isinstance(o, Jet):
-            return self * o._reciprocal()
-        if (np.float64(o) == 0.0).any():
-            raise ZeroDivisionError("division by a jet with zero value")
-        # the reciprocal of a constant jet is the constant 1.0 / v
-        return _jet(self.order, _scaled(self._c, 1.0 / o))
-
-    def __rtruediv__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return _jet(self.order, _scaled(self._reciprocal()._c, o))
+    __neg__, sqrt, exp, sin, cos = map(
+        _method, ("neg", "sqrt", "exp", "sin", "cos"))
 
     def __pow__(self, n):
-        """``self`` to an integer power by repeated squaring of ``self + 0.0``.
-
-        For finite coefficients ``self + 0.0`` (formed as ``self * 1.0 +
-        0.0``, the same bits) is the unit jet times ``self`` bit for bit
-        (one nonzero Leibniz term 1*1*b, the rest +-0.0 in a sum from
-        +0.0), and no product sees the sign of a zero factor; a non-finite
-        coefficient stays where the unit product would turn 0*inf into NaN.
-        """
         if not isinstance(n, (int, np.integer)):
             raise TypeError("jet exponent must be an integer")
-        n = int(n)
-        if n < 0:
-            return (self.__pow__(-n))._reciprocal()
-        if n == 0:
-            return Jet.constant(np.ones(np.shape(self.value)), self.order)
-        mul = _kernel(self._c, self.order)
-        result = None
-        base = _scaled(self._c, 1.0)
-        while n:
-            if n & 1:
-                result = base if result is None else mul(result, base)
-            base = mul(base, base) if n > 1 else base
-            n >>= 1
-        return _jet(self.order, result)
-
-    # -- composition with univariate functions ------------------------------
-    #
-    # A point's series coefficients are numpy float64 scalars, as a batch's
-    # are arrays (np.float64 of a value row is that row): numpy returns inf
-    # where Python's / raises, and np.sin need not round like math.sin.
-
-    def _compose(self, series):
-        """Evaluate sum_k series[k] * (self - value)^k by Horner."""
-        mul = _kernel(self._c, self.order)
-        if isinstance(self._c, list):
-            series = [float(s) for s in series]
-        w = self._c.copy()
-        w[0] = 0.0
-        result = Jet.constant(series[-1], self.order)._c
-        for s in series[-2::-1]:
-            result = mul(result, w)
-            result[0] = result[0] + s
-        return _jet(self.order, result)
-
-    def _reciprocal(self):
-        v = np.float64(self.value)
-        if (v == 0.0).any():
-            raise ZeroDivisionError("division by a jet with zero value")
-        inv = 1.0 / v
-        series = [inv * _power(-inv, k) for k in range(self.order + 1)]
-        return self._compose(series)
-
-    def sqrt(self):
-        v = np.float64(self.value)
-        if (v <= 0.0).any():
-            raise ValueError("sqrt of a jet with non-positive value")
-        r = np.sqrt(v)
-        # Taylor coefficients of sqrt at v: binom(1/2, k) v^(1/2 - k)
-        series = [r, 0.5 * r / v]
-        for k, weight in ((2, -0.125), (3, 0.0625))[: self.order - 1]:
-            series.append(weight * r / _power(v, k))
-        return self._compose(series)
-
-    def exp(self):
-        e = np.exp(self.value)
-        series = [e, e, e / 2.0, e / 6.0]
-        return self._compose(series[: self.order + 1])
-
-    def sin(self):
-        s, co = np.sin(self.value), np.cos(self.value)
-        series = [s, co, -s / 2.0, -co / 6.0]
-        return self._compose(series[: self.order + 1])
-
-    def cos(self):
-        s, co = np.sin(self.value), np.cos(self.value)
-        series = [co, -s, -co / 2.0, s / 6.0]
-        return self._compose(series[: self.order + 1])
+        rule = _RULES["^", True, False]
+        return _jet(self.order, rule(self._c, int(n), self.order))
 
 
 def _power(v, k):

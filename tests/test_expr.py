@@ -286,23 +286,29 @@ def test_power_memo_matches_plain_walk(order, point, monkeypatch):
     y = Jet.variable("y", point, order)
     expected = [plain_eval(node, x, y, sd.params) for node in (sd.phi, sd.psi)]
     powers = []
-    jet_pow = Jet.__pow__
-    monkeypatch.setattr(Jet, "__pow__", lambda self, n: powers.append(n)
-                        or jet_pow(self, n))
+    int_power = jets._int_power
+
+    def spy(c, n, order):
+        powers.append(n)
+        return int_power(c, n, order)
+
+    # the tape's power step, and the power rule it recurses through
+    monkeypatch.setitem(expr._STEPS, ("^", True, False), spy)
+    monkeypatch.setattr(jets, "_int_power", spy)
     got = eval_surface(sd, point, order)
     for jet, want in zip(got, expected):
         assert (jet.c.shape, jet.c.tobytes()) == (want.c.shape,
                                                   want.c.tobytes())
-    # x^2, x^3 and y^2 once each, and (x + y)^2 and (x*y)^3 once per use;
-    # y^-2 once, which squares y inside its own call
+    # x^2, x^3 and y^2 one step each, and (x + y)^2 and (x*y)^3 one step
+    # per use; y^-2 one step, which squares y inside itself
     memo = [2, 3, 2] + ([-2, 2] if point[1] != 0.0 else [])
     assert sorted(powers) == sorted(memo + [2, 3])
 
 
 def walk_eval(node, x, y, params, powers):
-    """The nodes' evaluation as one recursive walk over the node types,
-    with the power memo and the error wrapping at the innermost failing
-    node: the reference the ``eval`` methods must equal."""
+    """The nodes' evaluation as one recursive walk over the node types on
+    Jet operators, with the power memo and the error wrapping at the
+    innermost failing node: the reference the tape must equal."""
     if isinstance(node, expr.Const):
         return node.value
     if isinstance(node, expr.Var):
@@ -332,17 +338,16 @@ def walk_eval(node, x, y, params, powers):
         raise SurfaceEvalError(str(e), to_text(node)) from e
 
 
-def _evaluation(evaluate, nodes, x, y, params):
-    """The repr of every coefficient of each node's value (phi and psi
-    share one power memo, as in eval_surface), or the error raised."""
-    powers = {}
+def _evaluation(evaluate, columns):
+    """The repr of every coefficient of the jets of phi and psi at each of
+    ``columns`` points, or the error raised."""
     try:
         with np.errstate(all="ignore"):
-            values = [evaluate(node, x, y, params, powers) for node in nodes]
+            values = evaluate()
     except Exception as exc:
         return type(exc), str(exc)
-    return [[repr(v) for v in value.c.ravel().tolist()]
-            if isinstance(value, Jet) else repr(value) for value in values]
+    return [[[repr(v) for v in value.c.reshape(len(value.c), -1)[:, k]
+              .tolist()] for value in values] for k in range(columns)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -356,11 +361,60 @@ def test_node_eval_matches_the_recursive_walk(surface, point, order, drop):
     params = {name: float(literal) for name, literal in params.items()}
     if drop and params:
         params.pop(min(params))
-    x = Jet.variable("x", point, order)
-    y = Jet.variable("y", point, order)
-    assert _evaluation(lambda node, *args: node.eval(*args),
-                       (phi, psi), x, y, params) == \
-        _evaluation(walk_eval, (phi, psi), x, y, params)
+    tape = expr._Tape(phi, psi)
+
+    def taped(point, columns):
+        x, y = (Jet.variable(name, point, order)._c for name in "xy")
+        return _evaluation(lambda: tape.run(x, y, params, order), columns)
+
+    def reference(point):
+        x, y = (Jet.variable(name, point, order) for name in "xy")
+        powers = {}  # phi and psi share one memo, as in one tape
+        # a value that does not depend on x or y is the constant jet
+        return _evaluation(lambda: [
+            value if isinstance(value, Jet) else Jet.constant(value, order)
+            for value in (walk_eval(node, x, y, params, powers)
+                          for node in (phi, psi))], 1)
+
+    assert taped(point, 1) == reference(point)
+    # a batch's columns: each the bytes of its point alone, or the batch
+    # fails as the point that fails first in the tape
+    points = [point, point[::-1], (-point[0], -point[1])]
+    want = [reference(pt) for pt in points]
+    errors = [w for w in want if isinstance(w, tuple)]
+    got = taped(tuple(np.array(points).T), len(points))
+    if errors:
+        assert got in errors
+    else:
+        assert got == [w[0] for w in want]
+
+
+def test_tape_follows_its_trees():
+    point = (0.3, -0.7)
+
+    def coefficients(sd):
+        return [jet.c.tobytes() for jet in eval_surface(sd, point, 2)]
+
+    sd = parse_surface("phi = x^2 + y\npsi = x*y\n")
+    before = coefficients(sd)
+    for name, text in (("phi", "sin(x) - y^2"), ("psi", "exp(x*y)/(2 + y)")):
+        setattr(sd, name, getattr(parse_surface(f"phi = {text}\n"
+                                                f"psi = {text}\n"), name))
+        fresh = expr.SurfaceDef(phi=sd.phi, psi=sd.psi)
+        after = coefficients(sd)
+        assert after == coefficients(fresh) != before
+        before = after
+    # Const(0.0) == Const(-0.0): trees that compare equal can differ in
+    # their bytes, in two surfaces and in one whose psi is reassigned
+    a, b = (expr.SurfaceDef(phi=expr.Var("x"),
+                            psi=expr.Unary("neg", Const(zero)))
+            for zero in (0.0, -0.0))
+    assert a == b
+    for sd, zero in ((a, 0.0), (b, -0.0), (a, 0.0)):
+        assert coefficients(sd)[1] == Jet.constant(-zero, 2).c.tobytes()
+    for zero in (0.0, -0.0):
+        b.psi = expr.Unary("neg", Const(zero))
+        assert coefficients(b)[1] == Jet.constant(-zero, 2).c.tobytes()
 
 
 def test_failing_power_reports_the_innermost_subexpression():

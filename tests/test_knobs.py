@@ -13,7 +13,7 @@ MAX_DEFAULTED = 14
 MAX_FIELD_DEFAULTS = 3
 # lines of src/surf4/*.py; a change that grows the package raises this pin
 # and says why
-MAX_SOURCE_LINES = 3252
+MAX_SOURCE_LINES = 3291
 
 
 def package_sources():
