@@ -452,20 +452,32 @@ _STEPS = {
     ("exp", False, False): lambda a, _, o: jets.exp(a),
     ("sqrt", False, False): lambda a, _, o: jets.sqrt(a),
 }
+# The number steps as a point's code writes them: the same Python
+# operators and jets functions, on the operands' names.
+_NUMBER_CODE = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
+                "/": "{} / {}", "^": "{} ** {}", "param": "{}[{}]",
+                "neg": "-{}", **{f: f + "({})" for f in _FUNCTIONS}}
 
 
 class _Tape:
-    """phi and psi as steps ``(fn, i, j, node)`` in their trees' post-order:
-    step k sets register 3 + k to ``fn(regs[i], regs[j], order)`` over x,
-    y, params, the step results and, from the end (the k-th at ``-1 - k``),
-    the constants, exponents and parameter names.  ``x^k`` and ``y^k`` are
-    one step each; a parameter is a step that reads ``params`` as it runs.
-    The build recurses: a tree too deep for Python raises RecursionError.
+    """phi and psi as steps ``(key, i, j, node)`` in their trees' post-order:
+    step k sets register 3 + k to ``_STEPS[key](regs[i], regs[j], order)``
+    over x, y, params, the step results and, from the end (the k-th at
+    ``-1 - k``), the constants, exponents and parameter names.  ``x^k`` and
+    ``y^k`` are one step each; a parameter is a step that reads ``params``
+    as it runs.  The build recurses: a tree too deep for Python raises
+    RecursionError.
+
+    A batch runs the steps one by one.  A point runs them as one
+    straight-line float function of x, y and ``params`` (see
+    :meth:`_compile`), written and compiled on the tape's first point
+    run at each order.
     """
 
     def __init__(self, phi, psi):
         self.phi, self.psi = phi, psi
         literals, self.steps, powers = [], [], {}
+        self.point = {}  # order: (function, its jets._Code, line nodes)
 
         def literal(value):
             literals.append(value)
@@ -490,7 +502,7 @@ class _Tape:
             else:
                 op, operands = node.op, [emit(node.lhs), emit(node.rhs)]
             (i, a), (j, b) = operands
-            self.steps.append((_STEPS[op, a, b], i, j, node))
+            self.steps.append(((op, a, b), i, j, node))
             out = len(self.steps) + 2, a or b
             if key:
                 powers[key] = out
@@ -501,18 +513,66 @@ class _Tape:
 
     def run(self, x, y, params, order):
         """Jets of phi and psi, where x and y have the coefficients ``x``
-        and ``y``: a number is a constant jet of their shape."""
-        regs = [x, y, params, *self.registers]
+        and ``y`` (a point's those of ``Jet.variable``): a number is a
+        constant jet of their shape."""
+        node = None  # a batch's failing step; a point's is read off its line
         try:
-            for k, (fn, i, j, node) in enumerate(self.steps, 3):
-                regs[k] = fn(regs[i], regs[j], order)
+            if isinstance(x, list):
+                out = (self.point.get(order) or self._compile(order))[0](
+                    x[0], y[0], params)
+            else:
+                regs = [x, y, params, *self.registers]
+                with np.errstate(all="ignore"):
+                    for k, (key, i, j, node) in enumerate(self.steps, 3):
+                        regs[k] = _STEPS[key](regs[i], regs[j], order)
+                out = [regs[r] for r, _ in self.outputs]
         except _EVAL_ERRORS as e:
+            if node is None:
+                _, code, nodes = self.point[order]
+                node = nodes[code.failed_line(e)]
             raise SurfaceEvalError(str(e), to_text(node)) from e
         except KeyError as e:  # a parameter step's
             raise SurfaceEvalError("undeclared parameter", e.args[0]) from None
-        return [_jet(order, regs[r]) if jet
-                else Jet.constant(np.full(np.shape(x[0]), regs[r]), order)
-                for r, jet in self.outputs]
+        return [_jet(order, c) if jet
+                else Jet.constant(np.full(np.shape(x[0]), c), order)
+                for c, (_, jet) in zip(out, self.outputs)]
+
+    def _compile(self, order):
+        """The steps at ``order`` as one function of a point's x0, y0 and
+        ``params`` that returns the registers of phi and psi, kept in
+        ``self.point`` with its ``jets._Code`` and the step node of each
+        of its lines.
+
+        A jet register is one float local per coefficient.  Jet steps are
+        written by their ``jets`` emitters, number steps as
+        ``_NUMBER_CODE``; literals are locals of the function's closure,
+        so the source holds no user text.  Only a function that calls a
+        series or a reciprocal runs under ``np.errstate``: the rest never
+        reaches numpy.
+        """
+        code, values, nodes = jets._Code(), {}, []
+        width = len(jets._INDICES[order])
+        names = [[v] + ["1.0" if k == slot else "0.0" for k in range(1, width)]
+                 for v, slot in (("x0", 1), ("y0", 2))]
+        names += ["params"] + [None] * len(self.steps)
+        for r, value in enumerate(self.registers[len(self.steps):],
+                                  len(names)):
+            names.append(f"k{r}")
+            values[f"k{r}"] = value
+        for k, (key, i, j, node) in enumerate(self.steps, 3):
+            start, emitter = len(code.lines), jets._EMITTERS.get(key)
+            if emitter:  # ^ takes its exponent as it is
+                b = self.registers[j] if key[0] == "^" else names[j]
+                names[k] = code.bind(emitter(names[i], b, order, code))
+            else:
+                names[k] = code.bind(
+                    _NUMBER_CODE[key[0]].format(names[i], names[j]))
+            nodes += [node] * (len(code.lines) - start)
+        result = ", ".join(f"[{', '.join(names[r])}]" if jet else names[r]
+                           for r, jet in self.outputs)
+        self.point[order] = (code.define("x0, y0, params", result, values,
+                                         code.numpy), code, nodes)
+        return self.point[order]
 
 
 def eval_surface(sd, point, order):
@@ -534,8 +594,7 @@ def eval_surface(sd, point, order):
         tape = sd._tape
         if tape is None or tape.phi is not sd.phi or tape.psi is not sd.psi:
             tape = sd._tape = _Tape(sd.phi, sd.psi)
-        with np.errstate(all="ignore"):
-            phi, psi = tape.run(xj._c, yj._c, sd.params, order)
+        phi, psi = tape.run(xj._c, yj._c, sd.params, order)
         for name, jet in (("phi", phi), ("psi", psi)):
             c = jet._c if isinstance(jet._c, list) else jet.c.ravel().tolist()
             if not all(map(math.isfinite, c)):

@@ -9,11 +9,11 @@ live inside the arithmetic kernel (Leibniz rule with binomial weights).
 The coefficients ``c`` read as one float64 array: derivatives on the
 leading axis, the points of a batch on the trailing ones (the coefficient
 tail).  A batch keeps that array and computes on it.  A one-point jet
-(tail ``()``) keeps a list of Python floats and computes on it; its ``c``
-is a new array on each read, so writing into it does not change the jet.
-Every operator rounds alike on both; products add one Leibniz table's
-terms in order, a batch in a gathered array kernel, a point in float
-code generated from the table.
+(tail ``()``) keeps a list of Python floats and computes on it in float
+code that each rule's emitter writes; its ``c`` is a new array on each
+read, so writing into it does not change the jet.  Every operator rounds
+alike on both; products add one Leibniz table's terms in order, a batch
+in a gathered array kernel, a point in code written from the table.
 """
 
 from __future__ import annotations
@@ -86,43 +86,21 @@ def _product(a, b, order):
     return np.add.reduce(terms, axis=0, initial=0.0)
 
 
-def _point_product(order):
-    """``_product`` of two one-point coefficient lists, as straight-line
-    float code generated from ``_LEIBNIZ``: the same ``(w*a)*b`` terms,
-    padded ones included, summed left to right from 0.0."""
-    s1, s2, w = (t.T.tolist() for t in _LEIBNIZ[order])
-    sums = ", ".join(
-        " + ".join(["0.0"] + [f"{wt!r} * a{i} * b{j}"
-                              for i, j, wt in zip(*terms)])
-        for terms in zip(s1, s2, w))
-    a, b = (", ".join(f"{x}{k}" for k in range(len(s1))) for x in "ab")
-    namespace = {}
-    exec(f"def product(a, b):\n    {a}, = a\n    {b}, = b\n"
-         f"    return [{sums}]\n", namespace)
-    return namespace["product"]
-
-
-_POINT_PRODUCT = {o: _point_product(o) for o in (1, 2, 3)}
 _BATCH_PRODUCT = {o: functools.partial(_product, order=o) for o in (1, 2, 3)}
 
 
-def _kernel(c, order):
-    """The product of two coefficient sets stored like ``c``."""
-    return (_POINT_PRODUCT if isinstance(c, list) else _BATCH_PRODUCT)[order]
-
-
 def _shifted(fn, c, o):
-    """``fn(c, 0.0)`` with ``fn(c[0], o)`` at the value: ``fn`` of a jet
-    and the constant jet (o, 0, 0, ...) without building it."""
-    out = [fn(u, 0.0) for u in c] if isinstance(c, list) else fn(c, 0.0)
+    """``fn(c, 0.0)`` with ``fn(c[0], o)`` at the value: ``fn`` of a jet's
+    coefficient array and the constant jet (o, 0, 0, ...) without building
+    it."""
+    out = fn(c, 0.0)
     out[0] = fn(c[0], o)
     return out
 
 
 def _scaled(c, o):
-    """``c * o + 0.0``: a jet times the constant jet (o, 0, 0, ...)."""
-    if isinstance(c, list):
-        return [u * o + 0.0 for u in c]
+    """``c * o + 0.0``: a jet's coefficient array times the constant jet
+    (o, 0, 0, ...)."""
     out = c * o
     out += 0.0
     return out
@@ -146,14 +124,21 @@ def _int_power(c, n, order):
     same bits) is the unit jet times ``c`` bit for bit (one nonzero
     Leibniz term 1*1*b, the rest +-0.0 in a sum from +0.0), and no product
     sees the sign of a zero factor; a non-finite coefficient stays where
-    the unit product would turn 0*inf into NaN.
+    the unit product would turn 0*inf into NaN.  A point's power is the
+    one-point rule that ``_emit_power`` writes for ``n``.
     """
+    if isinstance(c, list):
+        return _point(("^", True, False), order, n)(c, n)
     if n < 0:
         return _reciprocal(_int_power(c, -n, order), order)
     if n == 0:
         return Jet.constant(np.ones(np.shape(c[0])), order)._c
-    mul = _kernel(c, order)
-    result, base = None, _scaled(c, 1.0)
+    return _squarings(_scaled(c, 1.0), n, _BATCH_PRODUCT[order])
+
+
+def _squarings(base, n, mul):
+    """``base`` to the power ``n`` >= 1 by repeated squaring with ``mul``."""
+    result = None
     while n:
         if n & 1:
             result = base if result is None else mul(result, base)
@@ -167,8 +152,9 @@ def _int_power(c, n, order):
 # where Python's / raises, and np.sin need not round like math.sin.
 def _compose(c, series, order):
     """Evaluate sum_k series[k] * (jet - value)^k by Horner."""
-    mul = _kernel(c, order)
+    mul = _BATCH_PRODUCT[order]
     if isinstance(c, list):
+        mul = _point(("*", True, True), order, None)
         series = [float(s) for s in series]
     w = c.copy()
     w[0] = 0.0
@@ -211,30 +197,178 @@ def _cos(c, _, order):
     return _compose(c, [co, -s, -co / 2.0, s / 6.0][: order + 1], order)
 
 
+# -- one-point rules: generated float code -------------------------------------
+#
+# A point's jets compute in straight-line float code.  Each rule has one
+# emitter: it gets the names of its operands in that code (a jet's as a
+# list, one name per coefficient; a number's as one name; ``^``'s exponent
+# as the int), the order and the ``_Code`` being written, may add lines to
+# it, and returns the expressions of the result's coefficients.  ``_point``
+# compiles one rule for Jet arithmetic; expr's tapes write all their steps
+# into one function.
+
+
+def _emit_product(a, b, order):
+    """``_product``: the same ``(w*a)*b`` terms, padded ones included,
+    summed left to right from 0.0."""
+    s1, s2, w = (t.T.tolist() for t in _LEIBNIZ[order])
+    return [" + ".join(["0.0"] + [f"{wt!r} * {a[i]} * {b[j]}"
+                                  for i, j, wt in zip(*terms)])
+            for terms in zip(s1, s2, w)]
+
+
+def _emit_each(form, a, b):
+    return [form.format(u, v) for u, v in zip(a, b)]
+
+
+def _emit_shifted(form, c, o):
+    """``_shifted``: ``form`` of the value and ``o``, of the rest and 0.0."""
+    return [form.format(u, "0.0" if k else o) for k, u in enumerate(c)]
+
+
+def _emit_scaled(c, o):
+    """``_scaled``: each coefficient times ``o``, plus 0.0."""
+    return [f"{u} * {o} + 0.0" for u in c]
+
+
+def _emit_power(c, n, order, code):
+    """``_int_power``, by the squarings of a batch."""
+    if n < 0:
+        return code.call("_reciprocal", _emit_power(c, -n, order, code), order)
+    if n == 0:
+        return ["1.0"] + ["0.0"] * (len(c) - 1)
+    return _squarings(code.bind(_emit_scaled(c, "1.0")), n,
+                      lambda p, q: code.bind(_emit_product(p, q, order)))
+
+
+def _emit_series(name):
+    return lambda a, b, o, code: code.call(name, a, f"None, {o}")
+
+
+_EMITTERS = {
+    ("+", True, True): lambda a, b, o, code: _emit_each("{} + {}", a, b),
+    ("+", True, False): lambda a, b, o, code: _emit_shifted("{} + {}", a, b),
+    ("+", False, True): lambda a, b, o, code: _emit_shifted("{} + {}", b, a),
+    ("-", True, True): lambda a, b, o, code: _emit_each("{} - {}", a, b),
+    ("-", True, False): lambda a, b, o, code: _emit_shifted("{} - {}", a, b),
+    ("-", False, True): lambda a, b, o, code: _emit_shifted("{1} - {0}", b, a),
+    ("*", True, True): lambda a, b, o, code: _emit_product(a, b, o),
+    ("*", True, False): lambda a, b, o, code: _emit_scaled(a, b),
+    ("*", False, True): lambda a, b, o, code: _emit_scaled(b, a),
+    ("/", True, True): lambda a, b, o, code: _emit_product(
+        a, code.call("_reciprocal", b, o), o),
+    ("/", True, False): lambda a, b, o, code: _emit_scaled(
+        a, code.bind(f"_inverse({b})")),
+    ("/", False, True): lambda a, b, o, code: _emit_scaled(
+        code.call("_reciprocal", b, o), a),
+    ("^", True, False): _emit_power,
+    ("neg", True, True): lambda a, b, o, code: _emit_each("-{}", a, b),
+    **{(f, True, True): _emit_series(f"_{f}")
+       for f in ("sqrt", "exp", "sin", "cos")},
+}
+
+
+class _Code:
+    """Straight-line float code being written, one assignment a line, and
+    whether it reaches numpy (calls a series or a reciprocal)."""
+
+    def __init__(self):
+        self.lines, self.numpy = [], False
+
+    def bind(self, code):
+        """Locals set to ``code``, an expression or a list of them (a list
+        of names is kept as it is); their names."""
+        name = f"t{len(self.lines)}"
+        if isinstance(code, str):
+            self.lines.append(f"{name} = {code}")
+            return name
+        if all(map(str.isidentifier, code)):
+            return code
+        names = [f"{name}_{k}" for k in range(len(code))]
+        self.lines += map("{} = {}".format, names, code)
+        return names
+
+    def unpack(self, code, width):
+        """``width`` locals set to the items of the list ``code``; their
+        names."""
+        names = [f"t{len(self.lines)}_{k}" for k in range(width)]
+        self.lines.append(f"{', '.join(names)}, = {code}")
+        return names
+
+    def call(self, fn, c, args):
+        """The coefficients that ``fn`` returns for those of ``c`` and
+        ``args``: a series or a reciprocal, on numpy scalars."""
+        self.numpy = True
+        return self.unpack(f"{fn}([{', '.join(c)}], {args})", len(c))
+
+    def define(self, args, result, values, quiet):
+        """The function of ``args`` that runs the lines and returns
+        ``result``, each of ``values`` a local by its key, under
+        ``np.errstate(all="ignore")`` if ``quiet``."""
+        head = [f"def make({', '.join(values)}):", f"    def run({args}):"]
+        if quiet:
+            head.append("        with np.errstate(all='ignore'):")
+        pad = " " * (8 + 4 * quiet)
+        source = "\n".join(head + [pad + line for line in self.lines]
+                           + [f"{pad}return {result}", "    return run\n"])
+        self.first = len(head) + 1  # the line number of lines[0]
+        namespace = {}
+        exec(compile(source, "<point code>", "exec"), globals(), namespace)
+        self.function = namespace["make"](*values.values())
+        return self.function
+
+    def failed_line(self, error):
+        """The index in ``lines`` of the line of the defined function that
+        raised ``error``."""
+        tb = error.__traceback__
+        while tb.tb_frame.f_code is not self.function.__code__:
+            tb = tb.tb_next
+        return tb.tb_lineno - self.first
+
+
+@functools.cache
+def _point(key, order, exponent):
+    """The rule ``key`` on one point at ``order`` (``^`` to ``exponent``),
+    compiled from its emitter: a function of its two operands."""
+    code = _Code()
+    a, b = (code.unpack(name, len(_INDICES[order])) if jet else name
+            for name, jet in zip("ab", key[1:]))
+    out = _EMITTERS[key](a, b if exponent is None else exponent, order, code)
+    return code.define("a, b", f"[{', '.join(out)}]", {}, False)
+
+
+def _rule(key, batch):
+    """The rule ``key``: ``batch`` on arrays, ``_point``'s on floats."""
+    def rule(a, b, o):
+        if isinstance(a if key[1] else b, list):
+            return _point(key, o, None)(a, b)
+        return batch(a, b, o)
+    return rule
+
+
 # The rules of the Jet operators and of expr's tapes, by operator and
 # whether each operand is a jet's coefficients (True) or a number (False:
 # a float, or a float64 array shaped like the coefficient tail, the
 # constant jet (v, 0, 0, ...) never built).  A rule applies its nonzero
 # terms, rounding as the full operation would (x + 0.0 turns -0.0 into
-# +0.0); a rule of one operand gets it twice, ``^`` an int.
-_RULES = {
-    ("+", True, True): lambda a, b, o: (
-        list(map(operator.add, a, b)) if isinstance(a, list) else a + b),
+# +0.0); a rule of one operand gets it twice, ``^`` an int.  A point's
+# floats go through the emitters' code, but for the series.
+_RULES = {key: _rule(key, batch) for key, batch in {
+    ("+", True, True): lambda a, b, o: a + b,
     ("+", True, False): lambda a, b, o: _shifted(operator.add, a, b),
     ("+", False, True): lambda a, b, o: _shifted(operator.add, b, a),
-    ("-", True, True): lambda a, b, o: (
-        list(map(operator.sub, a, b)) if isinstance(a, list) else a - b),
+    ("-", True, True): lambda a, b, o: a - b,
     ("-", True, False): lambda a, b, o: _shifted(operator.sub, a, b),
     ("-", False, True): lambda a, b, o: _shifted(lambda u, v: v - u, b, a),
-    ("*", True, True): lambda a, b, o: _kernel(a, o)(a, b),
+    ("*", True, True): _product,
     ("*", True, False): lambda a, b, o: _scaled(a, b),
     ("*", False, True): lambda a, b, o: _scaled(b, a),
-    ("/", True, True): lambda a, b, o: _kernel(a, o)(a, _reciprocal(b, o)),
+    ("/", True, True): lambda a, b, o: _product(a, _reciprocal(b, o), o),
     ("/", True, False): lambda a, b, o: _scaled(a, _inverse(b)),
     ("/", False, True): lambda a, b, o: _scaled(_reciprocal(b, o), a),
+    ("neg", True, True): lambda a, _, o: -a,
+}.items()} | {
     ("^", True, False): _int_power,
-    ("neg", True, True): lambda a, _, o: (
-        [-u for u in a] if isinstance(a, list) else -a),
     ("sqrt", True, True): _sqrt,
     ("exp", True, True): _exp,
     ("sin", True, True): _sin,

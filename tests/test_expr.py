@@ -286,15 +286,16 @@ def test_power_memo_matches_plain_walk(order, point, monkeypatch):
     y = Jet.variable("y", point, order)
     expected = [plain_eval(node, x, y, sd.params) for node in (sd.phi, sd.psi)]
     powers = []
-    int_power = jets._int_power
+    emit_power = jets._emit_power
 
-    def spy(c, n, order):
+    def spy(c, n, order, code):
         powers.append(n)
-        return int_power(c, n, order)
+        return emit_power(c, n, order, code)
 
-    # the tape's power step, and the power rule it recurses through
-    monkeypatch.setitem(expr._STEPS, ("^", True, False), spy)
-    monkeypatch.setattr(jets, "_int_power", spy)
+    # the point code's power step, and the power emitter it recurses
+    # through, each written once per power the tape computes
+    monkeypatch.setitem(jets._EMITTERS, ("^", True, False), spy)
+    monkeypatch.setattr(jets, "_emit_power", spy)
     got = eval_surface(sd, point, order)
     for jet, want in zip(got, expected):
         assert (jet.c.shape, jet.c.tobytes()) == (want.c.shape,
@@ -398,11 +399,14 @@ def test_tape_follows_its_trees():
     sd = parse_surface("phi = x^2 + y\npsi = x*y\n")
     before = coefficients(sd)
     for name, text in (("phi", "sin(x) - y^2"), ("psi", "exp(x*y)/(2 + y)")):
+        function = sd._tape.point[2][0]
         setattr(sd, name, getattr(parse_surface(f"phi = {text}\n"
                                                 f"psi = {text}\n"), name))
         fresh = expr.SurfaceDef(phi=sd.phi, psi=sd.psi)
         after = coefficients(sd)
         assert after == coefficients(fresh) != before
+        # the new tape wrote its own point function
+        assert sd._tape.point[2][0] is not function
         before = after
     # Const(0.0) == Const(-0.0): trees that compare equal can differ in
     # their bytes, in two surfaces and in one whose psi is reassigned
@@ -415,6 +419,81 @@ def test_tape_follows_its_trees():
     for zero in (0.0, -0.0):
         b.psi = expr.Unary("neg", Const(zero))
         assert coefficients(b)[1] == Jet.constant(-zero, 2).c.tobytes()
+
+
+# Trees the parser cannot produce (signed zeros, non-finite literals, a
+# negative literal under a power, powers 0, -3 and 40) and parameter names
+# that are names of the point code, each as a point's code computes it
+POINT_CODE_CASES = [
+    (expr.Binary("+", expr.Binary("*", Const(-0.0), expr.Var("x")),
+                 expr.Unary("neg", Const(-0.0))),
+     expr.Unary("neg", Const(0.0)), {}),
+    (expr.Binary("*", Const(float("inf")), expr.Var("x")),
+     expr.Binary("-", expr.Var("y"), Const(-0.0)), {}),
+    (expr.Binary("+", expr.Var("x"), Const(float("nan"))), expr.Var("y"), {}),
+    (expr.Binary("*", Pow(Const(-1.0), 0), expr.Var("x")),
+     expr.Binary("+", Pow(Const(-1.0), 3), expr.Var("y")), {}),
+    (expr.Binary("+", Pow(expr.Var("x"), 0), expr.Var("y")),
+     Pow(expr.Var("y"), -3), {}),
+    (Pow(expr.Var("x"), 40), expr.Binary("*", expr.Var("x"), expr.Var("y")),
+     {}),
+    (expr.Binary("+", expr.Binary("*", expr.Param("x0"), expr.Var("x")),
+                 expr.Param("params")),
+     expr.Binary("-", expr.Binary("/", expr.Param("np"), expr.Var("y")),
+                 expr.Unary("sqrt", expr.Param("a²"))),
+     {"x0": 2.0, "params": -0.5, "np": 3.0, "a²": 0.25}),
+    (expr.Binary("+", expr.Param("a"), Const(1.0)),
+     expr.Unary("exp", expr.Binary("*", expr.Var("x"), expr.Var("y"))),
+     {"a": -1.0}),
+    # failing steps: each names its own node, the first to fail in order
+    (expr.Binary("+", Pow(expr.Var("x"), 2), expr.Unary(
+        "sqrt", expr.Binary("-", expr.Var("x"), Const(1.0)))),
+     expr.Binary("/", Const(1.0), Const(-0.0)), {}),
+    (expr.Binary("*", expr.Var("y"), Pow(Const(10.0), 400)), expr.Var("x"),
+     {}),
+    (expr.Var("x"), expr.Binary("*", expr.Param("b"), expr.Var("y")), {}),
+]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("phi, psi, params", POINT_CODE_CASES)
+def test_point_code_matches_its_batch_of_one(phi, psi, params, order):
+    def outcome(evaluate):
+        try:
+            return [jet.c.ravel().tobytes() for jet in evaluate()]
+        except SurfaceEvalError as exc:
+            return type(exc), str(exc)
+
+    for point in ((0.5, -0.25), (-0.0, 0.0), (1.5, -0.0), (-2.0, 3.0)):
+        sd = expr.SurfaceDef(phi=phi, psi=psi, params=params)
+        assert outcome(lambda: eval_surface(sd, point, order)) == \
+            outcome(lambda: eval_points(sd, [point], order))
+
+
+def test_polynomial_point_run_never_enters_errstate(monkeypatch):
+    entered = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate",
+                        lambda **kw: entered.append(kw) or errstate(**kw))
+    sd = parse_surface("phi = x^2 - y^2 / 3 + 2\n"
+                       "psi = (a*x + b*y - 2*x*y)^3 / 4 - a^2\n"
+                       "param a = 1\nparam b = -2")
+    for order in (1, 2, 3):
+        eval_surface(sd, (0.3, -0.7), order)
+    assert entered == []
+    # a series reaches numpy, and its point code quiets it
+    eval_surface(parse_surface("phi = sin(x)\npsi = y"), (0.3, -0.7), 1)
+    assert entered == [{"all": "ignore"}]
+
+
+def test_overflowing_series_at_a_point_raises_without_a_warning():
+    sd = parse_surface("phi = exp(800*x)\npsi = y")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SurfaceEvalError) as err:
+            eval_surface(sd, (1.0, 0.0), 2)
+    assert str(err.value) == ("non-finite derivative of phi at point "
+                              "(1.0, 0.0) in subexpression 'exp(800.0 * x)'")
 
 
 def test_failing_power_reports_the_innermost_subexpression():
