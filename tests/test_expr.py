@@ -1,5 +1,8 @@
 """Surface-definition parsing, printing and evaluation."""
 
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -484,6 +487,14 @@ def test_polynomial_point_run_never_enters_errstate(monkeypatch):
     # a series reaches numpy, and its point code quiets it
     eval_surface(parse_surface("phi = sin(x)\npsi = y"), (0.3, -0.7), 1)
     assert entered == [{"all": "ignore"}]
+
+
+def test_importing_the_cli_compiles_no_point_code():
+    # the one-point rules are compiled on first use, not at import
+    src = pathlib.Path(expr.__file__).parents[1]
+    subprocess.run([sys.executable, "-c", "import surf4.cli, surf4.jets\n"
+                    "assert surf4.jets._point.cache_info().currsize == 0"],
+                   cwd=src, check=True)
 
 
 def test_overflowing_series_at_a_point_raises_without_a_warning():
