@@ -459,6 +459,14 @@ _NUMBER_CODE = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
                 "neg": "-{}", **{f: f + "({})" for f in _FUNCTIONS}}
 
 
+def _raise_step_error(error, node):
+    """Raise ``error`` of a tape step as a SurfaceEvalError: at the
+    step's ``node``, or for a parameter step's KeyError by its name."""
+    if isinstance(error, KeyError):
+        raise SurfaceEvalError("undeclared parameter", error.args[0]) from None
+    raise SurfaceEvalError(str(error), to_text(node)) from error
+
+
 class _Tape:
     """phi and psi as steps ``(key, i, j, node)`` in their trees' post-order:
     step k sets register 3 + k to ``_STEPS[key](regs[i], regs[j], order)``
@@ -468,8 +476,8 @@ class _Tape:
     as it runs.  The build recurses: a tree too deep for Python raises
     RecursionError.
 
-    A batch runs the steps one by one.  A point runs them as one
-    straight-line float function of x, y and ``params`` (see
+    A batch runs the steps one by one (:meth:`run`).  A point runs them
+    as one straight-line float function of x, y and ``params`` (see
     :meth:`_compile`), written and compiled on the tape's first point
     run at each order.
     """
@@ -512,36 +520,24 @@ class _Tape:
         self.registers = [None] * len(self.steps) + literals[::-1]
 
     def run(self, x, y, params, order):
-        """Jets of phi and psi, where x and y have the coefficients ``x``
-        and ``y`` (a point's those of ``Jet.variable``): a number is a
-        constant jet of their shape."""
-        node = None  # a batch's failing step; a point's is read off its line
+        """Jets of phi and psi, where x and y have the coefficient arrays
+        ``x`` and ``y``: a number is a constant jet of their shape."""
+        regs = [x, y, params, *self.registers]
         try:
-            if isinstance(x, list):
-                out = (self.point.get(order) or self._compile(order))[0](
-                    x[0], y[0], params)
-            else:
-                regs = [x, y, params, *self.registers]
-                with np.errstate(all="ignore"):
-                    for k, (key, i, j, node) in enumerate(self.steps, 3):
-                        regs[k] = _STEPS[key](regs[i], regs[j], order)
-                out = [regs[r] for r, _ in self.outputs]
-        except _EVAL_ERRORS as e:
-            if node is None:
-                _, code, nodes = self.point[order]
-                node = nodes[code.failed_line(e)]
-            raise SurfaceEvalError(str(e), to_text(node)) from e
-        except KeyError as e:  # a parameter step's
-            raise SurfaceEvalError("undeclared parameter", e.args[0]) from None
-        return [_jet(order, c) if jet
-                else Jet.constant(np.full(np.shape(x[0]), c), order)
-                for c, (_, jet) in zip(out, self.outputs)]
+            with np.errstate(all="ignore"):
+                for k, (key, i, j, node) in enumerate(self.steps, 3):
+                    regs[k] = _STEPS[key](regs[i], regs[j], order)
+        except (*_EVAL_ERRORS, KeyError) as e:
+            _raise_step_error(e, node)
+        return [_jet(order, regs[r]) if jet
+                else Jet.constant(np.full(np.shape(x[0]), regs[r]), order)
+                for r, jet in self.outputs]
 
     def _compile(self, order):
         """The steps at ``order`` as one function of a point's x0, y0 and
         ``params`` that returns the registers of phi and psi, kept in
         ``self.point`` with its ``jets._Code`` and the step node of each
-        of its lines.
+        of its lines.  A number register returns as the constant jet.
 
         A jet register is one float local per coefficient.  Jet steps are
         written by their ``jets`` emitters, number steps as
@@ -568,8 +564,10 @@ class _Tape:
                 names[k] = code.bind(
                     _NUMBER_CODE[key[0]].format(names[i], names[j]))
             nodes += [node] * (len(code.lines) - start)
-        result = ", ".join(f"[{', '.join(names[r])}]" if jet else names[r]
-                           for r, jet in self.outputs)
+        result = ", ".join(
+            f"[{', '.join(names[r])}]" if jet
+            else f"[float({names[r]}){', 0.0' * (width - 1)}]"
+            for r, jet in self.outputs)
         self.point[order] = (code.define("x0, y0, params", result, values,
                                          code.numpy), code, nodes)
         return self.point[order]
@@ -587,14 +585,22 @@ def eval_surface(sd, point, order):
     sqrt domain, overflow, a non-finite value or derivative, a tree too
     deep for Python's recursion limit) raise :class:`SurfaceEvalError`.
     """
-    xj, yj = (Jet.variable(name, point, order) for name in "xy")
+    xj, yj = Jet.variable("x", point, order), Jet.variable("y", point, order)
     # overflow, and division by a power that underflows to 0, show up as
     # inf or NaN coefficients, rejected just below
     try:
         tape = sd._tape
         if tape is None or tape.phi is not sd.phi or tape.psi is not sd.psi:
             tape = sd._tape = _Tape(sd.phi, sd.psi)
-        phi, psi = tape.run(xj._c, yj._c, sd.params, order)
+        if isinstance(xj._c, list):  # a point: the tape's point function
+            run, code, nodes = tape.point.get(order) or tape._compile(order)
+            try:
+                p, q = run(xj._c[0], yj._c[0], sd.params)
+            except (*_EVAL_ERRORS, KeyError) as e:
+                _raise_step_error(e, nodes[code.failed_line(e)])
+            phi, psi = _jet(order, p), _jet(order, q)
+        else:
+            phi, psi = tape.run(xj._c, yj._c, sd.params, order)
         for name, jet in (("phi", phi), ("psi", psi)):
             c = jet._c if isinstance(jet._c, list) else jet.c.ravel().tolist()
             if not all(map(math.isfinite, c)):

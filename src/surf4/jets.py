@@ -18,7 +18,6 @@ in a gathered array kernel, a point in code written from the table.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
@@ -30,6 +29,10 @@ _INDICES = {
     for o in (1, 2, 3)
 }
 _SLOT = {o: {ij: k for k, ij in enumerate(idx)} for o, idx in _INDICES.items()}
+# the coefficients but the value of the jets of x and y, by order
+_UNIT_TAILS = {o: {v: [float(ij == unit) for ij in idx[1:]]
+                   for v, unit in (("x", (1, 0)), ("y", (0, 1)))}
+               for o, idx in _INDICES.items()}
 
 
 def _leibniz_table(order):
@@ -86,9 +89,6 @@ def _product(a, b, order):
     return np.add.reduce(terms, axis=0, initial=0.0)
 
 
-_BATCH_PRODUCT = {o: functools.partial(_product, order=o) for o in (1, 2, 3)}
-
-
 def _shifted(fn, c, o):
     """``fn(c, 0.0)`` with ``fn(c[0], o)`` at the value: ``fn`` of a jet's
     coefficient array and the constant jet (o, 0, 0, ...) without building
@@ -118,22 +118,21 @@ def _inverse(v):
 
 
 def _int_power(c, n, order):
-    """A jet to the integer power ``n`` by repeated squaring of ``c + 0.0``.
+    """A jet's coefficient array to the integer power ``n`` by repeated
+    squaring of ``c + 0.0``.
 
     For finite coefficients ``c + 0.0`` (formed as ``c * 1.0 + 0.0``, the
     same bits) is the unit jet times ``c`` bit for bit (one nonzero
     Leibniz term 1*1*b, the rest +-0.0 in a sum from +0.0), and no product
     sees the sign of a zero factor; a non-finite coefficient stays where
-    the unit product would turn 0*inf into NaN.  A point's power is the
-    one-point rule that ``_emit_power`` writes for ``n``.
+    the unit product would turn 0*inf into NaN.
     """
-    if isinstance(c, list):
-        return _point(("^", True, False), order, n)(c, n)
     if n < 0:
-        return _reciprocal(_int_power(c, -n, order), order)
+        return _reciprocal(_int_power(c, -n, order), None, order)
     if n == 0:
         return Jet.constant(np.ones(np.shape(c[0])), order)._c
-    return _squarings(_scaled(c, 1.0), n, _BATCH_PRODUCT[order])
+    return _squarings(_scaled(c, 1.0), n,
+                      lambda p, q: _product(p, q, order))
 
 
 def _squarings(base, n, mul):
@@ -147,54 +146,62 @@ def _squarings(base, n, mul):
     return result
 
 
-# A point's series coefficients are numpy float64 scalars, as a batch's
-# are arrays (np.float64 of a value row is that row): numpy returns inf
-# where Python's / raises, and np.sin need not round like math.sin.
-def _compose(c, series, order):
-    """Evaluate sum_k series[k] * (jet - value)^k by Horner."""
-    mul = _BATCH_PRODUCT[order]
-    if isinstance(c, list):
-        mul = _point(("*", True, True), order, None)
-        series = [float(s) for s in series]
-    w = c.copy()
-    w[0] = 0.0
-    result = Jet.constant(series[-1], order)._c
-    for s in series[-2::-1]:
-        result = mul(result, w)
-        result[0] = result[0] + s
-    return result
-
-
-def _reciprocal(c, order):
-    inv = _inverse(np.float64(c[0]))
-    return _compose(c, [inv * _power(-inv, k) for k in range(order + 1)],
-                    order)
-
-
-def _sqrt(c, _, order):
-    v = np.float64(c[0])
+def _sqrt_series(v, order):
     if _some(v <= 0.0):
         raise ValueError("sqrt of a jet with non-positive value")
     r = np.sqrt(v)
     # Taylor coefficients of sqrt at v: binom(1/2, k) v^(1/2 - k)
-    series = [r, 0.5 * r / v] + [weight * r / _power(v, k) for k, weight
-                                 in ((2, -0.125), (3, 0.0625))[: order - 1]]
-    return _compose(c, series, order)
+    return [r, 0.5 * r / v] + [weight * r / _power(v, k) for k, weight
+                               in ((2, -0.125), (3, 0.0625))[: order - 1]]
 
 
-def _exp(c, _, order):
-    e = np.exp(c[0])
-    return _compose(c, [e, e, e / 2.0, e / 6.0][: order + 1], order)
+def _reciprocal_series(v, order):
+    inv = _inverse(v)
+    return [inv * _power(-inv, k) for k in range(order + 1)]
 
 
-def _sin(c, _, order):
-    s, co = np.sin(c[0]), np.cos(c[0])
-    return _compose(c, [s, co, -s / 2.0, -co / 6.0][: order + 1], order)
+def _exp_series(v, order):
+    e = np.exp(v)
+    return [e, e, e / 2.0, e / 6.0][: order + 1]
 
 
-def _cos(c, _, order):
-    s, co = np.sin(c[0]), np.cos(c[0])
-    return _compose(c, [co, -s, -co / 2.0, s / 6.0][: order + 1], order)
+def _trig_series(d, e, order):
+    """The Taylor coefficients of sin or cos, whose derivatives cycle
+    through its value d, e, -d and -e."""
+    return [d, e, -d / 2.0, -e / 6.0][: order + 1]
+
+
+# Each one-operand series rule by name: its Taylor coefficients at a
+# jet's value ``v`` (a point's a numpy float64 scalar, as a batch's is its
+# value row: numpy returns inf where Python's / raises, and np.sin need
+# not round like math.sin), up to ``order``.
+_SERIES = {
+    "reciprocal": _reciprocal_series,
+    "sqrt": _sqrt_series,
+    "exp": _exp_series,
+    "sin": lambda v, order: _trig_series(np.sin(v), np.cos(v), order),
+    "cos": lambda v, order: _trig_series(np.cos(v), -np.sin(v), order),
+}
+
+
+def _compose(c, series, order):
+    """Evaluate sum_k series[k] * (jet - value)^k by Horner."""
+    w = c.copy()
+    w[0] = 0.0
+    result = Jet.constant(series[-1], order)._c
+    for s in series[-2::-1]:
+        result = _product(result, w, order)
+        result[0] = result[0] + s
+    return result
+
+
+def _series(name):
+    """The rule of ``_SERIES[name]`` on a jet's coefficient array."""
+    return lambda c, _, order: _compose(
+        c, _SERIES[name](np.float64(c[0]), order), order)
+
+
+_reciprocal = _series("reciprocal")
 
 
 # -- one-point rules: generated float code -------------------------------------
@@ -210,9 +217,11 @@ def _cos(c, _, order):
 
 def _emit_product(a, b, order):
     """``_product``: the same ``(w*a)*b`` terms, padded ones included,
-    summed left to right from 0.0."""
+    summed left to right from 0.0; a weight 1.0 is left out, as ``1.0*a``
+    is ``a`` bit for bit."""
     s1, s2, w = (t.T.tolist() for t in _LEIBNIZ[order])
-    return [" + ".join(["0.0"] + [f"{wt!r} * {a[i]} * {b[j]}"
+    return [" + ".join(["0.0"] + [f"{a[i]} * {b[j]}" if wt == 1.0
+                                  else f"{wt!r} * {a[i]} * {b[j]}"
                                   for i, j, wt in zip(*terms)])
             for terms in zip(s1, s2, w)]
 
@@ -232,18 +241,34 @@ def _emit_scaled(c, o):
 
 
 def _emit_power(c, n, order, code):
-    """``_int_power``, by the squarings of a batch."""
+    """``_int_power``, by the squarings of a batch from ``c + 0.0`` (the
+    bits of its ``c * 1.0 + 0.0``)."""
     if n < 0:
-        return code.call("_reciprocal", _emit_power(c, -n, order, code), order)
+        c = _emit_power(c, -n, order, code)
+        return _emit_reciprocal(c, c, order, code)
     if n == 0:
         return ["1.0"] + ["0.0"] * (len(c) - 1)
-    return _squarings(code.bind(_emit_scaled(c, "1.0")), n,
+    return _squarings(code.bind([f"{u} + 0.0" for u in c]), n,
                       lambda p, q: code.bind(_emit_product(p, q, order)))
 
 
 def _emit_series(name):
-    return lambda a, b, o, code: code.call(name, a, f"None, {o}")
+    """The emitter of ``_series(name)``: one call for the series, as
+    floats, then ``_compose``'s Horner products, on the same terms."""
+    def emit(c, _, order, code):
+        code.numpy = True
+        series = code.unpack(f"map(float, _SERIES[{name!r}]"
+                             f"(np.float64({c[0]}), {order}))", order + 1)
+        w = ["0.0", *c[1:]]
+        result = [series[-1]] + ["0.0"] * (len(c) - 1)
+        for s in series[-2::-1]:
+            product = _emit_product(result, w, order)
+            result = code.bind([f"{product[0]} + {s}", *product[1:]])
+        return result
+    return emit
 
+
+_emit_reciprocal = _emit_series("reciprocal")
 
 _EMITTERS = {
     ("+", True, True): lambda a, b, o, code: _emit_each("{} + {}", a, b),
@@ -256,21 +281,20 @@ _EMITTERS = {
     ("*", True, False): lambda a, b, o, code: _emit_scaled(a, b),
     ("*", False, True): lambda a, b, o, code: _emit_scaled(b, a),
     ("/", True, True): lambda a, b, o, code: _emit_product(
-        a, code.call("_reciprocal", b, o), o),
+        a, _emit_reciprocal(b, b, o, code), o),
     ("/", True, False): lambda a, b, o, code: _emit_scaled(
         a, code.bind(f"_inverse({b})")),
     ("/", False, True): lambda a, b, o, code: _emit_scaled(
-        code.call("_reciprocal", b, o), a),
+        _emit_reciprocal(b, b, o, code), a),
     ("^", True, False): _emit_power,
     ("neg", True, True): lambda a, b, o, code: _emit_each("-{}", a, b),
-    **{(f, True, True): _emit_series(f"_{f}")
-       for f in ("sqrt", "exp", "sin", "cos")},
+    **{(f, True, True): _emit_series(f) for f in ("sqrt", "exp", "sin", "cos")},
 }
 
 
 class _Code:
     """Straight-line float code being written, one assignment a line, and
-    whether it reaches numpy (calls a series or a reciprocal)."""
+    whether it reaches numpy (runs a series)."""
 
     def __init__(self):
         self.lines, self.numpy = [], False
@@ -289,17 +313,11 @@ class _Code:
         return names
 
     def unpack(self, code, width):
-        """``width`` locals set to the items of the list ``code``; their
+        """``width`` locals set to the items of the iterable ``code``; their
         names."""
         names = [f"t{len(self.lines)}_{k}" for k in range(width)]
         self.lines.append(f"{', '.join(names)}, = {code}")
         return names
-
-    def call(self, fn, c, args):
-        """The coefficients that ``fn`` returns for those of ``c`` and
-        ``args``: a series or a reciprocal, on numpy scalars."""
-        self.numpy = True
-        return self.unpack(f"{fn}([{', '.join(c)}], {args})", len(c))
 
     def define(self, args, result, values, quiet):
         """The function of ``args`` that runs the lines and returns
@@ -326,7 +344,6 @@ class _Code:
         return tb.tb_lineno - self.first
 
 
-@functools.cache
 def _point(key, order, exponent):
     """The rule ``key`` on one point at ``order`` (``^`` to ``exponent``),
     compiled from its emitter: a function of its two operands."""
@@ -338,11 +355,19 @@ def _point(key, order, exponent):
 
 
 def _rule(key, batch):
-    """The rule ``key``: ``batch`` on arrays, ``_point``'s on floats."""
+    """The rule ``key``: ``batch`` on arrays, and on a point's floats the
+    function ``_point`` compiles on its first call at an order (and
+    exponent of ``^``), kept by order on this closure."""
+    forms = [{}, {}, {}, {}]
+    on_jet, power = key[1], key[0] == "^"
     def rule(a, b, o):
-        if isinstance(a if key[1] else b, list):
-            return _point(key, o, None)(a, b)
-        return batch(a, b, o)
+        if not isinstance(a if on_jet else b, list):
+            return batch(a, b, o)
+        n = b if power else None
+        form = forms[o].get(n)
+        if form is None:
+            form = forms[o][n] = _point(key, o, n)
+        return form(a, b)
     return rule
 
 
@@ -352,7 +377,7 @@ def _rule(key, batch):
 # constant jet (v, 0, 0, ...) never built).  A rule applies its nonzero
 # terms, rounding as the full operation would (x + 0.0 turns -0.0 into
 # +0.0); a rule of one operand gets it twice, ``^`` an int.  A point's
-# floats go through the emitters' code, but for the series.
+# floats go through the emitters' code.
 _RULES = {key: _rule(key, batch) for key, batch in {
     ("+", True, True): lambda a, b, o: a + b,
     ("+", True, False): lambda a, b, o: _shifted(operator.add, a, b),
@@ -363,17 +388,13 @@ _RULES = {key: _rule(key, batch) for key, batch in {
     ("*", True, True): _product,
     ("*", True, False): lambda a, b, o: _scaled(a, b),
     ("*", False, True): lambda a, b, o: _scaled(b, a),
-    ("/", True, True): lambda a, b, o: _product(a, _reciprocal(b, o), o),
+    ("/", True, True): lambda a, b, o: _product(a, _reciprocal(b, b, o), o),
     ("/", True, False): lambda a, b, o: _scaled(a, _inverse(b)),
-    ("/", False, True): lambda a, b, o: _scaled(_reciprocal(b, o), a),
-    ("neg", True, True): lambda a, _, o: -a,
-}.items()} | {
+    ("/", False, True): lambda a, b, o: _scaled(_reciprocal(b, b, o), a),
     ("^", True, False): _int_power,
-    ("sqrt", True, True): _sqrt,
-    ("exp", True, True): _exp,
-    ("sin", True, True): _sin,
-    ("cos", True, True): _cos,
-}
+    ("neg", True, True): lambda a, _, o: -a,
+    **{(f, True, True): _series(f) for f in ("sqrt", "exp", "sin", "cos")},
+}.items()}
 
 
 def _operator(op, reflected):
@@ -446,7 +467,10 @@ class Jet:
         if which not in ("x", "y"):
             raise ValueError(f"variable must be 'x' or 'y', got {which!r}")
         px, py = point
-        return _seeded(order, px if which == "x" else py,
+        value = px if which == "x" else py
+        if type(value) is float:  # a point's: its value, then a unit tail
+            return _jet(order, [value, *_UNIT_TAILS[order][which]])
+        return _seeded(order, value,
                        _SLOT[order][(1, 0) if which == "x" else (0, 1)])
 
     @staticmethod
@@ -572,7 +596,7 @@ def _stack(points):
 def _each(fn, v):
     """``fn`` of a number as a float, and of each element of an array as
     of that float alone (numpy's own ufuncs may round differently)."""
-    if np.ndim(v) == 0:
+    if not isinstance(v, np.ndarray) or v.ndim == 0:
         return fn(float(v))
     return np.array([fn(s) for s in v.ravel().tolist()]).reshape(v.shape)
 

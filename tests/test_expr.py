@@ -455,6 +455,16 @@ POINT_CODE_CASES = [
     (expr.Binary("*", expr.Var("y"), Pow(Const(10.0), 400)), expr.Var("x"),
      {}),
     (expr.Var("x"), expr.Binary("*", expr.Param("b"), expr.Var("y")), {}),
+    # series at their edges: v**2 underflows to 0 (sqrt's third
+    # coefficient is inf), exp and sin overflow, and reciprocals of tiny
+    # jets, whose powers overflow or whose inverse does
+    *((sd.phi, sd.psi, sd.params) for sd in map(parse_surface, (
+        "phi = sqrt(x*0.0 + 1e-200)\npsi = y",
+        "phi = x\npsi = exp(800*x)",
+        "phi = sin(1e300*x)\npsi = cos(y)",
+        "phi = y / (1e-160 * x)\npsi = x",
+        "phi = x\npsi = 1 / (x*0.0 + 1e-310)",
+    ))),
 ]
 
 
@@ -471,6 +481,56 @@ def test_point_code_matches_its_batch_of_one(phi, psi, params, order):
         sd = expr.SurfaceDef(phi=phi, psi=psi, params=params)
         assert outcome(lambda: eval_surface(sd, point, order)) == \
             outcome(lambda: eval_points(sd, [point], order))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_point_series_operators_match_their_batch_of_one(order):
+    ops = (Jet.sqrt, Jet.exp, Jet.sin, Jet.cos, lambda jet: 1 / jet,
+           lambda jet: jet / (jet * 0.5), lambda jet: jet ** -2)
+
+    # the bytes of the coefficients, each NaN as np.nan: a NaN's sign is
+    # not a value (eval_surface rejects any NaN), and numpy's array loops
+    # and Python's floats may set it differently
+    def outcome(op, c):
+        try:
+            with np.errstate(all="ignore"):
+                c = op(Jet(order, c)).c.ravel()
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+        return np.where(np.isnan(c), np.nan, c).tobytes()
+
+    tail = [1.0, -0.5, 0.25, 2.0, -3.0, 0.125, 1e-3, -7.0, 0.5]
+    for value in (0.5, -2.0, 1e-200, 800.0, -800.0, 1e300, 1e-320, 0.0,
+                  -0.0, float("inf"), float("nan")):
+        c = np.array([value] + tail[: len(jets._INDICES[order]) - 1])
+        for op in ops:
+            assert outcome(op, c) == outcome(op, c[:, None])
+
+
+def test_point_run_of_a_series_surface_builds_no_jet(monkeypatch):
+    # the benchmark's surface of seed 0: its sin, exp and sqrt run inline
+    # in the point code, with no batch Horner and no constant jet
+    sd = parse_surface(
+        "phi = a0*x^3 + a1*x*y^2 + s*sin(k*x + y)\n"
+        "psi = b0*x^2*y + e*exp(m*y) + r*sqrt(d + x^2)\n"
+        "param a0 = 0.8063635223522421\nparam a1 = 0.23238750254462204\n"
+        "param s = 0.58345389621529\nparam k = 1.9516999923802572\n"
+        "param b0 = 0.666705631564025\nparam e = -0.5028121134904342\n"
+        "param m = 0.3117966279733431\nparam r = -0.571021398005199\n"
+        "param d = 0.7505063413624405")
+    calls = []
+    compose, constant = jets._compose, Jet.constant
+    monkeypatch.setattr(jets, "_compose",
+                        lambda *args: calls.append(args) or compose(*args))
+    monkeypatch.setattr(Jet, "constant", staticmethod(
+        lambda *args: calls.append(args) or constant(*args)))
+    for order in (1, 2, 3):
+        for point in ((0.3, -0.7), (-0.5, 0.25)):
+            eval_surface(sd, point, order)
+    assert calls == []
+    # a batch of one runs them, so the spies see it
+    eval_points(sd, [(0.3, -0.7)], 2)
+    assert len(calls) == 6
 
 
 def test_polynomial_point_run_never_enters_errstate(monkeypatch):
@@ -492,8 +552,12 @@ def test_polynomial_point_run_never_enters_errstate(monkeypatch):
 def test_importing_the_cli_compiles_no_point_code():
     # the one-point rules are compiled on first use, not at import
     src = pathlib.Path(expr.__file__).parents[1]
-    subprocess.run([sys.executable, "-c", "import surf4.cli, surf4.jets\n"
-                    "assert surf4.jets._point.cache_info().currsize == 0"],
+    subprocess.run([sys.executable, "-c", "import sys\nmade = []\n"
+                    "sys.addaudithook(lambda event, args: event == 'compile'"
+                    " and args[1] == '<point code>' and made.append(1))\n"
+                    "import surf4.cli, surf4.jets\nassert made == []\n"
+                    "surf4.jets.Jet.variable('x', (0.5, 0.5), 1) * 2.0\n"
+                    "assert made == [1]"],
                    cwd=src, check=True)
 
 

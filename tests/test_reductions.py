@@ -56,21 +56,6 @@ def test_stacked_matrix_products_equal_one_product_per_vector(n, layout):
         assert bits(vecmat.ravel()) == bits(np.ravel([a @ m for a in v]))
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_stacked_inverse_and_coframe_equal_one_call_per_matrix(n):
-    # rule 3 for inv: a stacked inverse of transposed 2x2 matrices, and
-    # products with its transposes, as one call per matrix
-    rng = np.random.default_rng(n + 7)
-    chart = rng.normal(size=(n, 2, 2))
-    v = rng.normal(size=(n, 2))
-    coframe = np.linalg.inv(chart.transpose(0, 2, 1))
-    stacked = np.matmul(coframe.transpose(0, 2, 1), v[:, :, None])[:, :, 0]
-    one_by_one = [np.linalg.inv(c.T) for c in chart]
-    assert bits(coframe.ravel()) == bits(np.ravel(one_by_one))
-    assert bits(stacked.ravel()) == bits(np.ravel(
-        [c.T @ w for c, w in zip(one_by_one, v)]))
-
-
 @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (4, 4)])
 @pytest.mark.parametrize("layout", ["C", "transposed"])
 @pytest.mark.parametrize("n", SIZES)
